@@ -17,6 +17,7 @@ ci: build
 	dune runtest
 	dune exec bin/vdpverify.exe -- crash examples/router.click
 	dune exec bin/vdpverify.exe -- crash -j 4 --certify examples/router.click
+	dune exec bin/vdpverify.exe -- bound -j 4 examples/router.click
 	dune exec bin/vdpverify.exe -- verify --certify examples/router.click
 	dune exec bin/vdpverify.exe -- crash --certify examples/firewall.click
 	dune exec bin/vdpverify.exe -- replay examples/router.click

@@ -530,9 +530,9 @@ let e5 () =
     Printf.printf "write-back check: bad value is producible via %s\n" w
   | _ -> Printf.printf "write-back check: unexpected result\n")
 
-(* {1 E6 — incremental Step-2 solving vs flat re-solving} *)
+(* {1 Shared by later experiments} *)
 
-(* The NetFlow+NAT configuration shared by E5/E6/E7. *)
+(* The NetFlow+NAT configuration of E5, run by E7 onwards. *)
 let nat_config =
   {|
     cl :: Classifier(12/0800, -);
@@ -556,69 +556,6 @@ let same_verdict a b =
   | V.Violated _, V.Violated _ -> violated_nodes a = violated_nodes b
   | V.Unknown _, V.Unknown _ -> true
   | _ -> false
-
-let e6 () =
-  section
-    "E6: Step-2 solving, incremental context + query cache vs flat re-solve";
-  let pipelines =
-    [
-      ("ip-router (7 elements)", full_router ());
-      ("NetFlow+NAT", Click.Config.parse nat_config);
-    ]
-  in
-  Printf.printf "%-24s %10s %10s %8s %s\n" "pipeline" "flat(s)" "incr(s)"
-    "speedup" "agreement";
-  let rows = ref [] in
-  List.iter
-    (fun (name, pl) ->
-      (* Step 1 is shared work — prewarm it so only Step 2 is timed. *)
-      Summaries.clear ();
-      ignore (Summaries.of_pipeline pl);
-      let run ~incremental ~cache =
-        Solver.Cache.clear Solver.shared_cache;
-        let config = { V.default_config with V.incremental; V.cache } in
-        let crash = V.check_crash_freedom ~config pl in
-        let bound = V.instruction_bound ~config pl in
-        (crash, bound)
-      in
-      let fc, fb = run ~incremental:false ~cache:false in
-      let ic, ib = run ~incremental:true ~cache:true in
-      let flat_t = fc.V.stats.V.step2_time +. fb.V.b_stats.V.step2_time in
-      let incr_t = ic.V.stats.V.step2_time +. ib.V.b_stats.V.step2_time in
-      let agree =
-        same_verdict fc.V.verdict ic.V.verdict
-        && fb.V.bound = ib.V.bound
-        && fb.V.exact = ib.V.exact
-      in
-      Printf.printf "%-24s %10.3f %10.3f %7.1fx %s\n%!" name flat_t incr_t
-        (flat_t /. incr_t)
-        (if agree then "verdicts+bounds identical" else "MISMATCH");
-      rows :=
-        Json.Obj
-          [
-            ("pipeline", Json.Str name);
-            ("flat_seconds", Json.Float flat_t);
-            ("incremental_seconds", Json.Float incr_t);
-            ("speedup", Json.Float (flat_t /. incr_t));
-            ("agree", Json.Bool agree);
-          ]
-        :: !rows;
-      if not agree then begin
-        Format.printf "  flat:  %a bound=%s exact=%b@."
-          Vdp_verif.Report.pp_verdict fc.V.verdict
-          (match fb.V.bound with Some b -> string_of_int b | None -> "-")
-          fb.V.exact;
-        Format.printf "  incr:  %a bound=%s exact=%b@."
-          Vdp_verif.Report.pp_verdict ic.V.verdict
-          (match ib.V.bound with Some b -> string_of_int b | None -> "-")
-          ib.V.exact
-      end)
-    pipelines;
-  record "pipelines" (Json.List (List.rev !rows));
-  Printf.printf
-    "\nthe incremental context keeps the blasted term DAG and learned\n\
-     clauses across sibling composite paths; the cache removes queries\n\
-     repeated across the crash-freedom and bound properties.\n"
 
 (* Pull one float field back out of a previously written BENCH json;
    enough of a parser for the regression check against the committed
@@ -672,13 +609,11 @@ let e7 () =
   (* End-to-end verification (crash freedom + instruction bound) from a
      cold start: summaries and the shared query cache are cleared before
      every run so Step 1 is re-done and timed too. *)
-  let run ~incremental ~jobs pl =
+  let run ~jobs pl =
     Summaries.clear ();
     Solver.Cache.clear Solver.shared_cache;
     Gc.compact ();
-    let config =
-      { V.default_config with V.incremental; V.cache = incremental; V.jobs }
-    in
+    let config = { V.default_config with V.jobs } in
     time (fun () ->
         let crash = V.check_crash_freedom ~config pl in
         let bound = V.instruction_bound ~config pl in
@@ -695,8 +630,8 @@ let e7 () =
          and every later one over the full set (~2x wall). All timed
          runs below must sit on the same side of that cliff or the
          jobs/mode comparison measures GC, not the scheduler. *)
-      ignore (run ~incremental:true ~jobs:1 pl);
-      let (rc0, rb0), base_t = run ~incremental:true ~jobs:1 pl in
+      ignore (run ~jobs:1 pl);
+      let (rc0, rb0), base_t = run ~jobs:1 pl in
       let report ?sched mode jobs (rc, rb) dt =
         let agree =
           same_verdict rc0.V.verdict rc.V.verdict
@@ -742,15 +677,13 @@ let e7 () =
           :: !rows;
         dt
       in
-      let rf, dtf = run ~incremental:false ~jobs:1 pl in
-      ignore (report "flat" 1 rf dtf);
       ignore (report "incremental" 1 (rc0, rb0) base_t);
       List.iter
         (fun jobs ->
           let g = Solver.stats in
           let sp0 = g.Solver.sched_spawned
           and stl0 = g.Solver.sched_stolen in
-          let ((rc, rb) as r), dt = run ~incremental:true ~jobs pl in
+          let ((rc, rb) as r), dt = run ~jobs pl in
           let spawned = g.Solver.sched_spawned - sp0 in
           let stolen = g.Solver.sched_stolen - stl0 in
           let suspects =
@@ -2201,7 +2134,7 @@ let micro () =
 (* {1 Driver} *)
 
 let all = [ "fig1", fig1; "fig2", fig2; "e1", e1; "e2", e2; "e3", e3;
-            "e4", e4; "e5", e5; "e6", e6; "e7", e7; "e8", e8; "e9", e9;
+            "e4", e4; "e5", e5; "e7", e7; "e8", e8; "e9", e9;
             "e10", e10; "e11", e11; "e12", e12; "e13", e13; "micro", micro ]
 
 let () =

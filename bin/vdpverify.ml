@@ -35,13 +35,6 @@ let monolithic_arg =
   in
   Arg.(value & flag & info [ "monolithic" ] ~doc)
 
-let no_incremental_arg =
-  let doc =
-    "Re-solve each composite condition from scratch instead of carrying one \
-     incremental solver context down the exploration."
-  in
-  Arg.(value & flag & info [ "no-incremental" ] ~doc)
-
 let no_cache_arg =
   let doc = "Disable the Step-2 query cache." in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
@@ -90,12 +83,11 @@ let load path =
     Error (Printf.sprintf "bad configuration for %s: %s" cls m)
   | Invalid_argument m -> Error m
 
-let verifier_config max_len ~no_incremental ~no_cache ~no_preprocess
-    ~no_replay ~jobs ~certify =
+let verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
+    ~certify =
   {
     V.default_config with
     V.engine = { E.default_config with E.max_len };
-    V.incremental = not no_incremental;
     V.cache = not no_cache;
     V.preprocess = not no_preprocess;
     V.replay = not no_replay;
@@ -112,8 +104,8 @@ let verdict_code verdict cert =
   | _ -> 2
 
 let crash_cmd =
-  let run config_path max_len monolithic budget no_incremental no_cache
-      no_preprocess no_replay jobs certify =
+  let run config_path max_len monolithic budget no_cache no_preprocess
+      no_replay jobs certify =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
@@ -144,8 +136,8 @@ let crash_cmd =
       end
       else begin
         let config =
-          verifier_config max_len ~no_incremental ~no_cache ~no_preprocess
-            ~no_replay ~jobs ~certify
+          verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
+            ~certify
         in
         Vdp_smt.Solver.reset_stats ();
         let r = V.check_crash_freedom ~config pl in
@@ -159,20 +151,20 @@ let crash_cmd =
     (Cmd.info "crash" ~doc)
     Term.(
       const run $ config_arg $ max_len_arg $ monolithic_arg $ budget_arg
-      $ no_incremental_arg $ no_cache_arg $ no_preprocess_arg $ no_replay_arg
+      $ no_cache_arg $ no_preprocess_arg $ no_replay_arg
       $ jobs_arg $ certify_arg)
 
 let bound_cmd =
-  let run config_path max_len no_incremental no_cache no_preprocess no_replay
-      jobs certify =
+  let run config_path max_len no_cache no_preprocess no_replay jobs
+      certify =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
       1
     | Ok pl ->
       let config =
-        verifier_config max_len ~no_incremental ~no_cache ~no_preprocess
-          ~no_replay ~jobs ~certify
+        verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
+          ~certify
       in
       Vdp_smt.Solver.reset_stats ();
       let r = V.instruction_bound ~config pl in
@@ -184,24 +176,24 @@ let bound_cmd =
   Cmd.v
     (Cmd.info "bound" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ no_incremental_arg
-      $ no_cache_arg $ no_preprocess_arg $ no_replay_arg $ jobs_arg
+      const run $ config_arg $ max_len_arg $ no_cache_arg $ no_preprocess_arg
+      $ no_replay_arg $ jobs_arg
       $ certify_arg)
 
 (* Crash freedom + instruction bound in one run — the "is this pipeline
    fit to ship" command. With [--certify], both properties' refutations
    must additionally carry independently checked certificates. *)
 let verify_cmd =
-  let run config_path max_len no_incremental no_cache no_preprocess no_replay
-      jobs certify =
+  let run config_path max_len no_cache no_preprocess no_replay jobs
+      certify =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
       1
     | Ok pl ->
       let config =
-        verifier_config max_len ~no_incremental ~no_cache ~no_preprocess
-          ~no_replay ~jobs ~certify
+        verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
+          ~certify
       in
       Vdp_smt.Solver.reset_stats ();
       let rc = V.check_crash_freedom ~config pl in
@@ -220,22 +212,22 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ no_incremental_arg
-      $ no_cache_arg $ no_preprocess_arg $ no_replay_arg $ jobs_arg
+      const run $ config_arg $ max_len_arg $ no_cache_arg $ no_preprocess_arg
+      $ no_replay_arg $ jobs_arg
       $ certify_arg)
 
 (* Certification-focused view: run both properties with certificates
    forced on and report certified/uncertified counts per verdict. *)
 let cert_cmd =
-  let run config_path max_len no_incremental no_cache no_preprocess jobs =
+  let run config_path max_len no_cache no_preprocess jobs =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
       1
     | Ok pl ->
       let config =
-        verifier_config max_len ~no_incremental ~no_cache ~no_preprocess
-          ~no_replay:false ~jobs ~certify:true
+        verifier_config max_len ~no_cache ~no_preprocess ~no_replay:false
+          ~jobs ~certify:true
       in
       Vdp_smt.Solver.reset_stats ();
       let rc = V.check_crash_freedom ~config pl in
@@ -263,8 +255,8 @@ let cert_cmd =
   Cmd.v
     (Cmd.info "cert" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ no_incremental_arg
-      $ no_cache_arg $ no_preprocess_arg $ jobs_arg)
+      const run $ config_arg $ max_len_arg $ no_cache_arg $ no_preprocess_arg
+      $ jobs_arg)
 
 (* Verify, apply live route-table changes, re-verify incrementally.
    The second run reuses every Step-1 summary and Step-2 query-cache
@@ -278,8 +270,8 @@ let delta_cmd =
     | [ addr; len ] -> (Vdp_packet.Ipv4.addr_of_string addr, int_of_string len)
     | _ -> invalid_arg (Printf.sprintf "bad prefix %S (want A.B.C.D/len)" s)
   in
-  let run config_path max_len adds dels no_incremental no_cache no_preprocess
-      no_replay jobs =
+  let run config_path max_len adds dels no_cache no_preprocess no_replay
+      jobs =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
@@ -303,8 +295,8 @@ let delta_cmd =
         1
       | Some fib -> (
         let config =
-          verifier_config max_len ~no_incremental ~no_cache ~no_preprocess
-            ~no_replay ~jobs ~certify:false
+          verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
+            ~certify:false
         in
         Vdp_smt.Solver.reset_stats ();
         Vdp_verif.Staleness.reset_stats ();
@@ -374,7 +366,7 @@ let delta_cmd =
     (Cmd.info "delta" ~doc)
     Term.(
       const run $ config_arg $ max_len_arg $ add_arg $ del_arg
-      $ no_incremental_arg $ no_cache_arg $ no_preprocess_arg $ no_replay_arg
+      $ no_cache_arg $ no_preprocess_arg $ no_replay_arg
       $ jobs_arg)
 
 let engine_arg =

@@ -333,9 +333,10 @@ let create_shared_blast () =
 (* Re-answer [conjuncts] on the persistent shared instance under a
    throwaway selector assumption and harvest the conflict cone's tags
    as an unsat core. Used when the answering solver supplied no core
-   (flat mode, a query-cache hit): the persistent instance keeps gate
-   encodings and learned clauses across certificates, so this discovery
-   solve costs a fraction of a standalone re-solve, and the core it
+   (a one-shot fabric query, a query-cache hit): the persistent
+   instance keeps gate encodings and learned clauses across
+   certificates, so this discovery solve costs a fraction of a
+   standalone re-solve, and the core it
    yields shrinks the standalone proof solve that follows. The core is
    only a hint — {!check} verifies the subset relation and the DRAT
    proof regardless — so a wrong answer here degrades cost, never
@@ -388,7 +389,7 @@ let discover_core ?max_conflicts sb (conjuncts : T.t list) : T.t list option =
    encoding work, not the evidence. *)
 let blast_unsat ?shared ?max_conflicts ?blasted ~preprocessed
     (pre : P.result) : (drat_payload, string) result =
-  (* No core from the answering solver (flat mode, cache hits): try to
+  (* No core from the answering solver (one-shot queries, cache hits): try to
      discover one on the persistent shared instance before paying for a
      full-residual standalone proof solve. *)
   let blasted =

@@ -7,21 +7,28 @@
     - {b reachability} — e.g. "well-formed packets to X are never
       dropped", checked for a specific configuration.
 
+    Step 2 is one algorithm, whatever the property: compose the element
+    summaries' segments along pipeline paths and ask the solver whether
+    the suspect composite paths are feasible. A property only decides
+    which segment ends are suspect and what a feasible one means, so
+    each is a {!property} — an [expand] step that yields one composite
+    node's items in segment order ("check this state" or "descend to
+    node [d] with this state") plus a [check] that runs one feasibility
+    decision and returns a mergeable result — run by one sequential and
+    one parallel driver (see {!section-step2}).
+
+    The sequential driver carries one {e incremental} solver context
+    down the composition DFS: each descent pushes a scope and asserts
+    only the new segment's constraints, each return pops it, and the
+    solver keeps its blasted term DAG and learned clauses throughout. A
+    shared query cache additionally memoizes identical composite
+    conditions (common across properties on the same pipeline);
+    [config.cache = false] disables it.
+
     Crash-freedom exploration only descends into subtrees that can
     still reach a suspect segment — the pruning that, combined with
     per-element summary caching, gives the paper's exponential-to-
     linear collapse.
-
-    Step-2 feasibility checks run, by default, against one {e
-    incremental} solver context carried down the composition DFS: each
-    descent pushes a scope and asserts only the new segment's
-    constraints, each return pops it, and the solver keeps its blasted
-    term DAG and learned clauses throughout. A shared query cache
-    additionally memoizes identical composite conditions (common across
-    properties on the same pipeline). [config.incremental = false]
-    restores flat per-check solving; [config.cache = false] disables
-    memoization — both escape hatches exist so the two modes can be
-    differentially tested and benchmarked against each other.
 
     With [config.jobs > 1] both steps run on a {!Pool} of that many
     domains. Step 1 fans the distinct element symbex jobs out (they
@@ -51,17 +58,14 @@ type config = {
   engine : Engine.config;
   solver_budget : int;  (** conflict budget per composite check *)
   assume : T.t list;    (** extra assumptions on the input packet *)
-  validate_witnesses : bool;
   replay : bool;
       (** replay each witness through {!Witness.replay}: derive the
           initial private state the violating path depends on, load it,
           and require the concrete runtime to reproduce the claimed
-          outcome before tagging the violation confirmed. Off, the
-          legacy stateless spot-check of [validate_witnesses] is all
-          that runs. *)
+          outcome before tagging the violation confirmed. Off, a
+          stateless runtime spot-check of crash witnesses is all that
+          runs. *)
   max_composite_paths : int;
-  incremental : bool;
-      (** carry one push/pop solver context down the Step-2 DFS *)
   cache : bool;  (** memoize Step-2 queries in [Solver.shared_cache] *)
   preprocess : bool;
       (** word-level solver preprocessing (equality substitution,
@@ -88,10 +92,8 @@ let default_config =
     engine = Engine.default_config;
     solver_budget = 2_000_000;
     assume = [];
-    validate_witnesses = true;
     replay = true;
     max_composite_paths = 2_000_000;
-    incremental = true;
     cache = true;
     preprocess = true;
     jobs = 1;
@@ -162,56 +164,14 @@ type report = {
    solving is incremental or parallel. *)
 let now () = Unix.gettimeofday ()
 
-(* The Step-2 solving strategy. In incremental mode the context is
-   maintained so that, on entry to [visit node st], it holds exactly
-   the constraints of [st.cond]; flat mode re-solves [st.cond] from
-   scratch at every suspect. *)
-type step2 =
-  | Flat of Solver.Cache.t option * bool  (* (cache, preprocess) *)
-  | Incremental of Solver.ctx
-
-let make_step2 cfg =
+let make_ctx cfg =
   let cache = if cfg.cache then Some Solver.shared_cache else None in
-  if cfg.incremental then
-    Incremental
-      (Solver.create_ctx ?cache ~preprocess:cfg.preprocess
-         ~track_core:cfg.certify ())
-  else Flat (cache, cfg.preprocess)
+  Solver.create_ctx ?cache ~preprocess:cfg.preprocess ~track_core:cfg.certify
+    ()
 
-let make_flat cfg =
-  Flat
-    ((if cfg.cache then Some Solver.shared_cache else None), cfg.preprocess)
-
-(* Enter the composite state [st]: in incremental mode, open a scope
-   holding exactly the constraints [apply] just added. *)
-let enter step2 (st : Compose.t) =
-  match step2 with
-  | Flat _ -> ()
-  | Incremental c ->
-    Solver.push c;
-    Solver.assert_terms c st.Compose.new_cond
-
-let leave = function
-  | Flat _ -> ()
-  | Incremental c -> Solver.pop c
-
-(* Check feasibility of [st.cond @ extra]. Incremental-mode invariant:
-   the context currently holds [st.cond]. *)
-let check_state step2 ~max_conflicts (st : Compose.t) extra =
-  let deps = st.Compose.static_deps in
-  match step2 with
-  | Flat (cache, preprocess) ->
-    Solver.check ?cache ~deps ~preprocess ~max_conflicts
-      (extra @ st.Compose.cond)
-  | Incremental c ->
-    if extra = [] then Solver.check_ctx ~deps ~max_conflicts c
-    else begin
-      Solver.push c;
-      Solver.assert_terms c extra;
-      let r = Solver.check_ctx ~deps ~max_conflicts c in
-      Solver.pop c;
-      r
-    end
+(* Feasibility of the state the context holds. *)
+let solve ctx ~max_conflicts (st : Compose.t) =
+  Solver.check_ctx ~deps:st.Compose.static_deps ~max_conflicts ctx
 
 (* Decide feasibility with a single unbounded query; only a satisfiable
    answer pays extra for witness shrinking (retry under increasingly
@@ -219,15 +179,19 @@ let check_state step2 ~max_conflicts (st : Compose.t) extra =
    cosmetic, soundness only needs the unbounded answer). Checks on a
    crash-free pipeline are overwhelmingly unsat, so the common case
    costs exactly one query instead of one per bound. *)
-let check_small step2 ~max_conflicts (st : Compose.t) =
-  match check_state step2 ~max_conflicts st [] with
+let solve_small ctx ~max_conflicts (st : Compose.t) =
+  match solve ctx ~max_conflicts st with
   | (Solver.Unsat | Solver.Unknown) as r -> r
   | Solver.Sat m ->
     let rec shrink = function
       | [] -> Solver.Sat m
       | b :: rest -> (
-        let bound = T.ule (T.var S.len_var 16) (T.bv_int ~width:16 b) in
-        match check_state step2 ~max_conflicts st [ bound ] with
+        Solver.push ctx;
+        Solver.assert_terms ctx
+          [ T.ule (T.var S.len_var 16) (T.bv_int ~width:16 b) ];
+        let r = solve ctx ~max_conflicts st in
+        Solver.pop ctx;
+        match r with
         | Solver.Sat m' -> Solver.Sat m'
         | Solver.Unsat | Solver.Unknown -> shrink rest)
     in
@@ -236,7 +200,7 @@ let check_small step2 ~max_conflicts (st : Compose.t) =
 (* Certification plumbing: one thread-safe collector per run when
    [config.certify]; every [Unsat] suspect-path answer sends its refuted
    conjunction through it. Only the outer, unbounded query ([st.cond])
-   is certified — the witness-shrinking retries in [check_small] run
+   is certified — the witness-shrinking retries in [solve_small] run
    only after a [Sat], and a [Sat] is vouched for by witness replay,
    not by a proof. *)
 let make_cert cfg =
@@ -246,24 +210,24 @@ let make_cert cfg =
          ~max_conflicts:cfg.solver_budget ())
   else None
 
-(* Hand the certificate producer what the answering solver already
-   knows: the preprocessing result (so the proof cache is keyed exactly
-   like the query cache) and the unsat core over the residual conjuncts
-   (so only the core is re-blasted). Flat mode solves one-shot and
-   exposes neither. Must be read before the context runs another
-   check — callers capture the pair synchronously. *)
-let cert_pre_core = function
-  | Incremental c -> (Solver.last_pre c, Solver.last_core c)
-  | Flat _ -> (None, None)
-
-let certify_now cert step2 (st : Compose.t) =
+(* The certifier for refutations answered by [ctx]. It hands the
+   certificate producer what the answering solver already knows: the
+   preprocessing result (so the proof cache is keyed exactly like the
+   query cache) and the unsat core over the residual conjuncts (so only
+   the core is re-blasted). Both are read synchronously, before the
+   context runs another check; [defer] decides where the
+   produce-and-check work itself runs. *)
+let certifier cert ctx ~defer =
   match cert with
-  | None -> ()
+  | None -> fun _ -> ()
   | Some col ->
-    let pre, core = cert_pre_core step2 in
-    ignore
-      (Vdp_cert.Certificate.certify_refutation ?pre ?core col st.Compose.cond
-        : (Vdp_cert.Certificate.t, string) result)
+    fun (st : Compose.t) ->
+      let pre = Solver.last_pre ctx and core = Solver.last_core ctx in
+      let cond = st.Compose.cond in
+      defer (fun () ->
+          ignore
+            (Vdp_cert.Certificate.certify_refutation ?pre ?core col cond
+              : (Vdp_cert.Certificate.t, string) result))
 
 let cert_summary cert = Option.map Vdp_cert.Certificate.summary cert
 
@@ -309,11 +273,11 @@ let validate_crash pl pkt node =
 
 (* Replay one Sat model: with [config.replay], through the full
    witness-replay machinery (initial private state derived from the
-   model and loaded); otherwise the legacy stateless spot-check.
-   Returns (replay record, witness packet, confirmed). *)
+   model and loaded); otherwise a stateless spot-check of crash
+   witnesses. Returns (replay record, witness packet, confirmed). *)
 let replay_model cfg pl (stats : stats) ~model ~st ~expect =
   let max_len = cfg.engine.Engine.max_len in
-  if cfg.replay && cfg.validate_witnesses then begin
+  if cfg.replay then begin
     let r = Witness.replay pl ~max_len ~model ~st ~expect in
     stats.replays <- stats.replays + 1;
     let ok = Witness.confirmed r in
@@ -323,8 +287,6 @@ let replay_model cfg pl (stats : stats) ~model ~st ~expect =
   else
     let pkt = Compose.witness_packet model ~max_len in
     let confirmed =
-      cfg.validate_witnesses
-      &&
       match expect with
       | Witness.Crash_at node -> validate_crash pl pkt node
       | _ -> false
@@ -341,27 +303,112 @@ let segment_reads_kv (seg : Engine.segment) =
     (function S.Kv_read _ -> true | S.Kv_write _ -> false)
     seg.Engine.kv_log
 
+(* Run [f apply seg] on every segment of [node]'s summary, in segment
+   order; [apply seg] composes [seg] onto [st]. *)
+let iter_segments (summaries : Summaries.entry array) node st f =
+  let tag = Printf.sprintf "n%d" node in
+  let deps = summaries.(node).Summaries.result.Engine.static_deps in
+  List.iter
+    (f (fun seg -> Compose.apply ~deps st ~tag seg))
+    summaries.(node).Summaries.result.Engine.segments
+
+(* {1:step2 Step 2: one traversal for every property}
+
+   A property is an [expand] step plus a [check]. [expand node st
+   yield] yields the items of one composite node in segment (DFS)
+   order, one callback per item, so the sequential driver never holds
+   all sibling states of a wide node at once. [check] runs one
+   feasibility decision on a context that holds the item's state and
+   returns a result; results merge in DFS order ([merge] is
+   associative, [empty] its unit). *)
+
+type 'c item =
+  | Check of 'c * Compose.t  (** decide this state *)
+  | Descend of int * Compose.t  (** expand node [d] from this state *)
+
+type env = {
+  ctx : Solver.ctx;  (** holds exactly the state being checked *)
+  counters : stats;  (** Step-2 counters of this task *)
+  certify : Compose.t -> unit;  (** certify the refutation just answered *)
+}
+
+type ('c, 'r) property = {
+  expand : int -> Compose.t -> ('c item -> unit) -> unit;
+  check : env -> 'c -> Compose.t -> 'r;
+  empty : 'r;
+  merge : 'r -> 'r -> 'r;
+}
+
+(* The feasibility decision every property's [check] makes: count it,
+   solve, and certify a refutation. *)
+let decide cfg env ~solve (st : Compose.t) =
+  let c = env.counters in
+  c.suspect_checks <- c.suspect_checks + 1;
+  match solve env.ctx ~max_conflicts:cfg.solver_budget st with
+  | Solver.Unsat as r ->
+    c.refuted <- c.refuted + 1;
+    env.certify st;
+    r
+  | Solver.Unknown as r ->
+    c.unknown_checks <- c.unknown_checks + 1;
+    r
+  | Solver.Sat _ as r -> r
+
 exception Path_budget
+
+(* The sequential driver: a DFS on one incremental context, which holds
+   exactly the constraints of [st] on entry to [visit node st]. Results
+   found before the path budget trips are kept. *)
+let sequential cfg cert prop stats entry st0 =
+  let ctx = make_ctx cfg in
+  let certify = certifier cert ctx ~defer:(fun f -> f ()) in
+  let env = { ctx; counters = stats; certify } in
+  let acc = ref prop.empty in
+  let enter (st : Compose.t) =
+    Solver.push ctx;
+    Solver.assert_terms ctx st.Compose.new_cond
+  in
+  let rec visit node st =
+    stats.composite_paths <- stats.composite_paths + 1;
+    if stats.composite_paths > cfg.max_composite_paths then raise Path_budget;
+    prop.expand node st (fun item ->
+        (match item with
+        | Check (c, st') ->
+          enter st';
+          acc := prop.merge !acc (prop.check env c st')
+        | Descend (dst, st') ->
+          enter st';
+          visit dst st');
+        Solver.pop ctx)
+  in
+  let budget_hit =
+    try
+      enter st0;
+      visit entry st0;
+      Solver.pop ctx;
+      false
+    with Path_budget -> true
+  in
+  (!acc, budget_hit)
 
 (* {1:worksteal Work-stealing Step-2}
 
    With [jobs > 1], Step-2 is a dynamic task graph on the {!Pool}
    helping scheduler instead of a pre-partitioned frontier: every
-   composite tree node ([W_subtree]) and every terminal feasibility
-   check ([W_check]) becomes its own task, spawned as its parent
-   expands. A subtree task is pure [Compose] work — expand one node's
-   segments, spawn a task per work item, await the children and merge;
-   only check tasks touch the solver.
+   composite tree node ([Descend]) and every terminal feasibility check
+   ([Check]) becomes its own task, spawned as its parent expands. A
+   subtree task is pure [Compose] work — expand one node's segments,
+   spawn a task per item, await the children and merge; only check
+   tasks touch the solver.
 
    Each pool domain lazily builds one {e persistent} incremental
    context and re-seeds it at every check task ("clone on steal": pop
    all scopes, push one, assert the task's accumulated prefix). The
    re-seed itself is cheap — scopes are just term lists — while the
    expensive state (blasted term DAG, gate encodings, learned clauses)
-   stays with the domain across every task it runs. The coarse
-   frontier partitioning this replaces re-rooted each subtree into a
-   brand-new context, re-blasting the shared prefix per subtree and
-   solving all frontier checks flat.
+   stays with the domain across every task it runs. The re-seeded
+   context asserts the same conjunct list, in the same order, as the
+   sequential DFS's scope stack.
 
    Determinism: a parent merges child results in spawn (= DFS) order,
    so violation lists, bound witnesses and counters come out exactly
@@ -372,29 +419,23 @@ exception Path_budget
    Check tasks never await anything, so a domain that helps (runs
    another task while blocked in [Pool.await]) can never interleave
    two users of its context: only check tasks use the context, and
-   they run to completion before the helping await returns. *)
+   they run to completion before the helping await returns.
 
-type 'chk work =
-  | W_check of 'chk
-  | W_subtree of int * Compose.t
+   Certificates are produced and checked as their own pool tasks, so
+   proof production/checking overlaps ongoing solving instead of
+   serializing after each refutation; the futures are drained before
+   the run reads its certification summary. *)
 
 let with_jobs cfg f =
   if cfg.jobs <= 1 then f None
   else Pool.with_pool cfg.jobs (fun pool -> f (Some pool))
 
-(* One persistent Step-2 context per pool domain, built on first use;
-   a fresh key per run keeps runs (and their configs) isolated. *)
-let worker_ctx_key cfg = Domain.DLS.new_key (fun () -> make_step2 cfg)
-
-let reseed step2 (st : Compose.t) =
-  match step2 with
-  | Flat _ -> ()
-  | Incremental c ->
-    while Solver.depth c > 0 do
-      Solver.pop c
-    done;
-    Solver.push c;
-    Solver.assert_terms c (List.rev st.Compose.cond)
+let reseed ctx (st : Compose.t) =
+  while Solver.depth ctx > 0 do
+    Solver.pop ctx
+  done;
+  Solver.push ctx;
+  Solver.assert_terms ctx (List.rev st.Compose.cond)
 
 (* Fold the pool's scheduler counters into the global solver stats;
    the bench harness reports them alongside the solver counters. *)
@@ -410,44 +451,7 @@ let record_sched pool =
     (fun i n -> g.Solver.sched_hist.(i) <- g.Solver.sched_hist.(i) + n)
     ps.Pool.hist
 
-(* Certificates are produced and checked as their own pool tasks, so
-   proof production/checking overlaps ongoing solving instead of
-   serializing after each refutation. The answering context's
-   preprocessing result and unsat core must be captured synchronously
-   (the context is re-seeded by the domain's next task); only the
-   produce-and-check work is deferred. The futures are drained before
-   the run reads its certification summary. *)
-type cert_queue = {
-  cq_mutex : Mutex.t;
-  mutable cq_futs : unit Pool.future list;
-}
-
-let make_cert_queue () = { cq_mutex = Mutex.create (); cq_futs = [] }
-
-let async_cert pool q cert step2 (st : Compose.t) =
-  match cert with
-  | None -> ()
-  | Some col ->
-    let pre, core = cert_pre_core step2 in
-    let cond = st.Compose.cond in
-    let fut =
-      Pool.spawn pool (fun () ->
-          ignore
-            (Vdp_cert.Certificate.certify_refutation ?pre ?core col cond
-              : (Vdp_cert.Certificate.t, string) result))
-    in
-    Mutex.lock q.cq_mutex;
-    q.cq_futs <- fut :: q.cq_futs;
-    Mutex.unlock q.cq_mutex
-
-let drain_certs pool q =
-  Mutex.lock q.cq_mutex;
-  let futs = q.cq_futs in
-  q.cq_futs <- [];
-  Mutex.unlock q.cq_mutex;
-  List.iter (fun f -> Pool.await pool f) futs
-
-(* Step-2 counters produced by one worker, merged positionally. *)
+(* Step-2 counters produced by one task, merged positionally. *)
 let merge_counters into (from : stats) =
   into.composite_paths <- into.composite_paths + from.composite_paths;
   into.suspect_checks <- into.suspect_checks + from.suspect_checks;
@@ -456,138 +460,154 @@ let merge_counters into (from : stats) =
   into.replays <- into.replays + from.replays;
   into.replays_confirmed <- into.replays_confirmed + from.replays_confirmed
 
-(* {1 Crash freedom} *)
-
-(* The DFS body shared by the sequential pass and each parallel
-   subtree worker. [check_one] expects the context to hold the state
-   {e before} the crash segment's constraints; it enters/leaves the
-   crash state itself. [?outcome] overrides the segment's own outcome
-   in the reported violation — used when composition discovers that a
-   segment dips below the {e remaining} headroom budget even though the
-   element-local summary (which assumed a full budget) did not crash.
-   [danger.(i)] marks nodes where some segment's worst push excursion
-   can exceed the least budget any path carries in (a static
-   over-approximation): only there do drop/emit segments need the
-   per-path dip check, so headroom-safe pipelines pay nothing. *)
-let crash_visitor cfg pl nodes (summaries : Summaries.entry array)
-    has_suspect danger ~(stats : stats) ~violations ~unknowns ~certify step2 =
-  let check_one ?outcome node (seg : Engine.segment) (st' : Compose.t) =
-    stats.suspect_checks <- stats.suspect_checks + 1;
-    enter step2 st';
-    (match check_small step2 ~max_conflicts:cfg.solver_budget st' with
-    | Solver.Unsat ->
-      stats.refuted <- stats.refuted + 1;
-      certify st'
-    | Solver.Unknown ->
-      stats.unknown_checks <- stats.unknown_checks + 1;
-      incr unknowns
-    | Solver.Sat model ->
-      let stateful =
-        trace_reads_kv st' && segment_reads_kv seg
-      in
-      let replayed, witness, confirmed =
-        replay_model cfg pl stats ~model ~st:st'
-          ~expect:(Witness.Crash_at node)
-      in
-      violations :=
-        {
-          node;
-          element = nodes.(node).Click.Pipeline.element.Click.Element.name;
-          outcome =
-            (match outcome with Some o -> o | None -> seg.Engine.outcome);
-          cond = st'.Compose.cond;
-          witness = Some witness;
-          confirmed;
-          stateful;
-          replayed;
-        }
-        :: !violations);
-    leave step2
+(* The parallel driver. Every task returns (result, counters,
+   budget hit). *)
+let parallel pool cfg cert prop stats entry st0 =
+  (* One persistent context per pool domain, built on first use; a
+     fresh key per run keeps runs (and their configs) isolated. *)
+  let key = Domain.DLS.new_key (fun () -> make_ctx cfg) in
+  let visits = Atomic.make 0 in
+  let certs = ref [] and certs_mutex = Mutex.create () in
+  let defer f =
+    let fut = Pool.spawn pool f in
+    Mutex.protect certs_mutex (fun () -> certs := fut :: !certs)
   in
-  let rec visit node (st : Compose.t) =
-    stats.composite_paths <- stats.composite_paths + 1;
-    if stats.composite_paths > cfg.max_composite_paths then
-      raise Path_budget;
-    let tag = Printf.sprintf "n%d" node in
-    let deps = summaries.(node).Summaries.result.Engine.static_deps in
-    List.iter
-      (fun (seg : Engine.segment) ->
-        match seg.Engine.outcome with
-        | Engine.O_crash _ ->
-          let st' = Compose.apply ~deps st ~tag seg in
-          let outcome =
-            if st'.Compose.headroom_short then
-              Some (Engine.O_crash Engine.C_headroom)
-            else None
-          in
-          check_one ?outcome node seg st'
-        | Engine.O_drop ->
-          if danger.(node) then begin
-            let st' = Compose.apply ~deps st ~tag seg in
-            if st'.Compose.headroom_short then
-              check_one ~outcome:(Engine.O_crash Engine.C_headroom) node seg
-                st'
-          end
-        | Engine.O_emit p -> (
-          let dst =
-            match nodes.(node).Click.Pipeline.outputs.(p) with
-            | Some (dst, _) when has_suspect.(dst) -> Some dst
-            | _ -> None
-          in
-          if danger.(node) || dst <> None then
-            let st' = Compose.apply ~deps st ~tag seg in
-            if st'.Compose.headroom_short then
-              (* The runtime crashes mid-segment; nothing runs behind
-                 this element on such a path, so do not descend. *)
-              check_one ~outcome:(Engine.O_crash Engine.C_headroom) node seg
-                st'
-            else
-              match dst with
-              | Some dst when Compose.plausible st' ->
-                enter step2 st';
-                visit dst st';
-                leave step2
-              | _ -> ()))
-      summaries.(node).Summaries.result.Engine.segments
+  let check_task c st () =
+    let counters = fresh_stats () in
+    let ctx = Domain.DLS.get key in
+    reseed ctx st;
+    let env = { ctx; counters; certify = certifier cert ctx ~defer } in
+    (prop.check env c st, counters, false)
   in
-  (check_one, visit)
+  let rec subtree node st () =
+    let counters = fresh_stats () in
+    counters.composite_paths <- 1;
+    if Atomic.fetch_and_add visits 1 >= cfg.max_composite_paths then
+      (prop.empty, counters, true)
+    else begin
+      (* Spawn once the whole node is expanded: when checks start
+         decides how much the bound's shared [hint] prunes, and this
+         keeps the schedule the per-property drivers had. *)
+      let items = ref [] in
+      prop.expand node st (fun item -> items := item :: !items);
+      let futs =
+        List.map
+          (function
+            | Check (c, st') -> Pool.spawn pool (check_task c st')
+            | Descend (dst, st') -> Pool.spawn pool (subtree dst st'))
+          (List.rev !items)
+      in
+      List.fold_left
+        (fun (r, acc, bh) fut ->
+          let r_i, s_i, bh_i = Pool.await pool fut in
+          merge_counters acc s_i;
+          (prop.merge r r_i, acc, bh || bh_i))
+        (prop.empty, counters, false)
+        futs
+    end
+  in
+  let r, s, budget_hit =
+    Pool.await pool (Pool.spawn pool (subtree entry st0))
+  in
+  merge_counters stats s;
+  (* Every check task has finished, so no certificate is still being
+     enqueued. *)
+  List.iter (Pool.await pool) !certs;
+  record_sched pool;
+  (r, budget_hit)
 
-type crash_check = {
-  cc_node : int;
-  cc_seg : Engine.segment;
-  cc_st : Compose.t;  (* state after applying the crash segment *)
-  cc_outcome : Engine.outcome option;
-      (* overriding outcome (composition-level headroom crash) *)
+(* Run [prop] from the pipeline entry; returns the merged result and
+   whether the composite-path budget ran out. *)
+let traverse ?pool cfg cert prop stats entry =
+  let st0 = initial_state cfg in
+  match pool with
+  | Some pool when Pool.size pool > 1 ->
+    parallel pool cfg cert prop stats entry st0
+  | _ -> sequential cfg cert prop stats entry st0
+
+(* {1 Violation properties: crash freedom and reachability}
+
+   Both look for feasible paths to a suspect end and report each one,
+   with a replayed witness, as a violation. *)
+
+type suspect = {
+  s_node : int;
+  s_outcome : Engine.outcome;  (** the outcome reported for the path *)
+  s_expect : Witness.expect;  (** what the witness must reproduce *)
+  s_seg_reads : bool;
+      (** whether a read of private state on the path makes the
+          violation stateful: crash asks that the suspect segment itself
+          read state, reachability does not ([true]) *)
 }
 
-(* One visit step of the crash DFS, as frontier expansion — mirrors the
-   segment loop of [crash_visitor.visit], including the headroom dip
-   checks gated on [danger]. *)
-let crash_expand nodes (summaries : Summaries.entry array) has_suspect danger
-    node st =
-  let tag = Printf.sprintf "n%d" node in
-  let deps = summaries.(node).Summaries.result.Engine.static_deps in
-  let hr_check seg st' =
-    [ W_check
-        { cc_node = node; cc_seg = seg; cc_st = st';
-          cc_outcome = Some (Engine.O_crash Engine.C_headroom) } ]
+let violation_property cfg pl expand =
+  let nodes = Click.Pipeline.nodes pl in
+  let check env s (st : Compose.t) =
+    match decide cfg env ~solve:solve_small st with
+    | Solver.Unsat | Solver.Unknown -> []
+    | Solver.Sat model ->
+      let replayed, witness, confirmed =
+        replay_model cfg pl env.counters ~model ~st ~expect:s.s_expect
+      in
+      [
+        {
+          node = s.s_node;
+          element = nodes.(s.s_node).Click.Pipeline.element.Click.Element.name;
+          outcome = s.s_outcome;
+          cond = st.Compose.cond;
+          witness = Some witness;
+          confirmed;
+          stateful = s.s_seg_reads && trace_reads_kv st;
+          replayed;
+        };
+      ]
   in
-  List.concat_map
-    (fun (seg : Engine.segment) ->
+  let merge a = function [] -> a | b -> a @ b in
+  { expand; check; empty = []; merge }
+
+let violation_report summaries stats cert (violations, budget_hit) =
+  let verdict =
+    if violations <> [] then Violated violations
+    else if budget_hit then Unknown "composite path budget exceeded"
+    else if stats.unknown_checks > 0 then
+      Unknown "solver budget exceeded on some checks"
+    else if any_incomplete summaries then
+      Unknown "element symbolic execution was incomplete"
+    else Proved
+  in
+  { verdict; stats; cert = cert_summary cert }
+
+(* {1 Crash freedom} *)
+
+(* Crash segments are suspect, and so are segments that dip below the
+   {e remaining} headroom budget even though the element-local summary
+   (which assumed a full budget) did not crash: those are reported as a
+   headroom crash. [danger.(i)] marks nodes where some segment's worst
+   push excursion can exceed the least budget any path carries in (a
+   static over-approximation): only there do drop/emit segments need
+   the per-path dip check, so headroom-safe pipelines pay nothing.
+   Emit segments are followed only into subtrees that [has_suspect]. *)
+let crash_expand nodes summaries has_suspect danger node st yield =
+  let suspect (seg : Engine.segment) st' outcome =
+    yield
+      (Check
+         ( { s_node = node;
+             s_outcome = outcome;
+             s_expect = Witness.Crash_at node;
+             s_seg_reads = segment_reads_kv seg },
+           st' ))
+  in
+  let headroom seg st' = suspect seg st' (Engine.O_crash Engine.C_headroom) in
+  iter_segments summaries node st (fun apply seg ->
       match seg.Engine.outcome with
       | Engine.O_crash _ ->
-        let st' = Compose.apply ~deps st ~tag seg in
-        if st'.Compose.headroom_short then hr_check seg st'
-        else
-          [ W_check
-              { cc_node = node; cc_seg = seg; cc_st = st';
-                cc_outcome = None } ]
+        let st' = apply seg in
+        if st'.Compose.headroom_short then headroom seg st'
+        else suspect seg st' seg.Engine.outcome
       | Engine.O_drop ->
-        if danger.(node) then begin
-          let st' = Compose.apply ~deps st ~tag seg in
-          if st'.Compose.headroom_short then hr_check seg st' else []
-        end
-        else []
+        if danger.(node) then
+          let st' = apply seg in
+          if st'.Compose.headroom_short then headroom seg st'
       | Engine.O_emit p -> (
         let dst =
           match nodes.(node).Click.Pipeline.outputs.(p) with
@@ -595,14 +615,15 @@ let crash_expand nodes (summaries : Summaries.entry array) has_suspect danger
           | _ -> None
         in
         if danger.(node) || dst <> None then
-          let st' = Compose.apply ~deps st ~tag seg in
-          if st'.Compose.headroom_short then hr_check seg st'
+          let st' = apply seg in
+          if st'.Compose.headroom_short then
+            (* The runtime crashes mid-segment; nothing runs behind
+               this element on such a path, so do not descend. *)
+            headroom seg st'
           else
             match dst with
-            | Some dst when Compose.plausible st' -> [ W_subtree (dst, st') ]
-            | _ -> []
-        else []))
-    summaries.(node).Summaries.result.Engine.segments
+            | Some dst when Compose.plausible st' -> yield (Descend (dst, st'))
+            | _ -> ()))
 
 let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
     report =
@@ -669,88 +690,16 @@ let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
                e.Summaries.result.Engine.segments))
     summaries;
   let t0 = now () in
-  let violations, unknowns, budget_hit =
-    match pool with
-    | Some pool when Pool.size pool > 1 && has_suspect.(entry) ->
-      let key = worker_ctx_key config in
-      let visits = Atomic.make 0 in
-      let cq = make_cert_queue () in
-      (* A check task re-seeds its domain's context with the state
-         {e before} the crash segment ([check_one] enters/leaves the
-         crash state itself, mirroring the sequential DFS). *)
-      let check_leaf { cc_node; cc_seg; cc_st; cc_outcome } st_parent () =
-        let local = fresh_stats () in
-        let violations = ref [] and unknowns = ref 0 in
-        let step2 = Domain.DLS.get key in
-        reseed step2 st_parent;
-        let check_one, _ =
-          crash_visitor config pl nodes summaries has_suspect danger
-            ~stats:local ~violations ~unknowns
-            ~certify:(fun st -> async_cert pool cq cert step2 st)
-            step2
-        in
-        check_one ?outcome:cc_outcome cc_node cc_seg cc_st;
-        (List.rev !violations, !unknowns, local, false)
-      in
-      let rec subtree node st () =
-        let local = fresh_stats () in
-        local.composite_paths <- 1;
-        if Atomic.fetch_and_add visits 1 >= config.max_composite_paths then
-          ([], 0, local, true)
-        else
-          let futs =
-            List.map
-              (function
-                | W_check chk -> Pool.spawn pool (check_leaf chk st)
-                | W_subtree (dst, st') -> Pool.spawn pool (subtree dst st'))
-              (crash_expand nodes summaries has_suspect danger node st)
-          in
-          List.fold_left
-            (fun (vs, unk, acc, bh) fut ->
-              let vs_i, unk_i, s_i, bh_i = Pool.await pool fut in
-              merge_counters acc s_i;
-              (vs @ vs_i, unk + unk_i, acc, bh || bh_i))
-            ([], 0, local, false) futs
-      in
-      let st0 = initial_state config in
-      let vs, unk, s, bh =
-        Pool.await pool (Pool.spawn pool (subtree entry st0))
-      in
-      merge_counters stats s;
-      drain_certs pool cq;
-      record_sched pool;
-      (vs, unk, bh)
-    | _ ->
-      let step2 = make_step2 config in
-      let violations = ref [] in
-      let unknowns = ref 0 in
-      let _, visit =
-        crash_visitor config pl nodes summaries has_suspect danger ~stats
-          ~violations ~unknowns ~certify:(certify_now cert step2) step2
-      in
-      let budget_hit =
-        try
-          if has_suspect.(entry) then begin
-            let st0 = initial_state config in
-            enter step2 st0;
-            visit entry st0;
-            leave step2
-          end;
-          false
-        with Path_budget -> true
-      in
-      (List.rev !violations, !unknowns, budget_hit)
+  let result =
+    if has_suspect.(entry) then
+      traverse ?pool config cert
+        (violation_property config pl
+           (crash_expand nodes summaries has_suspect danger))
+        stats entry
+    else ([], false)
   in
   stats.step2_time <- now () -. t0;
-  let verdict =
-    if violations <> [] then Violated violations
-    else if budget_hit then Unknown "composite path budget exceeded"
-    else if unknowns > 0 then Unknown "solver budget exceeded on some checks"
-    else if any_incomplete summaries then
-      Unknown "element symbolic execution was incomplete"
-    else Proved
-  in
-  { verdict; stats; cert = cert_summary cert }
+  violation_report summaries stats cert result
 
 (* {1 Incremental (delta) re-verification}
 
@@ -812,91 +761,50 @@ let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
-(* The bound DFS body shared by the sequential pass and each parallel
-   subtree worker. [best] is (instr_hi, final composite state, model)
-   of the longest feasible path seen so far, first-in-DFS-order on
-   ties.
-   [hint] is a pruning accelerator shared across workers: the largest
-   instr_hi proven feasible anywhere so far. Skipping paths at or below
-   it never loses the maximum, so the bound stays deterministic; which
-   equal-length witness is kept (and the check count) may vary. *)
-let bound_visitor cfg nodes (summaries : Summaries.entry array)
-    ~(stats : stats) ~best ~hint ~unknown_hi ~completed ~certify step2 =
-  let record_unknown (st : Compose.t) =
-    stats.unknown_checks <- stats.unknown_checks + 1;
-    if st.Compose.instr_hi > !unknown_hi then unknown_hi := st.Compose.instr_hi
-  in
-  (* Incremental mode checks each completed path as the DFS reaches it
-     (sharing the prefix context), keeping the running maximum; only
-     paths that could raise the maximum are checked. *)
-  let leaf (st' : Compose.t) =
-    let improves =
-      (match !best with
-      | None -> true
-      | Some (b, _, _) -> st'.Compose.instr_hi > b)
-      && st'.Compose.instr_hi > Atomic.get hint
-    in
-    if improves then begin
-      stats.suspect_checks <- stats.suspect_checks + 1;
-      enter step2 st';
-      (match check_state step2 ~max_conflicts:cfg.solver_budget st' [] with
-      | Solver.Sat model ->
-        atomic_max hint st'.Compose.instr_hi;
-        best := Some (st'.Compose.instr_hi, st', model)
-      | Solver.Unsat ->
-        stats.refuted <- stats.refuted + 1;
-        certify st'
-      | Solver.Unknown -> record_unknown st');
-      leave step2
-    end
-  in
-  let complete st' crashed =
-    match step2 with
-    | Flat _ -> completed := (st', crashed) :: !completed
-    | Incremental _ -> leaf st'
-  in
-  let rec visit node (st : Compose.t) =
-    stats.composite_paths <- stats.composite_paths + 1;
-    if stats.composite_paths > cfg.max_composite_paths then
-      raise Path_budget;
-    let tag = Printf.sprintf "n%d" node in
-    let deps = summaries.(node).Summaries.result.Engine.static_deps in
-    List.iter
-      (fun (seg : Engine.segment) ->
-        let st' = Compose.apply ~deps st ~tag seg in
-        if Compose.plausible st' then
-          match seg.Engine.outcome with
-          | Engine.O_crash _ -> complete st' true
-          | Engine.O_drop -> complete st' false
-          | Engine.O_emit p -> (
-            match nodes.(node).Click.Pipeline.outputs.(p) with
-            | None -> complete st' false
-            | Some (dst, _) ->
-              enter step2 st';
-              visit dst st';
-              leave step2))
-      summaries.(node).Summaries.result.Engine.segments
-  in
-  (record_unknown, complete, visit)
-
-(* One visit step of the bound DFS, as frontier expansion. The check
-   payload is a completed path: (final state, ended-in-crash). *)
-let bound_expand nodes (summaries : Summaries.entry array) node st =
-  let tag = Printf.sprintf "n%d" node in
-  let deps = summaries.(node).Summaries.result.Engine.static_deps in
-  List.concat_map
-    (fun (seg : Engine.segment) ->
-      let st' = Compose.apply ~deps st ~tag seg in
-      if not (Compose.plausible st') then []
-      else
+(* Every completed path is suspect. *)
+let bound_expand nodes summaries node st yield =
+  iter_segments summaries node st (fun apply seg ->
+      let st' = apply seg in
+      if Compose.plausible st' then
         match seg.Engine.outcome with
-        | Engine.O_crash _ -> [ W_check (st', true) ]
-        | Engine.O_drop -> [ W_check (st', false) ]
+        | Engine.O_crash _ | Engine.O_drop -> yield (Check ((), st'))
         | Engine.O_emit p -> (
           match nodes.(node).Click.Pipeline.outputs.(p) with
-          | None -> [ W_check (st', false) ]
-          | Some (dst, _) -> [ W_subtree (dst, st') ]))
-    summaries.(node).Summaries.result.Engine.segments
+          | None -> yield (Check ((), st'))
+          | Some (dst, _) -> yield (Descend (dst, st'))))
+
+(* A result is (longest feasible path as (instr_hi, final state, model),
+   longest path that came back Unknown). [hint] is the largest instr_hi
+   proven feasible anywhere so far: a path at or below it cannot raise
+   the maximum and is skipped. Sequentially [hint] is exactly the
+   running best, so only paths that improve on it are checked; in
+   parallel it is shared across tasks, and which equal-length witness
+   is kept (and the check count) may vary, never the bound. Merging
+   keeps the earlier of two equally long paths, so ties resolve to the
+   first in DFS order. *)
+let bound_property cfg nodes summaries =
+  let hint = Atomic.make (-1) in
+  let check env () (st : Compose.t) =
+    let hi = st.Compose.instr_hi in
+    if hi <= Atomic.get hint then (None, -1)
+    else
+      match decide cfg env ~solve st with
+      | Solver.Sat model ->
+        atomic_max hint hi;
+        (Some (hi, st, model), -1)
+      | Solver.Unsat -> (None, -1)
+      | Solver.Unknown -> (None, hi)
+  in
+  let merge (b, u) (b', u') =
+    let best =
+      match (b, b') with
+      | None, _ -> b'
+      | Some (x, _, _), Some (y, _, _) when y > x -> b'
+      | Some _, _ -> b
+    in
+    (best, max u u')
+  in
+  { expand = bound_expand nodes summaries; check; empty = (None, -1); merge }
 
 let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
     bound_report =
@@ -906,151 +814,25 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
   let summaries = step1 ?pool config pl stats in
   let nodes = Click.Pipeline.nodes pl in
   let t0 = now () in
-  (* Best feasible path so far: (instr_hi, final state, model). *)
-  let best : (int * Compose.t * Vdp_smt.Model.t) option ref = ref None in
-  (* Longest candidate that came back Unknown; if it exceeds the final
-     bound, the bound may undercount and must not be reported exact. *)
-  let unknown_hi = ref (-1) in
-  let hint = Atomic.make (-1) in
-  let completed : (Compose.t * bool) list ref = ref [] in
-  (* (final state, ended-in-crash) — flat mode only *)
-  let budget_hit =
-    match pool with
-    | Some pool when Pool.size pool > 1 ->
-      let key = worker_ctx_key config in
-      let visits = Atomic.make 0 in
-      let cq = make_cert_queue () in
-      (* A completed path: in incremental mode check it now on the
-         domain's re-seeded context (the shared [hint] prunes paths
-         that cannot raise the maximum); in flat mode just collect it
-         for the longest-first search below. Task result:
-         (best, unknown_hi, completed in DFS order, counters, budget). *)
-      let check_leaf (st, crashed) () =
-        let local = fresh_stats () in
-        if not config.incremental then
-          (None, -1, [ (st, crashed) ], local, false)
-        else if st.Compose.instr_hi <= Atomic.get hint then
-          (None, -1, [], local, false)
-        else begin
-          let step2 = Domain.DLS.get key in
-          reseed step2 st;
-          local.suspect_checks <- 1;
-          match
-            check_state step2 ~max_conflicts:config.solver_budget st []
-          with
-          | Solver.Sat model ->
-            atomic_max hint st.Compose.instr_hi;
-            (Some (st.Compose.instr_hi, st, model), -1, [], local, false)
-          | Solver.Unsat ->
-            local.refuted <- 1;
-            async_cert pool cq cert step2 st;
-            (None, -1, [], local, false)
-          | Solver.Unknown ->
-            local.unknown_checks <- 1;
-            (None, st.Compose.instr_hi, [], local, false)
-        end
-      in
-      let rec subtree node st () =
-        let local = fresh_stats () in
-        local.composite_paths <- 1;
-        if Atomic.fetch_and_add visits 1 >= config.max_composite_paths then
-          (None, -1, [], local, true)
-        else
-          let futs =
-            List.map
-              (function
-                | W_check chk -> Pool.spawn pool (check_leaf chk)
-                | W_subtree (dst, st') -> Pool.spawn pool (subtree dst st'))
-              (bound_expand nodes summaries node st)
-          in
-          (* Merge in spawn order: a later candidate replaces the best
-             only if strictly longer, so ties resolve to the first in
-             global DFS order — the same path the sequential DFS
-             keeps. *)
-          List.fold_left
-            (fun (b, uhi, comp, acc, bh) fut ->
-              let b_i, uhi_i, comp_i, s_i, bh_i = Pool.await pool fut in
-              merge_counters acc s_i;
-              let b' =
-                match (b, b_i) with
-                | None, _ -> b_i
-                | Some _, None -> b
-                | Some (x, _, _), Some (y, _, _) -> if y > x then b_i else b
-              in
-              (b', max uhi uhi_i, comp @ comp_i, acc, bh || bh_i))
-            (None, -1, [], local, false) futs
-      in
-      let st0 = initial_state config in
-      let b, uhi, comp, s, bh =
-        Pool.await pool
-          (Pool.spawn pool (subtree (Click.Pipeline.entry pl) st0))
-      in
-      merge_counters stats s;
-      best := b;
-      if uhi > !unknown_hi then unknown_hi := uhi;
-      (* Flat mode: the sequential push-front loop builds the list in
-         reverse-DFS order; match it so the stable longest-first sort
-         below breaks ties identically. *)
-      completed := List.rev comp;
-      drain_certs pool cq;
-      record_sched pool;
-      bh
-    | _ -> (
-      let step2 = make_step2 config in
-      let _, _, visit =
-        bound_visitor config nodes summaries ~stats ~best ~hint ~unknown_hi
-          ~completed ~certify:(certify_now cert step2) step2
-      in
-      try
-        let st0 = initial_state config in
-        enter step2 st0;
-        visit (Click.Pipeline.entry pl) st0;
-        leave step2;
-        false
-      with Path_budget -> true)
+  let (best, unknown_hi), budget_hit =
+    traverse ?pool config cert
+      (bound_property config nodes summaries)
+      stats (Click.Pipeline.entry pl)
   in
-  (if not config.incremental then begin
-     (* Longest first; the first satisfiable path gives the bound. *)
-     let cache = if config.cache then Some Solver.shared_cache else None in
-     let candidates =
-       List.sort
-         (fun ((a : Compose.t), _) (b, _) ->
-           Stdlib.compare b.Compose.instr_hi a.Compose.instr_hi)
-         !completed
-     in
-     let rec search = function
-       | [] -> ()
-       | ((st : Compose.t), _crashed) :: rest -> (
-         stats.suspect_checks <- stats.suspect_checks + 1;
-         match
-           Solver.check ?cache ~deps:st.Compose.static_deps
-             ~max_conflicts:config.solver_budget st.Compose.cond
-         with
-         | Solver.Sat model -> best := Some (st.Compose.instr_hi, st, model)
-         | Solver.Unsat ->
-           stats.refuted <- stats.refuted + 1;
-           certify_now cert (make_flat config) st;
-           search rest
-         | Solver.Unknown ->
-           stats.unknown_checks <- stats.unknown_checks + 1;
-           if st.Compose.instr_hi > !unknown_hi then
-             unknown_hi := st.Compose.instr_hi;
-           search rest)
-     in
-     search candidates
-   end);
+  (* A candidate longer than the bound that came back Unknown means the
+     bound may undercount, so it must not be reported exact. *)
   let bound, exact =
-    match !best with
+    match best with
     | Some (b, st, _) ->
-      (Some b, (not st.Compose.summarized) && !unknown_hi <= b)
+      (Some b, (not st.Compose.summarized) && unknown_hi <= b)
     | None -> (None, false)
   in
   let witness, measured, b_replayed =
-    match !best with
+    match best with
     | None -> (None, None, None)
     | Some (_, st, model) ->
       let max_len = config.engine.Engine.max_len in
-      if config.replay && config.validate_witnesses then begin
+      if config.replay then begin
         (* Load the private state the longest path assumed, then require
            the runtime's count to land inside the path's interval. *)
         let r =
@@ -1068,11 +850,9 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
       end
       else
         let pkt = Compose.witness_packet model ~max_len in
-        if config.validate_witnesses then
-          let inst = Click.Runtime.instantiate pl in
-          let r = Click.Runtime.push inst (Vdp_packet.Packet.clone pkt) in
-          (Some pkt, Some r.Click.Runtime.total_instrs, None)
-        else (Some pkt, None, None)
+        let inst = Click.Runtime.instantiate pl in
+        let r = Click.Runtime.push inst (Vdp_packet.Packet.clone pkt) in
+        (Some pkt, Some r.Click.Runtime.total_instrs, None)
   in
   stats.step2_time <- now () -. t0;
   let verdict =
@@ -1109,110 +889,29 @@ let expect_of_end = function
   | End_drop n -> Witness.Drop_at n
   | End_crash n -> Witness.Crash_at n
 
-(* The reachability DFS body. [check_end] expects the context to hold
-   [st.cond] already (its caller entered the state). *)
-let reach_visitor cfg pl nodes (summaries : Summaries.entry array) ~bad
-    ~(stats : stats) ~violations ~unknowns ~certify step2 =
-  let check_end node (st : Compose.t) outcome path_end =
-    if bad path_end then begin
-      stats.suspect_checks <- stats.suspect_checks + 1;
-      match check_small step2 ~max_conflicts:cfg.solver_budget st with
-      | Solver.Unsat ->
-        stats.refuted <- stats.refuted + 1;
-        certify st
-      | Solver.Unknown ->
-        stats.unknown_checks <- stats.unknown_checks + 1;
-        incr unknowns
-      | Solver.Sat model ->
-        let replayed, witness, confirmed =
-          replay_model cfg pl stats ~model ~st
-            ~expect:(expect_of_end path_end)
-        in
-        violations :=
-          {
-            node;
-            element = nodes.(node).Click.Pipeline.element.Click.Element.name;
-            outcome;
-            cond = st.Compose.cond;
-            witness = Some witness;
-            confirmed;
-            stateful = trace_reads_kv st;
-            replayed;
-          }
-          :: !violations
-    end
-  in
-  let rec visit node (st : Compose.t) =
-    stats.composite_paths <- stats.composite_paths + 1;
-    if stats.composite_paths > cfg.max_composite_paths then
-      raise Path_budget;
-    let tag = Printf.sprintf "n%d" node in
-    let deps = summaries.(node).Summaries.result.Engine.static_deps in
-    List.iter
-      (fun (seg : Engine.segment) ->
-        let st' = Compose.apply ~deps st ~tag seg in
-        if Compose.plausible st' then
-          match seg.Engine.outcome with
-          | Engine.O_crash _ ->
-            enter step2 st';
-            check_end node st' seg.Engine.outcome (End_crash node);
-            leave step2
-          | Engine.O_drop ->
-            enter step2 st';
-            check_end node st' seg.Engine.outcome (End_drop node);
-            leave step2
-          | Engine.O_emit p -> (
-            match nodes.(node).Click.Pipeline.outputs.(p) with
-            | None -> (
-              match Click.Pipeline.egress_index pl ~node ~port:p with
-              | Some e ->
-                enter step2 st';
-                check_end node st' seg.Engine.outcome (End_egress e);
-                leave step2
-              | None -> ())
-            | Some (dst, _) ->
-              enter step2 st';
-              visit dst st';
-              leave step2))
-      summaries.(node).Summaries.result.Engine.segments
-  in
-  (check_end, visit)
-
-type reach_check = {
-  rc_node : int;
-  rc_outcome : Engine.outcome;
-  rc_end : path_end;
-  rc_st : Compose.t;
-}
-
-(* One visit step of the reachability DFS, as frontier expansion; only
-   path ends matching [bad] become check items. *)
-let reach_expand pl nodes (summaries : Summaries.entry array) ~bad node st =
-  let tag = Printf.sprintf "n%d" node in
-  let deps = summaries.(node).Summaries.result.Engine.static_deps in
-  let check seg st' path_end =
+(* Path ends matching [bad] are suspect. *)
+let reach_expand pl nodes summaries ~bad node st yield =
+  let suspect (seg : Engine.segment) st' path_end =
     if bad path_end then
-      [ W_check
-          { rc_node = node; rc_outcome = seg.Engine.outcome;
-            rc_end = path_end; rc_st = st' } ]
-    else []
+      yield
+        (Check
+           ( { s_node = node; s_outcome = seg.Engine.outcome;
+               s_expect = expect_of_end path_end; s_seg_reads = true },
+             st' ))
   in
-  List.concat_map
-    (fun (seg : Engine.segment) ->
-      let st' = Compose.apply ~deps st ~tag seg in
-      if not (Compose.plausible st') then []
-      else
+  iter_segments summaries node st (fun apply seg ->
+      let st' = apply seg in
+      if Compose.plausible st' then
         match seg.Engine.outcome with
-        | Engine.O_crash _ -> check seg st' (End_crash node)
-        | Engine.O_drop -> check seg st' (End_drop node)
+        | Engine.O_crash _ -> suspect seg st' (End_crash node)
+        | Engine.O_drop -> suspect seg st' (End_drop node)
         | Engine.O_emit p -> (
           match nodes.(node).Click.Pipeline.outputs.(p) with
           | None -> (
             match Click.Pipeline.egress_index pl ~node ~port:p with
-            | Some e -> check seg st' (End_egress e)
-            | None -> [])
-          | Some (dst, _) -> [ W_subtree (dst, st') ]))
-    summaries.(node).Summaries.result.Engine.segments
+            | Some e -> suspect seg st' (End_egress e)
+            | None -> ())
+          | Some (dst, _) -> yield (Descend (dst, st'))))
 
 let check_reachability ?(config = default_config) ~bad (pl : Click.Pipeline.t)
     : report =
@@ -1222,83 +921,10 @@ let check_reachability ?(config = default_config) ~bad (pl : Click.Pipeline.t)
   let summaries = step1 ?pool config pl stats in
   let nodes = Click.Pipeline.nodes pl in
   let t0 = now () in
-  let violations, unknowns, budget_hit =
-    match pool with
-    | Some pool when Pool.size pool > 1 ->
-      let key = worker_ctx_key config in
-      let visits = Atomic.make 0 in
-      let cq = make_cert_queue () in
-      (* [check_end] expects the context to hold the path-end state in
-         full, so the check task re-seeds with [rc_st] itself. *)
-      let check_leaf { rc_node; rc_outcome; rc_end; rc_st } () =
-        let local = fresh_stats () in
-        let violations = ref [] and unknowns = ref 0 in
-        let step2 = Domain.DLS.get key in
-        reseed step2 rc_st;
-        let check_end, _ =
-          reach_visitor config pl nodes summaries ~bad ~stats:local
-            ~violations ~unknowns
-            ~certify:(fun st -> async_cert pool cq cert step2 st)
-            step2
-        in
-        check_end rc_node rc_st rc_outcome rc_end;
-        (List.rev !violations, !unknowns, local, false)
-      in
-      let rec subtree node st () =
-        let local = fresh_stats () in
-        local.composite_paths <- 1;
-        if Atomic.fetch_and_add visits 1 >= config.max_composite_paths then
-          ([], 0, local, true)
-        else
-          let futs =
-            List.map
-              (function
-                | W_check chk -> Pool.spawn pool (check_leaf chk)
-                | W_subtree (dst, st') -> Pool.spawn pool (subtree dst st'))
-              (reach_expand pl nodes summaries ~bad node st)
-          in
-          List.fold_left
-            (fun (vs, unk, acc, bh) fut ->
-              let vs_i, unk_i, s_i, bh_i = Pool.await pool fut in
-              merge_counters acc s_i;
-              (vs @ vs_i, unk + unk_i, acc, bh || bh_i))
-            ([], 0, local, false) futs
-      in
-      let st0 = initial_state config in
-      let vs, unk, s, bh =
-        Pool.await pool
-          (Pool.spawn pool (subtree (Click.Pipeline.entry pl) st0))
-      in
-      merge_counters stats s;
-      drain_certs pool cq;
-      record_sched pool;
-      (vs, unk, bh)
-    | _ ->
-      let violations = ref [] in
-      let unknowns = ref 0 in
-      let step2 = make_step2 config in
-      let _, visit =
-        reach_visitor config pl nodes summaries ~bad ~stats ~violations
-          ~unknowns ~certify:(certify_now cert step2) step2
-      in
-      let budget_hit =
-        try
-          let st0 = initial_state config in
-          enter step2 st0;
-          visit (Click.Pipeline.entry pl) st0;
-          leave step2;
-          false
-        with Path_budget -> true
-      in
-      (List.rev !violations, !unknowns, budget_hit)
+  let result =
+    traverse ?pool config cert
+      (violation_property config pl (reach_expand pl nodes summaries ~bad))
+      stats (Click.Pipeline.entry pl)
   in
   stats.step2_time <- now () -. t0;
-  let verdict =
-    if violations <> [] then Violated violations
-    else if budget_hit then Unknown "composite path budget exceeded"
-    else if unknowns > 0 then Unknown "solver budget exceeded on some checks"
-    else if any_incomplete summaries then
-      Unknown "element symbolic execution was incomplete"
-    else Proved
-  in
-  { verdict; stats; cert = cert_summary cert }
+  violation_report summaries stats cert result

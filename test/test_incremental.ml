@@ -1,7 +1,8 @@
 (* The incremental solver layer: push/pop scope semantics, the query
-   cache, differential flat-vs-incremental checks on random constraints
-   and on real pipelines, plus regressions for the newest-first
-   composite condition lists and the Unknown-aware instruction bound. *)
+   cache, differential one-shot-vs-incremental checks on random
+   constraints, Step-2 verdicts against the monolithic baseline, plus
+   regressions for the newest-first composite condition lists and the
+   Unknown-aware instruction bound. *)
 
 module B = Vdp_bitvec.Bitvec
 module T = Vdp_smt.Term
@@ -286,11 +287,10 @@ let router_prefix k =
   in
   Click.Pipeline.linear (List.filteri (fun i _ -> i < k) elements)
 
-let config ~incremental ~cache =
+let config ~cache =
   {
     V.default_config with
     V.engine = { E.default_config with E.max_len = 128 };
-    V.incremental;
     V.cache;
   }
 
@@ -299,54 +299,74 @@ let violated_nodes r =
   | V.Violated vs -> List.sort_uniq compare (List.map (fun v -> v.V.node) vs)
   | _ -> []
 
-let same_verdict a b =
-  match (a.V.verdict, b.V.verdict) with
-  | V.Proved, V.Proved -> true
-  | V.Violated _, V.Violated _ -> violated_nodes a = violated_nodes b
-  | V.Unknown _, V.Unknown _ -> true
-  | _ -> false
+(* The paper's whole-program baseline, with no composition: symbolically
+   execute the inlined pipeline and check every crashing path directly.
+   Returns the verdict and the nodes where a witness of each feasible
+   crashing path crashes the runtime. *)
+let monolithic pl =
+  let engine_config =
+    { Vdp_verif.Monolithic.default_engine_config with E.max_len = 128 }
+  in
+  let verdict =
+    match Vdp_verif.Monolithic.check_crash_freedom ~engine_config pl with
+    | Vdp_verif.Monolithic.Completed { verdict = `Proved; _ } -> `Proved
+    | Vdp_verif.Monolithic.Completed { verdict = `Violated _; _ } -> `Violated
+    | Vdp_verif.Monolithic.Did_not_finish _ ->
+      Alcotest.fail "monolithic baseline did not finish"
+  in
+  let result = E.explore ~config:engine_config (Click.Inline.inline pl) in
+  let nodes =
+    List.filter_map
+      (fun (seg : E.segment) ->
+        match (seg.E.outcome, Solver.check seg.E.cond) with
+        | E.O_crash _, Solver.Sat model -> (
+          let pkt = Compose.witness_packet model ~max_len:128 in
+          let inst = Click.Runtime.instantiate pl in
+          match (Click.Runtime.push inst pkt).Click.Runtime.final with
+          | Click.Runtime.Crashed_at (n, _) -> Some n
+          | _ -> Alcotest.fail "monolithic witness does not crash")
+        | _ -> None)
+      result.E.segments
+  in
+  (verdict, List.sort_uniq compare nodes)
 
 let pipeline_tests =
   [
-    Alcotest.test_case "crash freedom: flat and incremental agree" `Slow
+    Alcotest.test_case "crash freedom: compositional matches monolithic" `Slow
       (fun () ->
         (* k=2 has real violations (short packets crash Strip), k=4 is
            proved — both verdict kinds are exercised. *)
         List.iter
           (fun k ->
-            let flat =
-              Summaries.clear ();
-              V.check_crash_freedom
-                ~config:(config ~incremental:false ~cache:false)
-                (router_prefix k)
+            let pl = router_prefix k in
+            Summaries.clear ();
+            let r = V.check_crash_freedom ~config:(config ~cache:true) pl in
+            let kind =
+              match r.V.verdict with
+              | V.Proved -> `Proved
+              | V.Violated _ -> `Violated
+              | V.Unknown m -> Alcotest.failf "k=%d: unknown (%s)" k m
             in
-            let inc =
-              Summaries.clear ();
-              V.check_crash_freedom
-                ~config:(config ~incremental:true ~cache:true)
-                (router_prefix k)
-            in
+            let mono_kind, mono_nodes = monolithic pl in
+            check_bool (Printf.sprintf "k=%d same verdict" k) true
+              (kind = mono_kind);
             check_bool
-              (Printf.sprintf "k=%d verdicts+nodes agree" k)
-              true (same_verdict flat inc))
+              (Printf.sprintf "k=%d same violated nodes" k)
+              true
+              (violated_nodes r = mono_nodes))
           [ 2; 4 ]);
-    Alcotest.test_case "instruction bound: flat and incremental agree" `Slow
+    Alcotest.test_case "instruction bound: uncached equals cached" `Slow
       (fun () ->
-        let flat =
+        let bound cache =
           Summaries.clear ();
-          V.instruction_bound
-            ~config:(config ~incremental:false ~cache:false)
-            (router_prefix 4)
+          Solver.Cache.clear Solver.shared_cache;
+          V.instruction_bound ~config:(config ~cache) (router_prefix 4)
         in
-        let inc =
-          Summaries.clear ();
-          V.instruction_bound
-            ~config:(config ~incremental:true ~cache:true)
-            (router_prefix 4)
-        in
-        check_bool "bound found" true (flat.V.bound <> None);
-        check_bool "same bound" true (flat.V.bound = inc.V.bound);
-        check_bool "same exactness" true (flat.V.exact = inc.V.exact));
+        let uncached = bound false in
+        let cached = bound true in
+        check_bool "bound found" true (uncached.V.bound <> None);
+        check_bool "same bound" true (uncached.V.bound = cached.V.bound);
+        check_bool "same exactness" true (uncached.V.exact = cached.V.exact));
     Alcotest.test_case "compose shares the condition prefix physically"
       `Quick (fun () ->
         Summaries.clear ();
@@ -373,25 +393,15 @@ let pipeline_tests =
         (* With a 1-conflict budget most checks return Unknown; the
            bound must then be absent or marked inexact — never silently
            exact (the pre-fix behaviour skipped Unknown candidates). *)
-        List.iter
-          (fun incremental ->
-            Summaries.clear ();
-            let r =
-              V.instruction_bound
-                ~config:
-                  {
-                    (config ~incremental ~cache:false) with
-                    V.solver_budget = 1;
-                  }
-                (router_prefix 3)
-            in
-            if r.V.b_stats.V.unknown_checks > 0 then
-              check_bool
-                (Printf.sprintf "inexact under starvation (incremental=%b)"
-                   incremental)
-                true
-                (r.V.bound = None || not r.V.exact))
-          [ false; true ]);
+        Summaries.clear ();
+        let r =
+          V.instruction_bound
+            ~config:{ (config ~cache:false) with V.solver_budget = 1 }
+            (router_prefix 3)
+        in
+        if r.V.b_stats.V.unknown_checks > 0 then
+          check_bool "inexact under starvation" true
+            (r.V.bound = None || not r.V.exact));
   ]
 
 let tests =

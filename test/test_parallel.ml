@@ -311,6 +311,25 @@ let bound_differential =
          | V.Violated _, V.Violated _ -> true
          | _ -> false))
 
+(* Every drop or crash is a suspect end, so both verdict kinds occur. *)
+let reach_differential =
+  QCheck.Test.make ~count:8
+    ~name:"reachability: -j 4 matches sequential verdicts exactly"
+    (QCheck.make ~print:print_pipeline gen_pipeline)
+    (fun picks ->
+      let pl = build_pipeline picks in
+      let bad = function
+        | V.End_drop _ | V.End_crash _ -> true
+        | V.End_egress _ -> false
+      in
+      Summaries.clear ();
+      let seq = V.check_reachability ~config:(config ~jobs:1) ~bad pl in
+      Summaries.clear ();
+      let par = V.check_reachability ~config:(config ~jobs:4) ~bad pl in
+      verdict_kind seq = verdict_kind par
+      && violation_sig seq = violation_sig par
+      && seq.V.stats.V.suspect_checks = par.V.stats.V.suspect_checks)
+
 let fixed_differential_tests =
   [
     Alcotest.test_case "router: parallel crash stats match sequential" `Slow
@@ -404,5 +423,5 @@ let fixed_differential_tests =
 let tests =
   pool_tests @ interning_tests @ summaries_tests
   @ List.map QCheck_alcotest.to_alcotest
-      [ crash_differential; bound_differential ]
+      [ crash_differential; bound_differential; reach_differential ]
   @ fixed_differential_tests
