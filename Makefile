@@ -36,6 +36,7 @@ ci: build
 	dune exec bin/vdpverify.exe -- delta examples/radix_router.click --add "198.51.100.0/24 1"
 	dune exec bin/vdpverify.exe -- reach examples/multi_tenant.click
 	dune exec bin/vdpverify.exe -- isolate examples/multi_tenant.click
+	dune exec bin/vdpverify.exe -- isolate --certify examples/multi_tenant.click
 	VDP_E13_SMOKE=1 dune exec bench/main.exe -- e13
 
 clean:

@@ -8,14 +8,16 @@
       dropped", checked for a specific configuration.
 
     Step 2 is one algorithm, whatever the property: compose the element
-    summaries' segments along pipeline paths and ask the solver whether
-    the suspect composite paths are feasible. A property only decides
-    which segment ends are suspect and what a feasible one means, so
-    each is a {!property} — an [expand] step that yields one composite
-    node's items in segment order ("check this state" or "descend to
-    node [d] with this state") plus a [check] that runs one feasibility
-    decision and returns a mergeable result — run by one sequential and
-    one parallel driver (see {!section-step2}).
+    summaries' segments along paths and ask the solver whether the
+    suspect composite paths are feasible. A property only decides which
+    segment ends are suspect and what a feasible one means, so each is
+    a {!property} — an [expand] step that yields one composite node's
+    items in segment order ("check this state" or "descend to node [d]
+    with this state") plus a [check] that runs one feasibility decision
+    and returns a mergeable result — run by one sequential and one
+    parallel driver (see {!section-step2}). The drivers are polymorphic
+    in the node type, so the fabric queries of {!Vdp_topo.Query} run on
+    them too, with a (pipe, node, crossings) hop as the node.
 
     The sequential driver carries one {e incremental} solver context
     down the composition DFS: each descent pushes a scope and asserts
@@ -59,12 +61,13 @@ type config = {
   solver_budget : int;  (** conflict budget per composite check *)
   assume : T.t list;    (** extra assumptions on the input packet *)
   replay : bool;
-      (** replay each witness through {!Witness.replay}: derive the
-          initial private state the violating path depends on, load it,
-          and require the concrete runtime to reproduce the claimed
+      (** replay each pipeline witness through {!Witness.replay}: derive
+          the initial private state the violating path depends on, load
+          it, and require the concrete runtime to reproduce the claimed
           outcome before tagging the violation confirmed. Off, a
           stateless runtime spot-check of crash witnesses is all that
-          runs. *)
+          runs. Fabric queries ({!Vdp_topo.Query}) ignore it: their
+          witnesses always replay from boot state. *)
   max_composite_paths : int;
   cache : bool;  (** memoize Step-2 queries in [Solver.shared_cache] *)
   preprocess : bool;
@@ -169,9 +172,9 @@ let make_ctx cfg =
   Solver.create_ctx ?cache ~preprocess:cfg.preprocess ~track_core:cfg.certify
     ()
 
-(* Feasibility of the state the context holds. *)
-let solve ctx ~max_conflicts (st : Compose.t) =
-  Solver.check_ctx ~deps:st.Compose.static_deps ~max_conflicts ctx
+(* Feasibility of the conjunction the context holds; [deps] are the
+   static-state slices it was built from. *)
+let solve ctx ~max_conflicts ~deps = Solver.check_ctx ~deps ~max_conflicts ctx
 
 (* Decide feasibility with a single unbounded query; only a satisfiable
    answer pays extra for witness shrinking (retry under increasingly
@@ -179,8 +182,8 @@ let solve ctx ~max_conflicts (st : Compose.t) =
    cosmetic, soundness only needs the unbounded answer). Checks on a
    crash-free pipeline are overwhelmingly unsat, so the common case
    costs exactly one query instead of one per bound. *)
-let solve_small ctx ~max_conflicts (st : Compose.t) =
-  match solve ctx ~max_conflicts st with
+let solve_small ctx ~max_conflicts ~deps =
+  match solve ctx ~max_conflicts ~deps with
   | (Solver.Unsat | Solver.Unknown) as r -> r
   | Solver.Sat m ->
     let rec shrink = function
@@ -189,7 +192,7 @@ let solve_small ctx ~max_conflicts (st : Compose.t) =
         Solver.push ctx;
         Solver.assert_terms ctx
           [ T.ule (T.var S.len_var 16) (T.bv_int ~width:16 b) ];
-        let r = solve ctx ~max_conflicts st in
+        let r = solve ctx ~max_conflicts ~deps in
         Solver.pop ctx;
         match r with
         | Solver.Sat m' -> Solver.Sat m'
@@ -199,10 +202,10 @@ let solve_small ctx ~max_conflicts (st : Compose.t) =
 
 (* Certification plumbing: one thread-safe collector per run when
    [config.certify]; every [Unsat] suspect-path answer sends its refuted
-   conjunction through it. Only the outer, unbounded query ([st.cond])
-   is certified — the witness-shrinking retries in [solve_small] run
-   only after a [Sat], and a [Sat] is vouched for by witness replay,
-   not by a proof. *)
+   conjunction through it. Only the outer, unbounded query is certified
+   — the witness-shrinking retries in [solve_small] run only after a
+   [Sat], and a [Sat] is vouched for by witness replay, not by a
+   proof. *)
 let make_cert cfg =
   if cfg.certify then
     Some
@@ -210,20 +213,22 @@ let make_cert cfg =
          ~max_conflicts:cfg.solver_budget ())
   else None
 
-(* The certifier for refutations answered by [ctx]. It hands the
+(* The certifier for refutations answered by [ctx]: it certifies
+   exactly the conjunction the context decided — a pipeline path's
+   condition, or a fabric path's plus its boot grounding. It hands the
    certificate producer what the answering solver already knows: the
    preprocessing result (so the proof cache is keyed exactly like the
    query cache) and the unsat core over the residual conjuncts (so only
-   the core is re-blasted). Both are read synchronously, before the
-   context runs another check; [defer] decides where the
+   the core is re-blasted). All three are read synchronously, before
+   the context changes or runs another check; [defer] decides where the
    produce-and-check work itself runs. *)
 let certifier cert ctx ~defer =
   match cert with
-  | None -> fun _ -> ()
+  | None -> fun () -> ()
   | Some col ->
-    fun (st : Compose.t) ->
+    fun () ->
       let pre = Solver.last_pre ctx and core = Solver.last_core ctx in
-      let cond = st.Compose.cond in
+      let cond = Solver.asserted ctx in
       defer (fun () ->
           ignore
             (Vdp_cert.Certificate.certify_refutation ?pre ?core col cond
@@ -314,40 +319,44 @@ let iter_segments (summaries : Summaries.entry array) node st f =
 
 (* {1:step2 Step 2: one traversal for every property}
 
-   A property is an [expand] step plus a [check]. [expand node st
-   yield] yields the items of one composite node in segment (DFS)
-   order, one callback per item, so the sequential driver never holds
-   all sibling states of a wide node at once. [check] runs one
-   feasibility decision on a context that holds the item's state and
-   returns a result; results merge in DFS order ([merge] is
-   associative, [empty] its unit). *)
+   A property is an [expand] step plus a [check], over any node type:
+   a pipeline node index here, a (pipe, node, crossings) hop in
+   {!Vdp_topo.Relation}. [expand node st yield] yields the items of one
+   composite node in segment (DFS) order, one callback per item, so the
+   sequential driver never holds all sibling states of a wide node at
+   once. [check] runs one feasibility decision on a context that holds
+   the item's state — it may push a scope of its own on top, as fabric
+   checks do with their boot grounding — and returns a result; results
+   merge in DFS order ([merge] is associative, [empty] its unit). *)
 
-type 'c item =
+type ('n, 'c) item =
   | Check of 'c * Compose.t  (** decide this state *)
-  | Descend of int * Compose.t  (** expand node [d] from this state *)
+  | Descend of 'n * Compose.t  (** expand node [d] from this state *)
 
 type env = {
   ctx : Solver.ctx;  (** holds exactly the state being checked *)
   counters : stats;  (** Step-2 counters of this task *)
-  certify : Compose.t -> unit;  (** certify the refutation just answered *)
+  certify : unit -> unit;
+      (** certify the refutation just answered: the conjunction [ctx]
+          holds *)
 }
 
-type ('c, 'r) property = {
-  expand : int -> Compose.t -> ('c item -> unit) -> unit;
+type ('n, 'c, 'r) property = {
+  expand : 'n -> Compose.t -> (('n, 'c) item -> unit) -> unit;
   check : env -> 'c -> Compose.t -> 'r;
   empty : 'r;
   merge : 'r -> 'r -> 'r;
 }
 
 (* The feasibility decision every property's [check] makes: count it,
-   solve, and certify a refutation. *)
-let decide cfg env ~solve (st : Compose.t) =
+   solve what the context holds, and certify a refutation. *)
+let decide cfg env ~solve ~deps =
   let c = env.counters in
   c.suspect_checks <- c.suspect_checks + 1;
-  match solve env.ctx ~max_conflicts:cfg.solver_budget st with
+  match solve env.ctx ~max_conflicts:cfg.solver_budget ~deps with
   | Solver.Unsat as r ->
     c.refuted <- c.refuted + 1;
-    env.certify st;
+    env.certify ();
     r
   | Solver.Unknown as r ->
     c.unknown_checks <- c.unknown_checks + 1;
@@ -358,19 +367,22 @@ exception Path_budget
 
 (* The sequential driver: a DFS on one incremental context, which holds
    exactly the constraints of [st] on entry to [visit node st]. Results
-   found before the path budget trips are kept. *)
-let sequential cfg cert prop stats entry st0 =
+   found before the path budget trips are kept. The budget counts this
+   traversal's nodes, as the parallel driver's does. *)
+let sequential cfg cert prop stats root st0 =
   let ctx = make_ctx cfg in
   let certify = certifier cert ctx ~defer:(fun f -> f ()) in
   let env = { ctx; counters = stats; certify } in
   let acc = ref prop.empty in
+  let visits = ref 0 in
   let enter (st : Compose.t) =
     Solver.push ctx;
     Solver.assert_terms ctx st.Compose.new_cond
   in
   let rec visit node st =
     stats.composite_paths <- stats.composite_paths + 1;
-    if stats.composite_paths > cfg.max_composite_paths then raise Path_budget;
+    incr visits;
+    if !visits > cfg.max_composite_paths then raise Path_budget;
     prop.expand node st (fun item ->
         (match item with
         | Check (c, st') ->
@@ -384,7 +396,7 @@ let sequential cfg cert prop stats entry st0 =
   let budget_hit =
     try
       enter st0;
-      visit entry st0;
+      visit root st0;
       Solver.pop ctx;
       false
     with Path_budget -> true
@@ -462,7 +474,7 @@ let merge_counters into (from : stats) =
 
 (* The parallel driver. Every task returns (result, counters,
    budget hit). *)
-let parallel pool cfg cert prop stats entry st0 =
+let parallel pool cfg cert prop stats root st0 =
   (* One persistent context per pool domain, built on first use; a
      fresh key per run keeps runs (and their configs) isolated. *)
   let key = Domain.DLS.new_key (fun () -> make_ctx cfg) in
@@ -507,7 +519,7 @@ let parallel pool cfg cert prop stats entry st0 =
     end
   in
   let r, s, budget_hit =
-    Pool.await pool (Pool.spawn pool (subtree entry st0))
+    Pool.await pool (Pool.spawn pool (subtree root st0))
   in
   merge_counters stats s;
   (* Every check task has finished, so no certificate is still being
@@ -516,14 +528,13 @@ let parallel pool cfg cert prop stats entry st0 =
   record_sched pool;
   (r, budget_hit)
 
-(* Run [prop] from the pipeline entry; returns the merged result and
-   whether the composite-path budget ran out. *)
-let traverse ?pool cfg cert prop stats entry =
-  let st0 = initial_state cfg in
+(* Run [prop] from node [root] in state [st0]; returns the merged
+   result and whether the composite-path budget ran out. *)
+let traverse ?pool cfg cert prop stats root st0 =
   match pool with
   | Some pool when Pool.size pool > 1 ->
-    parallel pool cfg cert prop stats entry st0
-  | _ -> sequential cfg cert prop stats entry st0
+    parallel pool cfg cert prop stats root st0
+  | _ -> sequential cfg cert prop stats root st0
 
 (* {1 Violation properties: crash freedom and reachability}
 
@@ -543,7 +554,7 @@ type suspect = {
 let violation_property cfg pl expand =
   let nodes = Click.Pipeline.nodes pl in
   let check env s (st : Compose.t) =
-    match decide cfg env ~solve:solve_small st with
+    match decide cfg env ~solve:solve_small ~deps:st.Compose.static_deps with
     | Solver.Unsat | Solver.Unknown -> []
     | Solver.Sat model ->
       let replayed, witness, confirmed =
@@ -565,15 +576,25 @@ let violation_property cfg pl expand =
   let merge a = function [] -> a | b -> a @ b in
   { expand; check; empty = []; merge }
 
+(* Why a traversal that found no violation is still inconclusive, if
+   it is: the verdict rules every violation property shares, fabric
+   queries included. *)
+let unknown_reason ~incomplete stats ~budget_hit =
+  if budget_hit then Some "composite path budget exceeded"
+  else if stats.unknown_checks > 0 then
+    Some "solver budget exceeded on some checks"
+  else if incomplete then Some "element symbolic execution was incomplete"
+  else None
+
 let violation_report summaries stats cert (violations, budget_hit) =
   let verdict =
     if violations <> [] then Violated violations
-    else if budget_hit then Unknown "composite path budget exceeded"
-    else if stats.unknown_checks > 0 then
-      Unknown "solver budget exceeded on some checks"
-    else if any_incomplete summaries then
-      Unknown "element symbolic execution was incomplete"
-    else Proved
+    else
+      match
+        unknown_reason ~incomplete:(any_incomplete summaries) stats ~budget_hit
+      with
+      | Some why -> Unknown why
+      | None -> Proved
   in
   { verdict; stats; cert = cert_summary cert }
 
@@ -695,7 +716,7 @@ let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
       traverse ?pool config cert
         (violation_property config pl
            (crash_expand nodes summaries has_suspect danger))
-        stats entry
+        stats entry (initial_state config)
     else ([], false)
   in
   stats.step2_time <- now () -. t0;
@@ -788,7 +809,7 @@ let bound_property cfg nodes summaries =
     let hi = st.Compose.instr_hi in
     if hi <= Atomic.get hint then (None, -1)
     else
-      match decide cfg env ~solve st with
+      match decide cfg env ~solve ~deps:st.Compose.static_deps with
       | Solver.Sat model ->
         atomic_max hint hi;
         (Some (hi, st, model), -1)
@@ -817,7 +838,7 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
   let (best, unknown_hi), budget_hit =
     traverse ?pool config cert
       (bound_property config nodes summaries)
-      stats (Click.Pipeline.entry pl)
+      stats (Click.Pipeline.entry pl) (initial_state config)
   in
   (* A candidate longer than the bound that came back Unknown means the
      bound may undercount, so it must not be reported exact. *)
@@ -924,7 +945,7 @@ let check_reachability ?(config = default_config) ~bad (pl : Click.Pipeline.t)
   let result =
     traverse ?pool config cert
       (violation_property config pl (reach_expand pl nodes summaries ~bad))
-      stats (Click.Pipeline.entry pl)
+      stats (Click.Pipeline.entry pl) (initial_state config)
   in
   stats.step2_time <- now () -. t0;
   violation_report summaries stats cert result

@@ -97,7 +97,14 @@ module Tbl = Hashtbl.Make (Node_key)
    as an arbitrary-but-fixed total order ([eq] canonicalisation).
 
    Sequential runs skip the mutexes entirely ([Par.active] is one
-   atomic load), so single-domain verification pays ~zero overhead. *)
+   atomic load), so single-domain verification pays ~zero overhead.
+
+   Each shard's [Tbl] picks a bucket from the low bits of the hash, so
+   the shard must not be picked from those same bits: every node of a
+   shard would then land in 1/[nshards] of its buckets, and lookups
+   would walk chains hundreds of entries long (cache misses each, once
+   the tables are large). [shard_of] takes the top bits of a
+   multiplicative scramble instead. *)
 
 let shard_bits = 8
 let nshards = 1 lsl shard_bits
@@ -107,6 +114,8 @@ type shard = { tbl : t Tbl.t; lock : Mutex.t }
 let shards =
   Array.init nshards (fun _ ->
       { tbl = Tbl.create 1_024; lock = Mutex.create () })
+
+let shard_of h = shards.(((h * 0x1E3779B97F4A7C15) lsr 40) land (nshards - 1))
 
 let next_id = Atomic.make 0
 
@@ -119,7 +128,7 @@ let intern shard node sort =
     t
 
 let mk node sort =
-  let shard = shards.(Node_key.hash node land (nshards - 1)) in
+  let shard = shard_of (Node_key.hash node) in
   if Par.active () then begin
     Mutex.lock shard.lock;
     match intern shard node sort with

@@ -1,13 +1,15 @@
 (** Per-pipeline transfer relations, composed across the fabric.
 
-    The verifier's Step-2 machinery composes element summaries along the
-    paths of {e one} pipeline. This module lifts that to a fabric: a
-    depth-first enumeration walks element segments across link
-    crossings, building one {!Vdp_verif.Compose} state per fabric-level
-    path with position tags ["p<pipe>n<node>"] ({!Fabric.tag}), so all
-    of Compose — headroom accounting, static-slice deps, the kv event
-    trace, instruction intervals — works unchanged over the composed
-    fabric.
+    The verifier's Step-2 traversal composes element summaries along
+    the paths of a property's node graph. This module supplies the
+    fabric's node graph: {!expand} is a {!Vdp_verif.Verifier.property}
+    expand step whose node is a (pipe, node, crossings) hop, so a link
+    crossing is one more [Descend] and the verifier's sequential and
+    parallel drivers walk fabric paths exactly as they walk pipeline
+    paths. Composite states carry position tags ["p<pipe>n<node>"]
+    ({!Fabric.tag}), so all of Compose — headroom accounting,
+    static-slice deps, the kv event trace, instruction intervals, the
+    node trail — works unchanged over the composed fabric.
 
     Two things are new relative to single-pipeline Step 2:
 
@@ -21,7 +23,7 @@
       symbolic-key reads stay adversarial — sound for [Proved], and any
       spurious breach dies in mandatory concrete replay.
 
-    - {b Multi-packet composition} ({!query_terms} with [~prime]): a
+    - {b Multi-packet composition} ({!query_terms}): a
       second ("prime") packet's path is composed as usual and then all
       its variables are renamed behind {!prime_prefix}; concatenating
       its (renamed) kv events in front of the attack packet's and
@@ -69,20 +71,18 @@ let any_incomplete rel =
         per_pipe)
     rel.summaries
 
-(* {1 Fabric path enumeration} *)
+(* {1 Fabric paths} *)
 
 type fend =
   | E_egress of int * int  (** (pipe, egress index), unlinked *)
   | E_drop of int * int  (** (pipe, node) *)
   | E_crash of int * int * Engine.crash
 
-type fpath = {
-  fp_trail : (int * int) list;  (** (pipe, node) in order *)
-  fp_end : fend;
-  fp_st : Compose.t;
-}
+type fpath = { fp_end : fend; fp_st : Compose.t }
 
-exception Path_budget
+(** The (pipe, node) hops a path's state went through, in order. *)
+let trail (fp : fpath) =
+  List.rev (List.filter_map Fabric.parse_tag fp.fp_st.Compose.trail)
 
 let set_port st port =
   {
@@ -199,88 +199,80 @@ let merge_by_key pairs =
       (key, List.rev_map (fun (_, members) -> merge_group !members) !groups))
     !keys
 
-(** Enumerate fabric paths from [ingress = (pipe, in_port)] depth-first,
-    calling [k] on every completed path whose composite state the
-    interval filter cannot refute. Sibling states that differ only in
-    path condition are merged disjunctively at every hop (see above),
-    so one reported path may cover many parse variants. Raises
-    {!Path_budget} beyond [max_paths] composite states. *)
-let enumerate rel ~ingress:(pi0, in_port) ~assume ?(max_paths = 200_000) k =
-  let paths = ref 0 in
-  let rec visit pi node crossings trail (st : Compose.t) =
-    incr paths;
-    if !paths > max_paths then raise Path_budget;
-    let p = rel.fab.Fabric.pipes.(pi) in
-    let nodes = Pipeline.nodes p.Fabric.p_pl in
-    let tag = Fabric.tag ~pipe:pi ~node in
-    let entry = rel.summaries.(pi).(node) in
-    let deps = entry.Summaries.result.Engine.static_deps in
-    let trail = (pi, node) :: trail in
-    let finished = ref [] in
-    let goto = ref [] in
-    List.iter
-      (fun (seg : Engine.segment) ->
-        let st' = Compose.apply ~deps st ~tag seg in
-        if Compose.plausible st' then
-          if st'.Compose.headroom_short then
-            finished :=
-              (E_crash (pi, node, Engine.C_headroom), st') :: !finished
-          else
-            match seg.Engine.outcome with
-            | Engine.O_crash c ->
-              finished := (E_crash (pi, node, c), st') :: !finished
-            | Engine.O_drop ->
-              finished := (E_drop (pi, node), st') :: !finished
-            | Engine.O_emit port -> (
-              match nodes.(node).Pipeline.outputs.(port) with
-              | Some (dst, dport) ->
-                (* The runtime rewrites the port annotation on every
-                   edge; track it so elements branching on the input
-                   port (the NAT gateway) compose exactly. *)
-                goto := ((pi, dst, dport, crossings), st') :: !goto
-              | None -> (
-                match
-                  Pipeline.egress_index p.Fabric.p_pl ~node ~port
-                with
-                | None -> ()  (* unreachable: unwired => egress *)
-                | Some e -> (
-                  match Hashtbl.find_opt rel.fab.Fabric.links (pi, e) with
-                  | Some (dpi, dport) ->
-                    if crossings < Fabric.max_crossings then
-                      goto :=
-                        ( ( dpi,
-                            Pipeline.entry
-                              rel.fab.Fabric.pipes.(dpi).Fabric.p_pl,
-                            dport,
-                            crossings + 1 ),
-                          st' )
-                        :: !goto
-                  | None ->
-                    finished := (E_egress (pi, e), st') :: !finished))))
-      entry.Summaries.result.Engine.segments;
-    List.iter
-      (fun (fe, sts) ->
-        List.iter
-          (fun st' ->
-            k { fp_trail = List.rev trail; fp_end = fe; fp_st = st' })
-          sts)
-      (merge_by_key (List.rev !finished));
-    List.iter
-      (fun ((dpi, dnode, dport, cr), sts) ->
-        List.iter
-          (fun st' -> visit dpi dnode cr trail (set_port st' dport))
-          sts)
-      (merge_by_key (List.rev !goto))
-  in
-  let st0 =
+(** A fabric hop: (pipe, node, link crossings so far). *)
+type node = int * int * int
+
+(** The fabric's Step-2 expand step: apply every segment of the hop's
+    summary, merge sibling successors that differ only in path
+    condition (see above), and yield a [Check] per completed path —
+    payload its {!fend} — then a [Descend] per continuing successor,
+    into the next node of the pipeline or, across a link, into the
+    linked pipeline's entry. Successors the interval filter refutes are
+    dropped, and a link beyond {!Fabric.max_crossings} is not
+    followed. *)
+let expand rel ((pi, node, crossings) : node) (st : Compose.t) yield =
+  let p = rel.fab.Fabric.pipes.(pi) in
+  let nodes = Pipeline.nodes p.Fabric.p_pl in
+  let tag = Fabric.tag ~pipe:pi ~node in
+  let entry = rel.summaries.(pi).(node) in
+  let deps = entry.Summaries.result.Engine.static_deps in
+  let finished = ref [] in
+  let goto = ref [] in
+  List.iter
+    (fun (seg : Engine.segment) ->
+      let st' = Compose.apply ~deps st ~tag seg in
+      if Compose.plausible st' then
+        if st'.Compose.headroom_short then
+          finished := (E_crash (pi, node, Engine.C_headroom), st') :: !finished
+        else
+          match seg.Engine.outcome with
+          | Engine.O_crash c ->
+            finished := (E_crash (pi, node, c), st') :: !finished
+          | Engine.O_drop -> finished := (E_drop (pi, node), st') :: !finished
+          | Engine.O_emit port -> (
+            match nodes.(node).Pipeline.outputs.(port) with
+            | Some (dst, dport) ->
+              (* The runtime rewrites the port annotation on every
+                 edge; track it so elements branching on the input
+                 port (the NAT gateway) compose exactly. *)
+              goto := ((pi, dst, dport, crossings), st') :: !goto
+            | None -> (
+              match Pipeline.egress_index p.Fabric.p_pl ~node ~port with
+              | None -> ()  (* unreachable: unwired => egress *)
+              | Some e -> (
+                match Hashtbl.find_opt rel.fab.Fabric.links (pi, e) with
+                | Some (dpi, dport) ->
+                  if crossings < Fabric.max_crossings then
+                    goto :=
+                      ( ( dpi,
+                          Pipeline.entry rel.fab.Fabric.pipes.(dpi).Fabric.p_pl,
+                          dport,
+                          crossings + 1 ),
+                        st' )
+                      :: !goto
+                | None -> finished := (E_egress (pi, e), st') :: !finished))))
+    entry.Summaries.result.Engine.segments;
+  List.iter
+    (fun (fe, sts) ->
+      List.iter (fun st' -> yield (Vdp_verif.Verifier.Check (fe, st'))) sts)
+    (merge_by_key (List.rev !finished));
+  List.iter
+    (fun ((dpi, dnode, dport, cr), sts) ->
+      List.iter
+        (fun st' ->
+          yield
+            (Vdp_verif.Verifier.Descend ((dpi, dnode, cr), set_port st' dport)))
+        sts)
+    (merge_by_key (List.rev !goto))
+
+(** Where a traversal from [ingress = (pipe, in_port)] starts: the
+    pipe's entry hop and the boot-time composite state, its port
+    annotation set to [in_port]. *)
+let root rel ~assume ~ingress:(pi, in_port) : node * Compose.t =
+  ( (pi, Pipeline.entry rel.fab.Fabric.pipes.(pi).Fabric.p_pl, 0),
     Compose.initial ~assume
       ~meta:[ (Ir.Port, T.bv_int ~width:8 in_port) ]
-      ~headroom:rel.config.Engine.headroom ()
-  in
-  visit pi0
-    (Pipeline.entry rel.fab.Fabric.pipes.(pi0).Fabric.p_pl)
-    0 [] st0;
-  !paths
+      ~headroom:rel.config.Engine.headroom () )
 
 (* {1 Boot-state grounding} *)
 
@@ -387,41 +379,39 @@ let couples rel ~prime ~attack =
   let reads = reads_of rel attack in
   List.exists (fun w -> List.mem w reads) (writes_of_path prime)
 
-(** The full solver query for [attack] (optionally primed): path
-    constraints plus boot grounding over the combined kv trace.
-    Also returns the static-slice deps for cache invalidation. *)
-let query_terms rel ?prime ~(attack : fpath) () :
+(** The boot grounding of one path's own kv trace — what a
+    single-packet query adds to the path condition. *)
+let boot_terms rel (st : Compose.t) =
+  ground_boot rel (List.rev st.Compose.kv_trace)
+
+(** The full solver query for [attack] primed by [prime]: both path
+    conditions plus boot grounding over the combined kv trace. Also
+    returns the static-slice deps for cache invalidation. *)
+let query_terms rel ~(prime : fpath) ~(attack : fpath) :
     T.t list * (int * B.t) list =
-  let attack_events = List.rev attack.fp_st.Compose.kv_trace in
-  match prime with
-  | None ->
-    ( ground_boot rel attack_events @ attack.fp_st.Compose.cond,
-      attack.fp_st.Compose.static_deps )
-  | Some (pr : fpath) ->
-    let memo = Hashtbl.create 64 in
-    let ren t =
-      T.substitute_vars ~memo
-        (fun name sort ->
-          match sort with
-          | Vdp_smt.Sort.Bool -> Some (T.bool_var (prime_prefix ^ name))
-          | Vdp_smt.Sort.Bv w -> Some (T.var (prime_prefix ^ name) w))
-        t
-    in
-    let pr_cond = List.map ren pr.fp_st.Compose.cond in
-    let pr_events =
-      List.rev_map
-        (fun (tag, ev) -> (tag, rename_event ren ev))
-        pr.fp_st.Compose.kv_trace
-    in
-    let deps =
-      pr.fp_st.Compose.static_deps
-      @ List.filter
-          (fun d -> not (List.mem d pr.fp_st.Compose.static_deps))
-          attack.fp_st.Compose.static_deps
-    in
-    ( ground_boot rel (pr_events @ attack_events)
-      @ pr_cond @ attack.fp_st.Compose.cond,
-      deps )
+  let memo = Hashtbl.create 64 in
+  let ren t =
+    T.substitute_vars ~memo
+      (fun name sort ->
+        match sort with
+        | Vdp_smt.Sort.Bool -> Some (T.bool_var (prime_prefix ^ name))
+        | Vdp_smt.Sort.Bv w -> Some (T.var (prime_prefix ^ name) w))
+      t
+  in
+  let pr = prime.fp_st and at = attack.fp_st in
+  let pr_events =
+    List.rev_map (fun (tag, ev) -> (tag, rename_event ren ev)) pr.Compose.kv_trace
+  in
+  let deps =
+    pr.Compose.static_deps
+    @ List.filter
+        (fun d -> not (List.mem d pr.Compose.static_deps))
+        at.Compose.static_deps
+  in
+  ( ground_boot rel (pr_events @ List.rev at.Compose.kv_trace)
+    @ List.map ren pr.Compose.cond
+    @ at.Compose.cond,
+    deps )
 
 (** The prime packet's bytes under a model of a primed query — the
     composite witness is (this packet first, then the attack packet

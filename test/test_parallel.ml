@@ -420,8 +420,73 @@ let fixed_differential_tests =
           par.V.stats.V.refuted);
   ]
 
+(* {1 Fabric queries}
+
+   Fabric queries run on the same two drivers. On seed-drawn
+   two-tenant scenarios (one planted leak each), isolation of a safe
+   and of the planted pair, a tenant's reach to the WAN and fabric
+   crash freedom must come back with the same verdict, depth and flows
+   — (ingress, end, confirmed), in order — at -j 4 as at -j 1, and
+   every ingress must list the same paths in the same order. *)
+
+module F = Vdp_topo.Fabric
+module R = Vdp_topo.Relation
+module Q = Vdp_topo.Query
+module Sc = Vdp_topo.Scenario
+
+let jobs_config ~jobs =
+  { Q.default_config with
+    Q.engine = { E.default_config with E.max_len = 128 };
+    Q.jobs }
+
+let flow_sig (f : Q.flow) = (f.Q.w_ingress, f.Q.w_end, f.Q.w_confirmed)
+
+let query_sig = function
+  | Q.Holds f -> (`Holds, List.map flow_sig (Option.to_list f))
+  | Q.Fails (fs, _) -> (`Fails, List.map flow_sig fs)
+  | Q.Unknown _ -> (`Unknown, [])
+
+let fabric_differential =
+  QCheck.Test.make ~count:2
+    ~name:"fabric queries: -j 4 matches sequential verdicts and flows"
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 10_000))
+    (fun seed ->
+      let sc = Sc.generate ~tenants:2 ~seed ~leak:`Dropped_deny () in
+      Summaries.clear ();
+      let rel = R.build ~config:(jobs_config ~jobs:1).Q.engine sc.Sc.sc_fab in
+      let a, b = List.hd sc.Sc.sc_planted and c, d = List.hd sc.Sc.sc_safe in
+      let props =
+        [
+          Click.Config.Isolate (c, d);
+          Click.Config.Isolate (a, b);
+          Click.Config.Reach (a, "wan");
+        ]
+      in
+      let query jobs p =
+        let r = Q.run ~config:(jobs_config ~jobs) rel p in
+        (query_sig r.Q.verdict, r.Q.depth)
+      in
+      let crash jobs =
+        let c = Q.verify_crash ~config:(jobs_config ~jobs) rel in
+        (query_sig c.Q.c_verdict, c.Q.c_paths, c.Q.c_max_instrs)
+      in
+      let paths ?pool () =
+        let q = Q.make_qctx ?pool rel (jobs_config ~jobs:1) in
+        List.map
+          (fun (_, ingress) ->
+            List.map
+              (fun (fp : R.fpath) ->
+                (fp.R.fp_end, fp.R.fp_st.Vdp_verif.Compose.instr_hi))
+              (Q.paths_from q ingress))
+          sc.Sc.sc_fab.F.ingresses
+      in
+      List.for_all (fun p -> query 1 p = query 4 p) props
+      && crash 1 = crash 4
+      && paths () = Pool.with_pool 4 (fun pool -> paths ~pool ()))
+
 let tests =
   pool_tests @ interning_tests @ summaries_tests
   @ List.map QCheck_alcotest.to_alcotest
       [ crash_differential; bound_differential; reach_differential ]
   @ fixed_differential_tests
+  @ [ QCheck_alcotest.to_alcotest fabric_differential ]

@@ -358,6 +358,60 @@ let fabric_session_tests =
         check_bool "ia holds again" true (holds ra3);
         let _, m = Q.query s (Cfg.Reach ("ib", "eb")) in
         check_bool "ib memoized throughout" true m);
+    Alcotest.test_case "fabric: a depth-2 reach probes the priming pipe"
+      `Slow
+      (fun () ->
+        Summaries.clear ();
+        (* The NAT return path: nothing from the WAN reaches the LAN
+           until an inside packet has primed the gateway's mapping. The
+           priming packet enters through its own guard pipe, which the
+           WAN ingress cannot reach, so only a depth-2 answer reads it. *)
+        let guard, data = flag_element () in
+        let gw =
+          Click.Config.parse
+            {|
+              nat :: NATGateway(203.0.113.1);
+              rt :: StaticIPLookup(10.1.0.0/16 0, 0.0.0.0/0 1);
+              nat[1] -> rt;
+              nat[2] -> Discard;
+            |}
+        in
+        let out p port =
+          { Cfg.ref_pipeline = p; ref_element = None; ref_port = port }
+        in
+        let fab =
+          F.of_topo
+            {
+              Cfg.topo_pipelines =
+                [ ("g", Click.Pipeline.linear [ guard ]); ("gw", gw) ];
+              topo_links = [ (out "g" 0, "gw", 0) ];
+              topo_ingresses = [ ("inside", "g", 0); ("wan", "gw", 1) ];
+              topo_egresses = [ ("wan_out", out "gw" 0); ("lan", out "gw" 1) ];
+              topo_props = [];
+            }
+        in
+        let qcfg =
+          { Q.default_config with
+            Q.engine = { E.default_config with E.max_len = 128 } }
+        in
+        let s = Q.session ~config:qcfg fab in
+        let prop = Cfg.Reach ("wan", "lan") in
+        let r, m = Q.query s prop in
+        check_bool "fresh" false m;
+        check_int "decided at depth two" 2 r.Q.depth;
+        check_bool "primed through the guard" true
+          (match r.Q.verdict with
+          | Q.Holds (Some f) -> f.Q.w_confirmed && f.Q.w_prime <> None
+          | _ -> false);
+        let _, m = Q.query s prop in
+        check_bool "memoized" true m;
+        (* Poison the guard: no priming packet gets through any more, so
+           the reach must be recomputed and fail. *)
+        Sdata.set data (B.zero 8) (B.of_int ~width:8 1);
+        let r, m = Q.query s prop in
+        check_bool "recomputed" false m;
+        check_bool "no longer reachable" true
+          (match r.Q.verdict with Q.Fails _ -> true | _ -> false));
   ]
 
 let tests =

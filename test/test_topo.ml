@@ -273,18 +273,17 @@ let enum_tests =
         let rel = R.build ~config:fast_config.Q.engine fab in
         let ends = Hashtbl.create 8 in
         let states = ref 0 in
-        ignore
-          (R.enumerate rel ~ingress:(0, 0) ~assume:[] (fun fp ->
-               incr states;
-               (match fp.R.fp_end with
-               | R.E_egress (pi, e) ->
-                 Hashtbl.replace ends ("egress", pi, e) ()
-               | R.E_drop (pi, n) -> Hashtbl.replace ends ("drop", pi, n) ()
-               | R.E_crash (pi, n, _) ->
-                 Hashtbl.replace ends ("crash", pi, n) ());
-               (* Cross-pipeline trails must be tagged per pipe. *)
-               check_bool "trail starts in adm" true
-                 (List.hd fp.R.fp_trail = (0, 0))));
+        List.iter
+          (fun (fp : R.fpath) ->
+            incr states;
+            (match fp.R.fp_end with
+            | R.E_egress (pi, e) -> Hashtbl.replace ends ("egress", pi, e) ()
+            | R.E_drop (pi, n) -> Hashtbl.replace ends ("drop", pi, n) ()
+            | R.E_crash (pi, n, _) -> Hashtbl.replace ends ("crash", pi, n) ());
+            (* Cross-pipeline trails must be tagged per pipe. *)
+            check_bool "trail starts in adm" true
+              (List.hd (R.trail fp) = (0, 0)))
+          (Q.paths_from (Q.make_qctx rel fast_config) (0, 0));
         check_bool "reaches both fabric egresses" true
           (Hashtbl.mem ends ("egress", 1, 0)
           && Hashtbl.mem ends ("egress", 1, 1));
@@ -462,6 +461,75 @@ let query_tests =
         | v -> Alcotest.failf "buggy fabric: %s" (Q.verdict_to_string v));
   ]
 
+(* {1 A pipeline is a one-pipe fabric}
+
+   Without private state, boot and adversarial state coincide, so a
+   one-pipe fabric's crash freedom must agree with the pipeline
+   verifier's: same verdict, same crash sites, and an instruction bound
+   no lower than the pipeline's. *)
+
+let one_pipe_tests =
+  [
+    Alcotest.test_case "one-pipe fabric crash freedom matches the verifier"
+      `Slow
+      (fun () ->
+        let module V = Vdp_verif.Verifier in
+        let agree src =
+          Summaries.clear ();
+          let pl = Click.Config.parse src in
+          let fab =
+            F.of_topo
+              {
+                Click.Config.topo_pipelines = [ ("p", pl) ];
+                topo_links = [];
+                topo_ingresses = [ ("in", "p", 0) ];
+                topo_egresses = [];
+                topo_props = [];
+              }
+          in
+          let rel = R.build ~config:fast_config.Q.engine fab in
+          let c = Q.verify_crash ~config:fast_config rel in
+          let r = V.check_crash_freedom ~config:fast_config pl in
+          let b = V.instruction_bound ~config:fast_config pl in
+          let fabric_sites =
+            match c.Q.c_verdict with
+            | Q.Fails (flows, _) ->
+              check_bool "every crash replay-confirmed" true
+                (List.for_all (fun f -> f.Q.w_confirmed) flows);
+              List.sort_uniq compare
+                (List.map
+                   (fun f -> Scanf.sscanf f.Q.w_end "crash at p:node %d" Fun.id)
+                   flows)
+            | Q.Holds None -> []
+            | v -> Alcotest.failf "fabric: %s" (Q.verdict_to_string v)
+          in
+          let sites =
+            match r.V.verdict with
+            | V.Violated vs ->
+              List.sort_uniq compare (List.map (fun v -> v.V.node) vs)
+            | V.Proved -> []
+            | V.Unknown m -> Alcotest.failf "pipeline: unknown (%s)" m
+          in
+          Alcotest.(check (list int)) "same crash sites" sites fabric_sites;
+          (match b.V.bound with
+          | Some bd ->
+            check_bool "fabric bound covers the pipeline bound" true
+              (c.Q.c_max_instrs >= bd)
+          | None -> Alcotest.fail "no pipeline bound");
+          sites
+        in
+        check_bool "unguarded strip crashes" true
+          (agree "Strip(14) -> CheckIPHeader -> DecIPTTL;" <> []);
+        check_bool "guarded pipeline is crash-free" true
+          (agree
+             {|
+               cl :: Classifier(12/0800, -);
+               cl[0] -> Strip(14) -> CheckIPHeader -> DecIPTTL;
+               cl[1] -> Discard;
+             |}
+          = []));
+  ]
+
 (* {1 Scenario generator ground truth} *)
 
 let scenario_tests =
@@ -493,3 +561,4 @@ let scenario_tests =
 
 let tests =
   parse_tests @ push_tests @ enum_tests @ query_tests @ scenario_tests
+  @ one_pipe_tests
