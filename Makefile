@@ -26,6 +26,8 @@ ci: build
 	dune exec bin/vdpverify.exe -- replay --engine compiled examples/router.click
 	dune exec bin/vdpverify.exe -- replay --engine compiled examples/firewall.click
 	dune exec bin/vdpverify.exe -- pump -n 20000 --engine compiled examples/router.click
+	dune exec bin/vdpverify.exe -- replay --engine compiled examples/netflow_nat.click
+	dune exec bin/vdpverify.exe -- pump -n 20000 --engine compiled examples/netflow_nat.click
 	dune exec bench/main.exe -- e1
 	VDP_E7_SMOKE=1 dune exec bench/main.exe -- e7
 	dune exec bench/main.exe -- e8

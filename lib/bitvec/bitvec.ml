@@ -215,30 +215,62 @@ let ashr a k =
     normalize r
   end
 
-let to_int v =
-  let max_bit = Sys.int_size - 1 in
-  let rec high_clear i = i >= v.width || ((not (testbit v i)) && high_clear (i + 1)) in
-  if not (high_clear max_bit) then None
+(* Bits [lo, lo + len) as a non-negative int, [len <= Sys.int_size - 1];
+   bits past the width read as zero. Gathers whole limbs: shifted past
+   the int's top they fall off, and the final mask trims the rest. *)
+let bits_at v ~lo ~len =
+  let n = Array.length v.limbs in
+  let i = lo / limb_bits and sh = lo mod limb_bits in
+  if i >= n then 0
   else begin
-    let acc = ref 0 in
-    for i = Array.length v.limbs - 1 downto 0 do
-      acc := (!acc lsl limb_bits) lor v.limbs.(i)
+    let acc = ref (v.limbs.(i) lsr sh) in
+    let got = ref (limb_bits - sh) in
+    let j = ref (i + 1) in
+    while !got < len && !j < n do
+      acc := !acc lor (v.limbs.(!j) lsl !got);
+      got := !got + limb_bits;
+      incr j
     done;
-    Some !acc
+    !acc land ((1 lsl len) - 1)
   end
+
+let to_int_trunc v = bits_at v ~lo:0 ~len:(min v.width (Sys.int_size - 1))
+
+let to_int v =
+  let rec high_clear lo =
+    lo >= v.width || (bits_at v ~lo ~len:limb_bits = 0 && high_clear (lo + limb_bits))
+  in
+  if high_clear (Sys.int_size - 1) then Some (to_int_trunc v) else None
 
 let to_int_exn v =
   match to_int v with
   | Some n -> n
   | None -> invalid_arg "Bitvec.to_int_exn: does not fit"
 
-let to_int_trunc v =
-  let bits = min v.width (Sys.int_size - 1) in
-  let acc = ref 0 in
-  for i = bits - 1 downto 0 do
-    acc := (!acc lsl 1) lor (if testbit v i then 1 else 0)
+let word_bits = 61
+let nwords w = (w + word_bits - 1) / word_bits
+
+let to_words v dst off =
+  for i = 0 to nwords v.width - 1 do
+    let lo = i * word_bits in
+    dst.(off + i) <- bits_at v ~lo ~len:(min word_bits (v.width - lo))
+  done
+
+let of_words ~width:w src off =
+  let v = make w in
+  let nw = nwords w in
+  for j = 0 to Array.length v.limbs - 1 do
+    let bit = j * limb_bits in
+    let q = bit / word_bits and r = bit mod word_bits in
+    let lo = src.(off + q) lsr r in
+    let hi =
+      if r + limb_bits > word_bits && q + 1 < nw then
+        src.(off + q + 1) lsl (word_bits - r)
+      else 0
+    in
+    v.limbs.(j) <- (lo lor hi) land limb_mask
   done;
-  !acc
+  normalize v
 
 let to_signed_int v =
   if not (msb v) then to_int v
@@ -356,13 +388,7 @@ let of_bytes_be s =
 let to_bytes_be v =
   if v.width mod 8 <> 0 then invalid_arg "Bitvec.to_bytes_be: ragged width";
   let len = v.width / 8 in
-  String.init len (fun i ->
-      let bit = (len - 1 - i) * 8 in
-      let byte = ref 0 in
-      for j = 7 downto 0 do
-        byte := (!byte lsl 1) lor (if testbit v (bit + j) then 1 else 0)
-      done;
-      Char.chr !byte)
+  String.init len (fun i -> Char.chr (bits_at v ~lo:((len - 1 - i) * 8) ~len:8))
 
 let of_string ~width:w s =
   let digit_val c =

@@ -43,6 +43,25 @@ val to_int_exn : t -> int
 val to_int_trunc : t -> int
 (** Low [Sys.int_size - 1] bits, as a non-negative [int]. *)
 
+(** {2 Native words}
+
+    A value of width [w] as [nwords w] unsigned [word_bits]-bit ints,
+    least significant first, every word masked to its bits: the
+    register layout of the compiled runtime and its private stores. *)
+
+val word_bits : int
+(** 61: two masked words sum without touching the [int] sign bit. *)
+
+val nwords : int -> int
+(** [nwords w] is [ceil (w / word_bits)]. *)
+
+val to_words : t -> int array -> int -> unit
+(** [to_words v dst off] writes the words of [v] to [dst.(off) ..]. *)
+
+val of_words : width:int -> int array -> int -> t
+(** [of_words ~width src off] reads [nwords width] words at [src.(off)];
+    they must be masked as {!to_words} writes them. *)
+
 val to_signed_int : t -> int option
 (** Two's-complement value if it fits in an OCaml [int]. *)
 

@@ -1,4 +1,4 @@
-(** Closure compilation of IR programs — the optional compiled fast path.
+(** Closure compilation of IR programs — the compiled fast path.
 
     [compile prog stores] lowers a validated program to a chain of OCaml
     closures {e once}, so the per-packet cost is a closure walk instead
@@ -10,21 +10,25 @@
     the same points). The differential oracle and the batch tests run
     both engines against each other to enforce this.
 
-    Two tiers, chosen per program:
+    Every value is native words, at any width. A register of width [w]
+    occupies [B.nwords w] consecutive slots of one [int] register file,
+    each a masked 61-bit unsigned word, least significant first
+    ({!B.to_words}); a register of at most 61 bits is a single slot.
+    Operations on single-slot values are native arithmetic. The wide
+    operations that stateful elements run on flow keys and counters —
+    move and zero-extension, concatenation, extraction, equality,
+    addition, loads and stores of 8 or more bytes — have word-level
+    closures. Any other operation with an operand wider than a word
+    takes the generic path: it reads its operands as {!B.t}, applies
+    {!Interp.eval_rhs} and writes the result back as words.
 
-    - {e Native}: when every value in the program (register, constant,
-      store key/value) fits in 61 bits, values live unboxed in an [int]
-      array as masked unsigned words and all arithmetic is native.
-      Static store contents are snapshotted into an int-keyed hash
-      table at compile time (static stores cannot change, so the
-      snapshot stays valid across [reset]/[load_state]). Packet bytes
-      are accessed copy-free, straight out of the packet buffer after
-      one window check — the same idiom as [Checksum.over_packet].
-
-    - {e Boxed}: the fallback for wide values (e.g. 104-bit flow keys,
-      64-bit counters, 8-byte loads). Registers are {!Bitvec.t} as in
-      the interpreter, but operand dispatch, constants, store handles
-      and block structure are still resolved at compile time.
+    Private stores are bound once, when the closures are built: their
+    native-word tables ({!Stores}) are read and written straight from
+    the register file. Static store contents are snapshotted into the
+    same kind of table, rebuilt whenever their generation counter
+    moves. Packet bytes are accessed copy-free, straight out of the
+    packet buffer after one window check — the same idiom as
+    [Checksum.over_packet].
 
     The returned function reuses one preallocated register file, so it
     is not re-entrant; the runtime drives packets sequentially. *)
@@ -35,50 +39,6 @@ open Types
 
 let crash c = raise (Interp.Crash c)
 
-(* {1 Tier selection} *)
-
-(* 61 rather than 62/63 so that [1 lsl w], [x + y], [x - y] and the
-   sign-extension constants below never touch the native-int sign bit:
-   two masked 61-bit values sum to at most 2^62 - 2 = max_int - 1. *)
-let max_native_width = 61
-
-let native_eligible (prog : program) =
-  let ok_w w = w >= 1 && w <= max_native_width in
-  let ok_rv = function Const v -> ok_w (B.width v) | Reg _ -> true in
-  let ok_rhs = function
-    | Move v | Unop (_, v) | Zext (_, v) | Sext (_, v) | Extract (_, _, v)
-      -> ok_rv v
-    | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b) -> ok_rv a && ok_rv b
-    | Select (c, a, b) -> ok_rv c && ok_rv a && ok_rv b
-  in
-  let ok_instr = function
-    | Assign (_, rhs) -> ok_rhs rhs
-    (* Load/Store byte counts are bounded by the (checked) register and
-       value widths: 8n <= 61 forces n <= 7. *)
-    | Load (_, off, _) -> ok_rv off
-    | Store (off, v, _) -> ok_rv off && ok_rv v
-    | Take v | Meta_set (_, v) -> ok_rv v
-    | Kv_read (_, _, key) -> ok_rv key
-    | Kv_write (_, key, v) -> ok_rv key && ok_rv v
-    | Assert (c, _) -> ok_rv c
-    | Load_len _ | Pull _ | Push _ | Meta_get _ -> true
-  in
-  let ok_block blk =
-    List.for_all ok_instr blk.instrs
-    && match blk.term with
-       | Branch (c, _, _) -> ok_rv c
-       | Goto _ | Emit _ | Drop | Abort _ -> true
-  in
-  Array.for_all ok_w prog.reg_widths
-  && List.for_all (fun d -> ok_w d.key_width && ok_w d.val_width) prog.stores
-  && Array.for_all ok_block prog.blocks
-
-type tier = Native | Boxed
-
-let tier prog = if native_eligible prog then Native else Boxed
-
-let tier_name = function Native -> "native" | Boxed -> "boxed"
-
 let store_decl prog name =
   (* Validation guarantees the declaration exists. *)
   List.find (fun d -> d.store_name = name) prog.stores
@@ -88,7 +48,7 @@ let store_decl prog name =
 let drop_code = -1
 let emit_code p = -(p + 2)
 
-(* {1 The native (unboxed int) tier}
+(* {1 Closures}
 
    One closure per instruction, everything inlined into its body:
    instruction counting, the budget check, operand fetches and the
@@ -98,17 +58,17 @@ let emit_code p = -(p + 2)
    the next; the terminator returns the block-result code), so running
    a block is a closure walk with no dispatch loop.
 
-   Operands are uniform register-file indices: constants are interned
-   once into a read-only tail of the register array (the reset only
-   clears the real-register prefix), so a fetch is one unsafe array
-   load whether the operand was [Reg] or [Const].
+   Operands are uniform register-file slots: constants are interned
+   once, as words, into a read-only tail of the register array (the
+   reset only clears the real-register prefix), so a fetch is one
+   unsafe array load whether the operand was [Reg] or [Const].
 
    A must-reach dataflow pass finds registers that some path can read
    before writing; only those need the interpreter's zero-init. For
    Builder-generated programs the set is empty and reset skips the
    register file entirely. *)
 
-type native_state = {
+type state = {
   mutable pkt : P.t;
   mutable count : int;
 }
@@ -218,17 +178,31 @@ let read_before_write (prog : program) =
   done;
   Array.of_list !out
 
-let compile_native ~budget (prog : program) (stores : Stores.t) :
-    P.t -> Interp.result =
+(* A 61-bit word: two of them sum without touching the sign bit, so
+   [1 lsl w], [x + y], [x - y] and the sign-extension constants below
+   stay in range for every single-slot width. *)
+let word_mask = (1 lsl B.word_bits) - 1
+
+let build ~budget (prog : program) (stores : Stores.t) : P.t -> Interp.result
+    =
   let nregs = Array.length prog.reg_widths in
-  (* Intern every constant operand into the read-only pool tail. *)
+  let slot = Array.make nregs 0 in
+  let nslots =
+    Array.fold_left
+      (fun (r, n) w ->
+        slot.(r) <- n;
+        (r + 1, n + B.nwords w))
+      (0, 0) prog.reg_widths
+    |> snd
+  in
+  (* Intern every constant operand, as words, into the pool tail. *)
   let pool = Hashtbl.create 16 in
   let npool = ref 0 in
   let walk_const v =
-    let c = B.to_int_trunc v in
-    if not (Hashtbl.mem pool c) then begin
-      Hashtbl.replace pool c (nregs + !npool);
-      incr npool
+    let ws = Stores.words v in
+    if not (Hashtbl.mem pool ws) then begin
+      Hashtbl.replace pool ws (nslots + !npool);
+      npool := !npool + Array.length ws
     end
   in
   Array.iter
@@ -238,13 +212,19 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
         blk.instrs;
       iter_term ~use:ignore ~const:walk_const blk.term)
     prog.blocks;
-  let regs = Array.make (nregs + !npool) 0 in
-  Hashtbl.iter (fun c i -> regs.(i) <- c) pool;
+  let regs = Array.make (nslots + !npool) 0 in
+  Hashtbl.iter (fun ws i -> Array.blit ws 0 regs i (Array.length ws)) pool;
   let src = function
-    | Reg r -> r
-    | Const v -> Hashtbl.find pool (B.to_int_trunc v)
+    | Reg r -> slot.(r)
+    | Const v -> Hashtbl.find pool (Stores.words v)
   in
-  let zero_list = read_before_write prog in
+  let zero_list =
+    read_before_write prog
+    |> Array.to_list
+    |> List.concat_map (fun r ->
+           List.init (B.nwords prog.reg_widths.(r)) (fun i -> slot.(r) + i))
+    |> Array.of_list
+  in
   let nzero = Array.length zero_list in
   let st = { pkt = P.create ""; count = 0 } in
   let mask w = (1 lsl w) - 1 in
@@ -252,12 +232,187 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
     | Const v -> B.width v
     | Reg r -> prog.reg_widths.(r)
   in
+  (* Does every register and constant of [ins] fit one word? *)
+  let fits ins =
+    let ok = ref true in
+    let reg r = ok := !ok && prog.reg_widths.(r) <= B.word_bits in
+    iter_instr ins ~use:reg ~def:reg ~const:(fun c ->
+        ok := !ok && B.width c <= B.word_bits);
+    !ok
+  in
+  (* The generic path for a wide operation: operands as bitvectors, the
+     interpreter's own operator, the result back as words. *)
+  let value = function
+    | Const v -> v
+    | Reg r -> B.of_words ~width:prog.reg_widths.(r) regs slot.(r)
+  in
+  (* Assignments with an operand or result wider than a word: the
+     operation is a closure of its own, word-level where one is written
+     and generic otherwise; the top word of a result is masked to
+     [top]. *)
+  let wide_assign r rhs (k : unit -> int) : unit -> int =
+    let dw = prog.reg_widths.(r) in
+    let d = slot.(r) and dn = B.nwords dw in
+    let top = mask (dw - (B.word_bits * (dn - 1))) in
+    let words rv = (src rv, B.nwords (width_rv rv)) in
+    let op =
+      match rhs with
+      | Move v | Zext (_, v) ->
+        let a, an = words v in
+        fun () ->
+          Array.blit regs a regs d an;
+          Array.fill regs (d + an) (dn - an) 0
+      | Concat (va, vb) ->
+        (* [b] fills the low words, then [a] is or-ed in shifted left by
+           [width b] bits. The result is wider than either operand, so
+           neither can be the destination. *)
+        let a, an = words va and b, bn = words vb in
+        let q = width_rv vb / B.word_bits and sh = width_rv vb mod B.word_bits in
+        fun () ->
+          for i = 0 to dn - 1 do
+            Array.unsafe_set regs (d + i)
+              (if i < bn then Array.unsafe_get regs (b + i) else 0)
+          done;
+          for i = 0 to an - 1 do
+            let x = Array.unsafe_get regs (a + i) and j = d + q + i in
+            Array.unsafe_set regs j
+              (Array.unsafe_get regs j lor ((x lsl sh) land word_mask));
+            if sh > 0 && q + i + 1 < dn then
+              Array.unsafe_set regs (j + 1)
+                (Array.unsafe_get regs (j + 1) lor (x lsr (B.word_bits - sh)))
+          done
+      | Extract (_, lo, v) ->
+        let a, an = words v in
+        let q = lo / B.word_bits and sh = lo mod B.word_bits in
+        fun () ->
+          for i = 0 to dn - 1 do
+            let j = q + i in
+            let x = Array.unsafe_get regs (a + j) lsr sh in
+            let y =
+              if sh > 0 && j + 1 < an then
+                Array.unsafe_get regs (a + j + 1) lsl (B.word_bits - sh)
+              else 0
+            in
+            Array.unsafe_set regs (d + i)
+              ((x lor y) land if i = dn - 1 then top else word_mask)
+          done
+      | Cmp (((Eq | Ne) as op), va, vb) ->
+        let a, an = words va and b, _ = words vb in
+        let eq = if op = Eq then 1 else 0 in
+        fun () ->
+          let i = ref 0 in
+          while
+            !i < an
+            && Array.unsafe_get regs (a + !i) = Array.unsafe_get regs (b + !i)
+          do
+            incr i
+          done;
+          Array.unsafe_set regs d (if !i = an then eq else 1 - eq)
+      | Binop (Add, va, vb) ->
+        let a, _ = words va and b, _ = words vb in
+        fun () ->
+          let carry = ref 0 in
+          for i = 0 to dn - 1 do
+            let x =
+              Array.unsafe_get regs (a + i) + Array.unsafe_get regs (b + i)
+              + !carry
+            in
+            Array.unsafe_set regs (d + i) (x land word_mask);
+            carry := x lsr B.word_bits
+          done;
+          Array.unsafe_set regs (d + dn - 1)
+            (Array.unsafe_get regs (d + dn - 1) land top)
+      | _ -> fun () -> B.to_words (Interp.eval_rhs value rhs) regs d
+    in
+    fun () ->
+      let c = st.count + 1 in
+      st.count <- c;
+      if c > budget then crash Budget_exhausted;
+      op ();
+      k ()
+  in
+  (* Loads and stores of any width but the specialised 1, 2 and 4
+     bytes: one byte at a time into or out of the words, from the least
+     significant byte, [sh] its bit offset within word [j]. *)
+  let load_words r off n (k : unit -> int) : unit -> int =
+    let o = src off and d = slot.(r) and dn = B.nwords (8 * n) in
+    fun () ->
+      let c = st.count + 1 in
+      st.count <- c;
+      if c > budget then crash Budget_exhausted;
+      let p = st.pkt in
+      let ov = Array.unsafe_get regs o in
+      if ov + n > p.P.len then Interp.out_of_window "load" ov n p.P.len;
+      let last = p.P.head + ov + n - 1 in
+      Array.fill regs d dn 0;
+      let j = ref d and sh = ref 0 in
+      for i = 0 to n - 1 do
+        let x = Char.code (Bytes.unsafe_get p.P.buf (last - i)) in
+        Array.unsafe_set regs !j
+          (Array.unsafe_get regs !j lor ((x lsl !sh) land word_mask));
+        sh := !sh + 8;
+        if !sh >= B.word_bits then begin
+          sh := !sh - B.word_bits;
+          incr j;
+          Array.unsafe_set regs !j (x lsr (8 - !sh))
+        end
+      done;
+      k ()
+  in
+  let store_words off v n (k : unit -> int) : unit -> int =
+    let o = src off and a = src v in
+    fun () ->
+      let c = st.count + 1 in
+      st.count <- c;
+      if c > budget then crash Budget_exhausted;
+      let p = st.pkt in
+      let ov = Array.unsafe_get regs o in
+      if ov + n > p.P.len then Interp.out_of_window "store" ov n p.P.len;
+      let last = p.P.head + ov + n - 1 in
+      let j = ref a and sh = ref 0 in
+      for i = 0 to n - 1 do
+        let x = Array.unsafe_get regs !j lsr !sh in
+        sh := !sh + 8;
+        let x =
+          if !sh >= B.word_bits then begin
+            sh := !sh - B.word_bits;
+            incr j;
+            (* The byte straddles two words. 8n is never a multiple of
+               61 for n <= 16, so word [j] is part of the value. *)
+            x lor (Array.unsafe_get regs !j lsl (8 - !sh))
+          end
+          else x
+        in
+        Bytes.unsafe_set p.P.buf (last - i) (Char.unsafe_chr (x land 0xff))
+      done;
+      k ()
+  in
+  (* A store's table, bound now: private stores' own tables; for static
+     ones a snapshot of the contents, rebuilt lazily whenever config
+     churn moves their generation counter. *)
+  let bind_store name =
+    let d = store_decl prog name in
+    match d.kind with
+    | Private -> (Stores.find stores name, None)
+    | Static ->
+      let s = Stores.make d and gen = ref (-1) in
+      let sync () =
+        let g = Static_data.generation d.init in
+        if !gen <> g then begin
+          Stores.refill s;
+          gen := g
+        end
+      in
+      (s, Some sync)
+  in
   (* One closure per instruction: count, budget check, fetches and the
      operation inline, then a tail call to the rest of the block. *)
   let instr_fn ins (k : unit -> int) : unit -> int =
     match ins with
+    | Assign (r, rhs) when not (fits ins) -> wide_assign r rhs k
     | Assign (r, rhs) -> (
       let dw = prog.reg_widths.(r) in
+      let r = slot.(r) in
       let m = mask dw in
       match rhs with
       | Move v | Zext (_, v) ->
@@ -524,8 +679,8 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
             Array.unsafe_set regs r
               (if x land sign <> 0 then x lor ext else x);
             k ())
-    | Load (r, off, n) -> (
-      let o = src off in
+    | Load (r0, off, n) -> (
+      let r = slot.(r0) and o = src off in
       match n with
       | 1 ->
         fun () ->
@@ -534,10 +689,7 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
           if c > budget then crash Budget_exhausted;
           let p = st.pkt in
           let ov = Array.unsafe_get regs o in
-          if ov + 1 > p.P.len then
-            crash
-              (Out_of_bounds
-                 (Printf.sprintf "load %d+%d > len %d" ov 1 p.P.len));
+          if ov + 1 > p.P.len then Interp.out_of_window "load" ov 1 p.P.len;
           (* In-window implies in-buffer: head + len <= |buf|. *)
           Array.unsafe_set regs r
             (Char.code (Bytes.unsafe_get p.P.buf (p.P.head + ov)));
@@ -549,10 +701,7 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
           if c > budget then crash Budget_exhausted;
           let p = st.pkt in
           let ov = Array.unsafe_get regs o in
-          if ov + 2 > p.P.len then
-            crash
-              (Out_of_bounds
-                 (Printf.sprintf "load %d+%d > len %d" ov 2 p.P.len));
+          if ov + 2 > p.P.len then Interp.out_of_window "load" ov 2 p.P.len;
           let base = p.P.head + ov in
           let buf = p.P.buf in
           Array.unsafe_set regs r
@@ -566,10 +715,7 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
           if c > budget then crash Budget_exhausted;
           let p = st.pkt in
           let ov = Array.unsafe_get regs o in
-          if ov + 4 > p.P.len then
-            crash
-              (Out_of_bounds
-                 (Printf.sprintf "load %d+%d > len %d" ov 4 p.P.len));
+          if ov + 4 > p.P.len then Interp.out_of_window "load" ov 4 p.P.len;
           let base = p.P.head + ov in
           let buf = p.P.buf in
           Array.unsafe_set regs r
@@ -578,26 +724,7 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
             lor (Char.code (Bytes.unsafe_get buf (base + 2)) lsl 8)
             lor Char.code (Bytes.unsafe_get buf (base + 3)));
           k ()
-      | n ->
-        fun () ->
-          let c = st.count + 1 in
-          st.count <- c;
-          if c > budget then crash Budget_exhausted;
-          let p = st.pkt in
-          let ov = Array.unsafe_get regs o in
-          if ov + n > p.P.len then
-            crash
-              (Out_of_bounds
-                 (Printf.sprintf "load %d+%d > len %d" ov n p.P.len));
-          let base = p.P.head + ov in
-          let buf = p.P.buf in
-          let acc = ref 0 in
-          for i = 0 to n - 1 do
-            acc :=
-              (!acc lsl 8) lor Char.code (Bytes.unsafe_get buf (base + i))
-          done;
-          Array.unsafe_set regs r !acc;
-          k ())
+      | n -> load_words r0 off n k)
     | Store (off, v, n) -> (
       let o = src off and a = src v in
       match n with
@@ -608,10 +735,7 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
           if c > budget then crash Budget_exhausted;
           let p = st.pkt in
           let ov = Array.unsafe_get regs o in
-          if ov + 1 > p.P.len then
-            crash
-              (Out_of_bounds
-                 (Printf.sprintf "store %d+%d > len %d" ov 1 p.P.len));
+          if ov + 1 > p.P.len then Interp.out_of_window "store" ov 1 p.P.len;
           Bytes.unsafe_set p.P.buf (p.P.head + ov)
             (Char.unsafe_chr (Array.unsafe_get regs a land 0xff));
           k ()
@@ -622,36 +746,16 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
           if c > budget then crash Budget_exhausted;
           let p = st.pkt in
           let ov = Array.unsafe_get regs o in
-          if ov + 2 > p.P.len then
-            crash
-              (Out_of_bounds
-                 (Printf.sprintf "store %d+%d > len %d" ov 2 p.P.len));
+          if ov + 2 > p.P.len then Interp.out_of_window "store" ov 2 p.P.len;
           let base = p.P.head + ov in
           let buf = p.P.buf in
           let x = Array.unsafe_get regs a in
           Bytes.unsafe_set buf base (Char.unsafe_chr ((x lsr 8) land 0xff));
           Bytes.unsafe_set buf (base + 1) (Char.unsafe_chr (x land 0xff));
           k ()
-      | n ->
-        fun () ->
-          let c = st.count + 1 in
-          st.count <- c;
-          if c > budget then crash Budget_exhausted;
-          let p = st.pkt in
-          let ov = Array.unsafe_get regs o in
-          if ov + n > p.P.len then
-            crash
-              (Out_of_bounds
-                 (Printf.sprintf "store %d+%d > len %d" ov n p.P.len));
-          let base = p.P.head + ov in
-          let buf = p.P.buf in
-          let x = Array.unsafe_get regs a in
-          for i = 0 to n - 1 do
-            Bytes.unsafe_set buf (base + i)
-              (Char.unsafe_chr ((x lsr (8 * (n - 1 - i))) land 0xff))
-          done;
-          k ())
+      | n -> store_words off v n k)
     | Load_len r ->
+      let r = slot.(r) in
       fun () ->
         let c = st.count + 1 in
         st.count <- c;
@@ -693,6 +797,7 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
         p.P.len <- n;
         k ()
     | Meta_get (r, mt) -> (
+      let r = slot.(r) in
       let m = mask (meta_width mt) in
       match mt with
       | Port ->
@@ -755,58 +860,55 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
           st.pkt.P.w1 <- Array.unsafe_get regs a;
           k ())
     | Kv_read (r, name, key) -> (
-      let d = store_decl prog name in
-      let kk = src key in
-      match d.kind with
-      | Static ->
-        (* Static contents are snapshotted into an int-keyed table, but
-           config churn can mutate them after compilation; the snapshot
-           is rebuilt lazily whenever the generation counter moves. *)
-        let data = d.init in
-        let tbl = Hashtbl.create 64 in
-        let snap_gen = ref (-1) in
-        let refresh () =
-          Hashtbl.reset tbl;
-          Static_data.iter
-            (fun k v ->
-              Hashtbl.replace tbl (B.to_int_trunc k) (B.to_int_trunc v))
-            data;
-          snap_gen := Static_data.generation data
-        in
-        let dflt = B.to_int_trunc d.default in
+      let s, sync = bind_store name in
+      let kk = src key and r = slot.(r) in
+      match (s.Stores.table, sync) with
+      | Narrow h, None ->
         fun () ->
           let c = st.count + 1 in
           st.count <- c;
           if c > budget then crash Budget_exhausted;
-          if !snap_gen <> Static_data.generation data then refresh ();
           Array.unsafe_set regs r
-            (match Hashtbl.find_opt tbl (Array.unsafe_get regs kk) with
-            | Some v -> v
-            | None -> dflt);
+            (Stores.get_int s h (Array.unsafe_get regs kk));
           k ()
-      | Private ->
-        let kw = d.key_width in
+      | Narrow h, Some sync ->
         fun () ->
           let c = st.count + 1 in
           st.count <- c;
           if c > budget then crash Budget_exhausted;
+          sync ();
           Array.unsafe_set regs r
-            (B.to_int_trunc
-               (Stores.read stores name
-                  (B.of_int ~width:kw (Array.unsafe_get regs kk))));
+            (Stores.get_int s h (Array.unsafe_get regs kk));
+          k ()
+      | Wide h, sync ->
+        let sync = Option.value sync ~default:ignore in
+        let vn = s.Stores.val_words in
+        fun () ->
+          let c = st.count + 1 in
+          st.count <- c;
+          if c > budget then crash Budget_exhausted;
+          sync ();
+          Stores.copy (Stores.get_words s h regs kk) 0 regs r vn;
           k ())
-    | Kv_write (name, key, v) ->
-      let d = store_decl prog name in
+    | Kv_write (name, key, v) -> (
+      let s = Stores.find stores name in
       let kk = src key and a = src v in
-      let kw = d.key_width and vw = d.val_width in
-      fun () ->
-        let c = st.count + 1 in
-        st.count <- c;
-        if c > budget then crash Budget_exhausted;
-        Stores.write stores name
-          (B.of_int ~width:kw (Array.unsafe_get regs kk))
-          (B.of_int ~width:vw (Array.unsafe_get regs a));
-        k ()
+      match s.Stores.table with
+      | Narrow h ->
+        fun () ->
+          let c = st.count + 1 in
+          st.count <- c;
+          if c > budget then crash Budget_exhausted;
+          Stores.Int_tbl.replace h (Array.unsafe_get regs kk)
+            (Array.unsafe_get regs a);
+          k ()
+      | Wide h ->
+        fun () ->
+          let c = st.count + 1 in
+          st.count <- c;
+          if c > budget then crash Budget_exhausted;
+          Stores.set_words s h regs kk a;
+          k ())
     | Assert (cnd, msg) ->
       let a = src cnd in
       fun () ->
@@ -879,265 +981,10 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
     st.pkt <- dummy;
     { Interp.outcome; instr_count = st.count }
 
-(* {1 The boxed (bitvector) tier} *)
-
-type boxed_state = {
-  mutable bpkt : P.t;
-  bregs : B.t array;
-  mutable bcount : int;
-}
-
-let compile_boxed ~budget (prog : program) (stores : Stores.t) :
-    P.t -> Interp.result =
-  let nregs = Array.length prog.reg_widths in
-  (* Shared zero templates are safe: Bitvec operations never mutate
-     their arguments, only freshly allocated results. *)
-  let zeros = Array.map B.zero prog.reg_widths in
-  let st =
-    { bpkt = P.create ""; bregs = Array.map B.zero prog.reg_widths;
-      bcount = 0 }
-  in
-  let bump () =
-    st.bcount <- st.bcount + 1;
-    if st.bcount > budget then crash Budget_exhausted
-  in
-  let value rv : unit -> B.t =
-    match rv with
-    | Const v -> fun () -> v
-    | Reg r ->
-      let regs = st.bregs in
-      fun () -> Array.unsafe_get regs r
-  in
-  let rhs_fn rhs : unit -> B.t =
-    match rhs with
-    | Move v -> value v
-    | Unop (Not, v) ->
-      let g = value v in
-      fun () -> B.lognot (g ())
-    | Unop (Neg, v) ->
-      let g = value v in
-      fun () -> B.neg (g ())
-    | Binop (op, a, b) -> (
-      let ga = value a and gb = value b in
-      let guard f () =
-        let vb = gb () in
-        if B.is_zero vb then crash Div_by_zero else f (ga ()) vb
-      in
-      match op with
-      | Add -> fun () -> B.add (ga ()) (gb ())
-      | Sub -> fun () -> B.sub (ga ()) (gb ())
-      | Mul -> fun () -> B.mul (ga ()) (gb ())
-      | Udiv -> guard B.udiv
-      | Urem -> guard B.urem
-      | Sdiv -> guard B.sdiv
-      | Srem -> guard B.srem
-      | And -> fun () -> B.logand (ga ()) (gb ())
-      | Or -> fun () -> B.logor (ga ()) (gb ())
-      | Xor -> fun () -> B.logxor (ga ()) (gb ())
-      | Shl -> fun () -> B.shl_bv (ga ()) (gb ())
-      | Lshr -> fun () -> B.lshr_bv (ga ()) (gb ())
-      | Ashr -> fun () -> B.ashr_bv (ga ()) (gb ()))
-    | Cmp (op, a, b) -> (
-      let ga = value a and gb = value b in
-      match op with
-      | Eq -> fun () -> B.of_bool (B.equal (ga ()) (gb ()))
-      | Ne -> fun () -> B.of_bool (not (B.equal (ga ()) (gb ())))
-      | Ult -> fun () -> B.of_bool (B.ult (ga ()) (gb ()))
-      | Ule -> fun () -> B.of_bool (B.ule (ga ()) (gb ()))
-      | Slt -> fun () -> B.of_bool (B.slt (ga ()) (gb ()))
-      | Sle -> fun () -> B.of_bool (B.sle (ga ()) (gb ())))
-    | Select (c, a, b) ->
-      let gc = value c and ga = value a and gb = value b in
-      fun () -> if B.is_true (gc ()) then ga () else gb ()
-    | Extract (hi, lo, v) ->
-      let g = value v in
-      fun () -> B.extract ~hi ~lo (g ())
-    | Concat (a, b) ->
-      let ga = value a and gb = value b in
-      fun () -> B.concat (ga ()) (gb ())
-    | Zext (w, v) ->
-      let g = value v in
-      fun () -> B.zext w (g ())
-    | Sext (w, v) ->
-      let g = value v in
-      fun () -> B.sext w (g ())
-  in
-  let value_int rv =
-    let g = value rv in
-    fun () -> B.to_int_trunc (g ())
-  in
-  let instr_fn ins : unit -> unit =
-    match ins with
-    | Assign (r, rhs) ->
-      let f = rhs_fn rhs in
-      fun () ->
-        bump ();
-        st.bregs.(r) <- f ()
-    | Load (r, off, n) ->
-      let goff = value_int off in
-      fun () ->
-        bump ();
-        let p = st.bpkt in
-        let o = goff () in
-        if o + n > p.P.len then
-          crash
-            (Out_of_bounds (Printf.sprintf "load %d+%d > len %d" o n p.P.len))
-        else
-          st.bregs.(r) <-
-            B.of_bytes_be (Bytes.sub_string p.P.buf (p.P.head + o) n)
-    | Store (off, v, n) ->
-      let goff = value_int off and gv = value v in
-      fun () ->
-        bump ();
-        let p = st.bpkt in
-        let o = goff () in
-        if o + n > p.P.len then
-          crash
-            (Out_of_bounds (Printf.sprintf "store %d+%d > len %d" o n p.P.len))
-        else
-          Bytes.blit_string (B.to_bytes_be (gv ())) 0 p.P.buf (p.P.head + o) n
-    | Load_len r ->
-      fun () ->
-        bump ();
-        st.bregs.(r) <- B.of_int ~width:16 st.bpkt.P.len
-    | Pull n ->
-      fun () ->
-        bump ();
-        let p = st.bpkt in
-        if n > p.P.len then
-          crash (Out_of_bounds (Printf.sprintf "pull %d" n))
-        else P.pull p n
-    | Push n ->
-      fun () ->
-        bump ();
-        (try P.push st.bpkt n
-         with P.Out_of_bounds _ -> crash Headroom_exhausted)
-    | Take v ->
-      let gv = value_int v in
-      fun () ->
-        bump ();
-        let n = gv () in
-        let p = st.bpkt in
-        if n > p.P.len then
-          crash (Out_of_bounds (Printf.sprintf "take %d" n))
-        else P.take p n
-    | Meta_get (r, mt) -> (
-      let w = meta_width mt in
-      match mt with
-      | Port ->
-        fun () ->
-          bump ();
-          st.bregs.(r) <- B.of_int ~width:w st.bpkt.P.port
-      | Color ->
-        fun () ->
-          bump ();
-          st.bregs.(r) <- B.of_int ~width:w st.bpkt.P.color
-      | W0 ->
-        fun () ->
-          bump ();
-          st.bregs.(r) <- B.of_int ~width:w st.bpkt.P.w0
-      | W1 ->
-        fun () ->
-          bump ();
-          st.bregs.(r) <- B.of_int ~width:w st.bpkt.P.w1)
-    | Meta_set (mt, v) -> (
-      let gv = value_int v in
-      match mt with
-      | Port ->
-        fun () ->
-          bump ();
-          st.bpkt.P.port <- gv ()
-      | Color ->
-        fun () ->
-          bump ();
-          st.bpkt.P.color <- gv ()
-      | W0 ->
-        fun () ->
-          bump ();
-          st.bpkt.P.w0 <- gv ()
-      | W1 ->
-        fun () ->
-          bump ();
-          st.bpkt.P.w1 <- gv ())
-    | Kv_read (r, name, key) ->
-      let gk = value key in
-      fun () ->
-        bump ();
-        st.bregs.(r) <- Stores.read stores name (gk ())
-    | Kv_write (name, key, v) ->
-      let gk = value key and gv = value v in
-      fun () ->
-        bump ();
-        Stores.write stores name (gk ()) (gv ())
-    | Assert (c, msg) ->
-      let gc = value c in
-      fun () ->
-        bump ();
-        if not (B.is_true (gc ())) then crash (Assert_failed msg)
-  in
-  let term_fn t : unit -> int =
-    match t with
-    | Goto l ->
-      fun () ->
-        bump ();
-        l
-    | Branch (c, t1, e) ->
-      let gc = value c in
-      fun () ->
-        bump ();
-        if B.is_true (gc ()) then t1 else e
-    | Emit p ->
-      let code = emit_code p in
-      fun () ->
-        bump ();
-        code
-    | Drop ->
-      fun () ->
-        bump ();
-        drop_code
-    | Abort msg ->
-      fun () ->
-        bump ();
-        crash (Aborted msg)
-  in
-  let blocks =
-    Array.map
-      (fun blk ->
-        (Array.of_list (List.map instr_fn blk.instrs), term_fn blk.term))
-      prog.blocks
-  in
-  let dummy = st.bpkt in
-  fun pkt ->
-    st.bpkt <- pkt;
-    Array.blit zeros 0 st.bregs 0 nregs;
-    st.bcount <- 0;
-    let outcome =
-      try
-        let rec go l =
-          let instrs, term = blocks.(l) in
-          for i = 0 to Array.length instrs - 1 do
-            (Array.unsafe_get instrs i) ()
-          done;
-          let t = term () in
-          if t >= 0 then go t
-          else if t = drop_code then Dropped
-          else Emitted (-t - 2)
-        in
-        go 0
-      with Interp.Crash c -> Crashed c
-    in
-    st.bpkt <- dummy;
-    { Interp.outcome; instr_count = st.bcount }
-
-(* {1 Entry point} *)
-
-(** [compile prog stores] — validate, pick a tier, and lower. Partial
-    application [compile prog] performs validation and tier selection
-    once; applying the store state builds the closure program (constant
-    resolution, store snapshots, register file allocation). *)
+(** [compile prog stores] — validate and lower. Partial application
+    [compile prog] performs validation once; applying the store state
+    builds the closure program (constant interning, store binding,
+    register file allocation). *)
 let compile ?(budget = Interp.default_budget) (prog : program) :
     Stores.t -> P.t -> Interp.result =
-  let prog = Validate.check_program prog in
-  match tier prog with
-  | Native -> compile_native ~budget prog
-  | Boxed -> compile_boxed ~budget prog
+  build ~budget (Validate.check_program prog)

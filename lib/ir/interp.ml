@@ -19,6 +19,56 @@ exception Crash of crash
 
 let default_budget = 1_000_000
 
+(** The crash of an [n]-byte ["load"] or ["store"] at offset [o] of an
+    [len]-byte window. The compiled runtime raises it too, so the two
+    engines' messages are the same bytes. *)
+let out_of_window what o n len =
+  raise (Crash (Out_of_bounds (Printf.sprintf "%s %d+%d > len %d" what o n len)))
+
+(** The value of [rhs] with operands read by [value]. The one definition
+    of operator semantics: the compiled runtime falls back to it for
+    operations it has no word-level closure for. *)
+let eval_rhs (value : rvalue -> B.t) rhs =
+  match rhs with
+  | Move v -> value v
+  | Unop (Not, v) -> B.lognot (value v)
+  | Unop (Neg, v) -> B.neg (value v)
+  | Binop (op, a, b) -> (
+    let va = value a and vb = value b in
+    match op with
+    | Add -> B.add va vb
+    | Sub -> B.sub va vb
+    | Mul -> B.mul va vb
+    | Udiv ->
+      if B.is_zero vb then raise (Crash Div_by_zero) else B.udiv va vb
+    | Urem ->
+      if B.is_zero vb then raise (Crash Div_by_zero) else B.urem va vb
+    | Sdiv ->
+      if B.is_zero vb then raise (Crash Div_by_zero) else B.sdiv va vb
+    | Srem ->
+      if B.is_zero vb then raise (Crash Div_by_zero) else B.srem va vb
+    | And -> B.logand va vb
+    | Or -> B.logor va vb
+    | Xor -> B.logxor va vb
+    | Shl -> B.shl_bv va vb
+    | Lshr -> B.lshr_bv va vb
+    | Ashr -> B.ashr_bv va vb)
+  | Cmp (op, a, b) -> (
+    let va = value a and vb = value b in
+    B.of_bool
+      (match op with
+      | Eq -> B.equal va vb
+      | Ne -> not (B.equal va vb)
+      | Ult -> B.ult va vb
+      | Ule -> B.ule va vb
+      | Slt -> B.slt va vb
+      | Sle -> B.sle va vb))
+  | Select (c, a, b) -> if B.is_true (value c) then value a else value b
+  | Extract (hi, lo, v) -> B.extract ~hi ~lo (value v)
+  | Concat (a, b) -> B.concat (value a) (value b)
+  | Zext (w, v) -> B.zext w (value v)
+  | Sext (w, v) -> B.sext w (value v)
+
 let run ?(budget = default_budget) (prog : program) (stores : Stores.t)
     (pkt : P.t) : result =
   let regs =
@@ -28,53 +78,12 @@ let run ?(budget = default_budget) (prog : program) (stores : Stores.t)
   let value = function Const v -> v | Reg r -> regs.(r) in
   let value_int rv = B.to_int_trunc (value rv) in
   let bool_of rv = B.is_true (value rv) in
-  let eval_rhs rhs =
-    match rhs with
-    | Move v -> value v
-    | Unop (Not, v) -> B.lognot (value v)
-    | Unop (Neg, v) -> B.neg (value v)
-    | Binop (op, a, b) -> (
-      let va = value a and vb = value b in
-      match op with
-      | Add -> B.add va vb
-      | Sub -> B.sub va vb
-      | Mul -> B.mul va vb
-      | Udiv ->
-        if B.is_zero vb then raise (Crash Div_by_zero) else B.udiv va vb
-      | Urem ->
-        if B.is_zero vb then raise (Crash Div_by_zero) else B.urem va vb
-      | Sdiv ->
-        if B.is_zero vb then raise (Crash Div_by_zero) else B.sdiv va vb
-      | Srem ->
-        if B.is_zero vb then raise (Crash Div_by_zero) else B.srem va vb
-      | And -> B.logand va vb
-      | Or -> B.logor va vb
-      | Xor -> B.logxor va vb
-      | Shl -> B.shl_bv va vb
-      | Lshr -> B.lshr_bv va vb
-      | Ashr -> B.ashr_bv va vb)
-    | Cmp (op, a, b) -> (
-      let va = value a and vb = value b in
-      B.of_bool
-        (match op with
-        | Eq -> B.equal va vb
-        | Ne -> not (B.equal va vb)
-        | Ult -> B.ult va vb
-        | Ule -> B.ule va vb
-        | Slt -> B.slt va vb
-        | Sle -> B.sle va vb))
-    | Select (c, a, b) -> if bool_of c then value a else value b
-    | Extract (hi, lo, v) -> B.extract ~hi ~lo (value v)
-    | Concat (a, b) -> B.concat (value a) (value b)
-    | Zext (w, v) -> B.zext w (value v)
-    | Sext (w, v) -> B.sext w (value v)
-  in
   let exec_instr ins =
     incr count;
     if !count > budget then raise (Crash Budget_exhausted);
     match ins with
     | Assign (r, rhs) ->
-      let v = eval_rhs rhs in
+      let v = eval_rhs value rhs in
       (* Validated programs cannot trip this; it catches hand-built IR
          with width bugs concretely, as the symbolic engine would. *)
       if B.width v <> prog.reg_widths.(r) then
@@ -85,21 +94,13 @@ let run ?(budget = default_budget) (prog : program) (stores : Stores.t)
       regs.(r) <- v
     | Load (r, off, n) -> (
       let o = value_int off in
-      if o + n > P.length pkt then
-        raise
-          (Crash
-             (Out_of_bounds
-                (Printf.sprintf "load %d+%d > len %d" o n (P.length pkt))))
+      if o + n > P.length pkt then out_of_window "load" o n (P.length pkt)
       else
         let bytes = String.init n (fun i -> Char.chr (P.get_u8 pkt (o + i))) in
         regs.(r) <- B.of_bytes_be bytes)
     | Store (off, v, n) -> (
       let o = value_int off in
-      if o + n > P.length pkt then
-        raise
-          (Crash
-             (Out_of_bounds
-                (Printf.sprintf "store %d+%d > len %d" o n (P.length pkt))))
+      if o + n > P.length pkt then out_of_window "store" o n (P.length pkt)
       else
         let bytes = B.to_bytes_be (value v) in
         String.iteri (fun i c -> P.set_u8 pkt (o + i) (Char.code c)) bytes)

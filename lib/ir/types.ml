@@ -57,9 +57,9 @@ let meta_width = function Port | Color -> 8 | W0 | W1 -> 32
 type instr =
   | Assign of reg * rhs
   | Load of reg * rvalue * int
-      (** [Load (dst, off, n)] — read [n] bytes big-endian at byte offset
-          [off] (16-bit rvalue, relative to head) into [dst] (width 8n).
-          Out-of-window access crashes. *)
+      (** [Load (dst, off, n)] — read [n] (1-16) bytes big-endian at
+          byte offset [off] (16-bit rvalue, relative to head) into [dst]
+          (width 8n). Out-of-window access crashes. *)
   | Store of rvalue * rvalue * int
       (** [Store (off, value, n)] — write [n] bytes big-endian. *)
   | Load_len of reg  (** packet length in bytes; [dst] has width 16 *)

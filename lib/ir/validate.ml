@@ -67,13 +67,13 @@ let check_program (prog : program) =
           match ins with
           | Assign (r, rhs) -> check_rhs prog ctx prog.reg_widths.(r) rhs
           | Load (r, off, n) ->
-            if n < 1 || n > 8 then fail "%s: load of %d bytes" ctx n;
+            if n < 1 || n > 16 then fail "%s: load of %d bytes" ctx n;
             if rw off <> 16 then fail "%s: load offset not 16-bit" ctx;
             if prog.reg_widths.(r) <> 8 * n then
               fail "%s: load dst width %d for %d bytes" ctx
                 prog.reg_widths.(r) n
           | Store (off, v, n) ->
-            if n < 1 || n > 8 then fail "%s: store of %d bytes" ctx n;
+            if n < 1 || n > 16 then fail "%s: store of %d bytes" ctx n;
             if rw off <> 16 then fail "%s: store offset not 16-bit" ctx;
             if rw v <> 8 * n then
               fail "%s: store value width %d for %d bytes" ctx (rw v) n

@@ -10,6 +10,7 @@
 module B = Vdp_bitvec.Bitvec
 module Ir = Vdp_ir.Types
 module Interp = Vdp_ir.Interp
+module Compile = Vdp_ir.Compile
 module Stores = Vdp_ir.Stores
 module Lpm = Vdp_tables.Lpm
 module P = Vdp_packet.Packet
@@ -197,13 +198,13 @@ let check_same_runs name (runs_a, snap_a) (runs_b, snap_b) =
   if snap_a <> snap_b then
     Alcotest.failf "%s: final store state differs" name
 
-let run_engine pl engine pkts =
+let run_engine ?(in_port = fun _ -> 0) pl engine pkts =
   let inst = R.instantiate ~engine pl in
   let runs =
-    List.map
-      (fun p ->
+    List.mapi
+      (fun i p ->
         let q = P.clone p in
-        (R.push inst q, q))
+        (R.push ~in_port:(in_port i) inst q, q))
       pkts
   in
   (runs, store_snapshot inst)
@@ -249,6 +250,475 @@ let engine_differential name pl () =
         true
         (stats engine = s))
     [ R.Batched; R.Compiled ]
+
+(* {1 Every registry element, compiled and interpreted}
+
+   One sample configuration per element class; a class without one
+   fails the test, so new elements are covered. Each runs alone on
+   Ethernet frames, the same frames stripped to their IP header, IP
+   frames with options, ARP requests and random bytes, arriving on
+   input ports 0 and 1. *)
+
+let sample_configs =
+  let mac1 = "02:00:00:00:00:01" and mac2 = "02:00:00:00:00:02" in
+  let routes = [ "10.0.0.0/8 0"; "192.168.0.0/16 10.0.0.254 1"; "0.0.0.0/0 2" ] in
+  [
+    ("ARPResponder", [ "10.0.0.1"; mac1 ]);
+    ("BuggyCounter", []);
+    ("BuggyNAT", [ "203.0.113.7" ]);
+    ("BuggyPeek", []);
+    ("BuggyQuota", [ "3" ]);
+    ("CheckIPHeader", []);
+    ("CheckLength", [ "60" ]);
+    ("CheckPaint", [ "3" ]);
+    ("Classifier", [ "12/0800"; "12/0806"; "-" ]);
+    ("Counter", []);
+    ("DecIPTTL", []);
+    ("Discard", []);
+    ("EtherEncap", [ "2048"; mac1; mac2 ]);
+    ("EtherRewrite", [ mac1; mac2 ]);
+    ("FlowCounter", []);
+    ("HashSwitch", [ "12"; "8"; "3" ]);
+    ("ICMPError", [ "10.0.0.1"; "11"; "0" ]);
+    ("IPFilter", [ "deny proto tcp dport 22"; "allow src 10.0.0.0/8"; "deny all" ]);
+    ("IPGWOptions", [ "9.9.9.1" ]);
+    ("IPRewriter", [ "203.0.113.7" ]);
+    ("NATGateway", [ "203.0.113.7" ]);
+    ("Paint", [ "3" ]);
+    ("RadixIPLookup", routes);
+    ("RoundRobinSwitch", [ "3" ]);
+    ("SafeDPI", [ "171"; "24" ]);
+    ("SetIPChecksum", []);
+    ("StaticIPLookup", routes);
+    ("Strip", [ "14" ]);
+    ("Unstrip", [ "14" ]);
+  ]
+
+let element_traffic () =
+  let st = Random.State.make [| 17 |] in
+  let frames = Gen.workload ~seed:17 ~nflows:6 ~corrupt_ratio:0.2 40 in
+  let stripped =
+    List.map
+      (fun p ->
+        let q = P.clone p in
+        if P.length q >= 14 then P.pull q 14;
+        q)
+      frames
+  in
+  let with_options =
+    List.init 6 (fun i ->
+        let q =
+          Gen.frame_with_options
+            ~options:(String.init (4 * (i mod 3 + 1)) (fun j -> Char.chr (j + i)))
+            (Gen.random_flow st)
+        in
+        P.pull q 14;
+        q)
+  in
+  let arp target_ip =
+    P.create
+      (Vdp_packet.Ethernet.header
+         ~dst:(Vdp_packet.Ethernet.mac_of_string "ff:ff:ff:ff:ff:ff")
+         ~src:(Vdp_packet.Ethernet.mac_of_string "02:00:00:00:00:07")
+         ~ethertype:0x0806
+      ^ Vdp_packet.Arp.build
+          {
+            Vdp_packet.Arp.op = Vdp_packet.Arp.op_request;
+            sender_mac = Vdp_packet.Ethernet.mac_of_string "02:00:00:00:00:07";
+            sender_ip = Vdp_packet.Ipv4.addr_of_string "10.0.0.7";
+            target_mac = String.make 6 '\000';
+            target_ip = Vdp_packet.Ipv4.addr_of_string target_ip;
+          })
+  in
+  let random = List.init 30 (fun _ -> Gen.random_frame ~max_len:96 st) in
+  frames @ stripped @ with_options
+  @ [ arp "10.0.0.1"; arp "10.0.0.2"; arp "10.0.0.1" ]
+  @ random @ frames
+
+let registry_differential () =
+  let pkts = element_traffic () in
+  List.iter
+    (fun cls ->
+      let config =
+        match List.assoc_opt cls sample_configs with
+        | Some c -> c
+        | None -> Alcotest.failf "no sample configuration for %s" cls
+      in
+      let pl =
+        Click.Pipeline.linear [ Click.Registry.make ~name:"x" ~cls ~config ]
+      in
+      let in_port i = i mod 2 in
+      check_same_runs
+        (cls ^ " scalar-vs-compiled")
+        (run_engine ~in_port pl R.Scalar pkts)
+        (run_engine ~in_port pl R.Compiled pkts))
+    (Click.Registry.classes ())
+
+(* {1 Reset and load_state on the compiled engine}
+
+   Compiled closures bind their stores' tables once, at instantiate;
+   [reset] and [load_state] must reach those same tables. *)
+
+let node_of_class pl cls =
+  let nodes = Click.Pipeline.nodes pl in
+  let rec go i =
+    if nodes.(i).Click.Pipeline.element.Click.Element.cls = cls then i
+    else go (i + 1)
+  in
+  go 0
+
+let state_roundtrip () =
+  let pl = Click.Config.parse nat_config in
+  let flow = node_of_class pl "FlowCounter" and nat = node_of_class pl "IPRewriter" in
+  let st = Random.State.make [| 12 |] in
+  let flows = Array.init 3 (fun _ -> Gen.random_flow st) in
+  let bv = B.of_int in
+  let flow_key f =
+    B.concat
+      (B.concat (B.concat (bv ~width:32 f.Gen.src_ip) (bv ~width:32 f.Gen.dst_ip))
+         (bv ~width:8 f.Gen.proto))
+      (bv ~width:32 ((f.Gen.src_port lsl 16) lor f.Gen.dst_port))
+  in
+  let loaded =
+    [
+      (flow, "flows",
+       [ (flow_key flows.(0), bv ~width:32 41); (flow_key flows.(1), bv ~width:32 7) ]);
+      (nat, "nat_map",
+       [ (B.concat (bv ~width:32 flows.(0).Gen.src_ip)
+            (bv ~width:16 flows.(0).Gen.src_port),
+          bv ~width:16 5000) ]);
+      (nat, "nat_next", [ (B.zero 1, bv ~width:16 2000) ]);
+    ]
+  in
+  let warmup = Gen.workload ~seed:5 ~nflows:8 ~corrupt_ratio:0.1 200 in
+  let next = List.map (fun i -> Gen.frame_of_flow flows.(i)) [ 0; 1; 2; 0; 2 ] in
+  let steps engine =
+    let inst = R.instantiate ~engine pl in
+    List.iter (fun p -> ignore (R.push inst (P.clone p))) warmup;
+    R.reset inst;
+    check_int "flows cleared by reset" 0
+      (List.length (Stores.entries inst.R.stores.(flow) "flows"));
+    R.load_state inst loaded;
+    let after_load = store_snapshot inst in
+    let runs =
+      List.map
+        (fun p ->
+          let q = P.clone p in
+          (R.push inst q, q))
+        next
+    in
+    (inst, after_load, runs)
+  in
+  let scalar, scalar_loaded, scalar_runs = steps R.Scalar in
+  let compiled, compiled_loaded, compiled_runs = steps R.Compiled in
+  check_bool "same state after load" true (scalar_loaded = compiled_loaded);
+  check_same_runs "reset+load scalar-vs-compiled"
+    (scalar_runs, store_snapshot scalar)
+    (compiled_runs, store_snapshot compiled);
+  (* The compiled engine saw exactly the loaded state: the loaded
+     counts went on counting and the loaded mapping was used. *)
+  let count f =
+    List.assoc_opt (flow_key f)
+      (List.map (fun (k, v) -> (k, B.to_int_trunc v))
+         (Stores.entries compiled.R.stores.(flow) "flows"))
+  in
+  check_bool "loaded count 41 went on" true (count flows.(0) = Some 43);
+  check_bool "loaded count 7 kept" true (count flows.(1) = Some 8);
+  check_bool "new flow counted from 0" true (count flows.(2) = Some 2);
+  let sport (_, q) = P.get_be q 34 2 in
+  check_int "loaded NAT mapping used" 5000 (sport (List.hd compiled_runs));
+  check_int "allocation from loaded nat_next" 2000
+    (sport (List.nth compiled_runs 1));
+  check_int "next allocation" 2001 (sport (List.nth compiled_runs 2))
+
+(* {1 Random programs at every width: compiled ≡ interpreter}
+
+   Well-typed straight-line blocks over registers of 1-61, 62-122 and
+   123-200 bits (and the widths concatenation and extraction derive
+   from them), ending in a branch, run on both engines over the same
+   packets and store state. Constants lean toward zero, one, all ones,
+   the sign bit and shift amounts around the width, so division by
+   zero, over-wide shifts and signed corner cases come up often; load
+   and store offsets straddle the packet window. *)
+
+let rand_bv st w =
+  match Random.State.int st 7 with
+  | 0 -> B.zero w
+  | 1 -> B.one w
+  | 2 -> B.ones w
+  | 3 -> B.shl (B.one w) (w - 1)
+  | 4 -> B.of_int ~width:w (w - 2 + Random.State.int st 5)
+  | _ ->
+    B.extract ~hi:(w - 1) ~lo:0
+      (B.of_bytes_be
+         (String.init ((w + 7) / 8) (fun _ ->
+              Char.chr (Random.State.int st 256))))
+
+let rand_width st =
+  match Random.State.int st 4 with
+  | 0 -> 1 + Random.State.int st 61
+  | 1 -> 62 + Random.State.int st 61
+  | 2 -> 123 + Random.State.int st 78
+  | _ -> [| 1; 8; 16; 32; 61; 62; 64; 122; 123 |].(Random.State.int st 9)
+
+(* Private and static stores with narrow and wide keys and values, so
+   every table shape is read (and every private one written). *)
+let random_stores =
+  let bv w n = B.of_int ~width:w n in
+  [
+    Ir.store ~name:"rn" ~key_width:16 ~val_width:16 ~kind:Ir.Static
+      ~default:(bv 16 3) ~init:[ (bv 16 1, bv 16 4) ] ();
+    Ir.store ~name:"nn" ~key_width:16 ~val_width:16 ~kind:Ir.Private
+      ~default:(bv 16 7) ~init:[ (bv 16 1, bv 16 2) ] ();
+    Ir.store ~name:"wn" ~key_width:104 ~val_width:32 ~kind:Ir.Private
+      ~default:(B.zero 32) ();
+    Ir.store ~name:"nw" ~key_width:8 ~val_width:150 ~kind:Ir.Private
+      ~default:(B.ones 150) ();
+    Ir.store ~name:"ww" ~key_width:130 ~val_width:70 ~kind:Ir.Private
+      ~default:(B.zero 70) ~init:[ (B.ones 130, bv 70 9) ] ();
+    Ir.store ~name:"ro" ~key_width:90 ~val_width:62 ~kind:Ir.Static
+      ~default:(bv 62 3)
+      ~init:[ (B.zero 90, B.ones 62); (B.ones 90, bv 62 5) ] ();
+  ]
+
+type gen = {
+  st : Random.State.t;
+  mutable widths : int list;  (** register widths, newest first *)
+  defined : (int, int list) Hashtbl.t;  (** written registers by width *)
+}
+
+let pick st l = List.nth l (Random.State.int st (List.length l))
+
+let fresh g w =
+  g.widths <- w :: g.widths;
+  List.length g.widths - 1
+
+let defined g w = Option.value (Hashtbl.find_opt g.defined w) ~default:[]
+
+(* A width some register already has, or a new one. *)
+let some_width g =
+  if Hashtbl.length g.defined > 0 && Random.State.bool g.st then
+    pick g.st (List.of_seq (Hashtbl.to_seq_keys g.defined))
+  else rand_width g.st
+
+(* A written register, a never-written one (it reads as zero), or a
+   constant. *)
+let operand g w =
+  match defined g w with
+  | _ :: _ as rs when Random.State.int g.st 3 > 0 -> Ir.Reg (pick g.st rs)
+  | _ ->
+    if Random.State.int g.st 10 = 0 then Ir.Reg (fresh g w)
+    else Ir.Const (rand_bv g.st w)
+
+(* Pick the destination after the operands, so that overwriting a
+   register may also overwrite one of them. *)
+let dest g w =
+  match defined g w with
+  | _ :: _ as rs when Random.State.int g.st 4 = 0 -> pick g.st rs
+  | rs ->
+    let r = fresh g w in
+    Hashtbl.replace g.defined w (r :: rs);
+    r
+
+(* Mostly inside a packet of 32 or more bytes, sometimes past its end. *)
+let offset g =
+  match Random.State.int g.st 5 with
+  | 0 -> operand g 16
+  | 1 -> Ir.Const (B.of_int ~width:16 (Random.State.int g.st 48))
+  | _ -> Ir.Const (B.of_int ~width:16 (Random.State.int g.st 16))
+
+let random_instr g =
+  let st = g.st in
+  let assign w rhs = Ir.Assign (dest g w, rhs) in
+  match Random.State.int st 16 with
+  | 0 ->
+    let w = some_width g in
+    assign w (Ir.Move (operand g w))
+  | 1 ->
+    let w = some_width g in
+    assign w (Ir.Unop (pick st Ir.[ Not; Neg ], operand g w))
+  | 2 | 3 | 4 ->
+    let w = some_width g in
+    let op =
+      pick st
+        Ir.[ Add; Sub; Mul; Udiv; Urem; Sdiv; Srem; And; Or; Xor; Shl; Lshr;
+             Ashr ]
+    in
+    let a = operand g w in
+    assign w (Ir.Binop (op, a, operand g w))
+  | 5 ->
+    let w = some_width g in
+    let op = pick st Ir.[ Eq; Ne; Ult; Ule; Slt; Sle ] in
+    let a = operand g w in
+    assign 1 (Ir.Cmp (op, a, operand g w))
+  | 6 ->
+    let w = some_width g in
+    let c = operand g 1 in
+    let a = operand g w in
+    assign w (Ir.Select (c, a, operand g w))
+  | 7 ->
+    let wv = some_width g in
+    let lo = Random.State.int st wv in
+    let hi = lo + Random.State.int st (wv - lo) in
+    assign (hi - lo + 1) (Ir.Extract (hi, lo, operand g wv))
+  | 8 ->
+    let wa = some_width g and wb = some_width g in
+    let wa = min wa (max 1 (256 - wb)) in
+    let a = operand g wa in
+    assign (wa + wb) (Ir.Concat (a, operand g wb))
+  | 9 ->
+    let wv = some_width g in
+    let w = max wv (min 256 (wv + Random.State.int st 100)) in
+    let v = operand g wv in
+    assign w (if Random.State.bool st then Ir.Zext (w, v) else Ir.Sext (w, v))
+  | 10 ->
+    let n = 1 + Random.State.int st 16 in
+    let off = offset g in
+    Ir.Load (dest g (8 * n), off, n)
+  | 11 ->
+    let n = 1 + Random.State.int st 16 in
+    let off = offset g in
+    Ir.Store (off, operand g (8 * n), n)
+  | 12 ->
+    let d = pick st random_stores in
+    let key = operand g d.Ir.key_width in
+    Ir.Kv_read (dest g d.Ir.val_width, d.Ir.store_name, key)
+  | 13 ->
+    let d =
+      pick st (List.filter (fun d -> d.Ir.kind = Ir.Private) random_stores)
+    in
+    let key = operand g d.Ir.key_width in
+    Ir.Kv_write (d.Ir.store_name, key, operand g d.Ir.val_width)
+  | 14 -> (
+    let m = pick st Ir.[ Port; Color; W0; W1 ] in
+    match Random.State.int st 3 with
+    | 0 -> Ir.Meta_set (m, operand g (Ir.meta_width m))
+    | 1 -> Ir.Meta_get (dest g (Ir.meta_width m), m)
+    | _ -> Ir.Load_len (dest g 16))
+  | _ -> (
+    match Random.State.int st 3 with
+    | 0 -> Ir.Pull (Random.State.int st 6)
+    | 1 -> Ir.Push (Random.State.int st 6)
+    | _ -> Ir.Take (Ir.Const (B.of_int ~width:16 (Random.State.int st 64))))
+
+(* Make every written register observable: write it, keyed by its
+   index, to the private store of its width. *)
+let observe g =
+  Hashtbl.fold
+    (fun w rs acc ->
+      List.map
+        (fun r ->
+          Ir.Kv_write
+            (Printf.sprintf "obs%d" w, Ir.Const (B.of_int ~width:16 r), Ir.Reg r))
+        rs
+      @ acc)
+    g.defined []
+
+let random_program st =
+  let g = { st; widths = []; defined = Hashtbl.create 16 } in
+  let block term =
+    let instrs = List.init (Random.State.int st 30) (fun _ -> random_instr g) in
+    let instrs = instrs @ observe g in
+    { Ir.instrs; term = term () }
+  in
+  let b0 = block (fun () -> Ir.Branch (operand g 1, 1, 2)) in
+  let b1 = block (fun () -> Ir.Emit 0) in
+  let b2 = block (fun () -> pick st Ir.[ Emit 1; Drop; Abort "end" ]) in
+  let obs =
+    List.map
+      (fun w ->
+        Ir.store ~name:(Printf.sprintf "obs%d" w) ~key_width:16 ~val_width:w
+          ~kind:Ir.Private ~default:(B.zero w) ())
+      (List.sort_uniq compare (List.of_seq (Hashtbl.to_seq_keys g.defined)))
+  in
+  {
+    Ir.name = "random";
+    reg_widths = Array.of_list (List.rev g.widths);
+    blocks = [| b0; b1; b2 |];
+    stores = random_stores @ obs;
+    nports = 2;
+  }
+
+let random_packet st =
+  let p =
+    P.create ~headroom:(Random.State.int st 8)
+      (String.init
+         (if Random.State.int st 4 = 0 then Random.State.int st 32
+          else 32 + Random.State.int st 17)
+         (fun _ ->
+           Char.chr (Random.State.int st 256)))
+  in
+  p.P.port <- Random.State.int st 256;
+  p.P.color <- Random.State.int st 256;
+  p.P.w0 <- Random.State.bits st;
+  p.P.w1 <- Random.State.bits st land 0xffffffff;
+  p
+
+let random_case =
+  QCheck.make
+    ~print:(fun (prog, _, budget) ->
+      Printf.sprintf "budget %d\n%s" budget
+        (Vdp_ir.Pp.program_to_string prog))
+    (fun st ->
+      let prog = random_program st in
+      (* Before each packet, config churn may rewrite static entries. *)
+      let churn () =
+        List.filter_map
+          (fun (d : Ir.store_decl) ->
+            if d.Ir.kind = Ir.Static && Random.State.int st 3 = 0 then
+              Some (d, rand_bv st d.Ir.key_width, rand_bv st d.Ir.val_width)
+            else None)
+          random_stores
+      in
+      let pkts = List.init 4 (fun _ -> (churn (), random_packet st)) in
+      let budget =
+        if Random.State.int st 8 = 0 then 1 + Random.State.int st 60
+        else Interp.default_budget
+      in
+      (prog, pkts, budget))
+
+let entries prog stores =
+  List.map
+    (fun (d : Ir.store_decl) ->
+      Stores.entries stores d.Ir.store_name
+      |> List.map (fun (k, v) -> (B.to_string_hex k, B.to_string_hex v))
+      |> List.sort compare)
+    prog.Ir.stores
+
+let same_packet (a : P.t) (b : P.t) =
+  Bytes.equal a.P.buf b.P.buf && a.P.head = b.P.head && a.P.len = b.P.len
+  && meta a = meta b
+
+(* The QCHECK_SEED run, or a fixed one: tier-1 runs stay reproducible. *)
+let qcheck_rand () =
+  Random.State.make
+    [| Option.fold ~none:14 ~some:int_of_string (Sys.getenv_opt "QCHECK_SEED") |]
+
+let compiled_matches_interp =
+  QCheck.Test.make ~count:400 ~name:"compiled = interpreter, random wide programs"
+    random_case (fun (prog, pkts, budget) ->
+      let si = Stores.init prog.Ir.stores and sc = Stores.init prog.Ir.stores in
+      let exec = Compile.compile ~budget prog sc in
+      List.for_all
+        (fun (churn, p) ->
+          List.iter
+            (fun (d, k, v) -> Vdp_ir.Static_data.set d.Ir.init k v)
+            churn;
+          let pi = P.clone p and pc = P.clone p in
+          let ri = Interp.run ~budget prog si pi in
+          let rc = exec pc in
+          if ri <> rc then
+            QCheck.Test.fail_reportf "interp %a (%d instrs), compiled %a (%d)"
+              Ir.pp_outcome ri.Interp.outcome ri.Interp.instr_count
+              Ir.pp_outcome rc.Interp.outcome rc.Interp.instr_count;
+          if not (same_packet pi pc) then
+            QCheck.Test.fail_reportf "packets differ after %a" Ir.pp_outcome
+              ri.Interp.outcome;
+          if entries prog si <> entries prog sc then
+            QCheck.Test.fail_reportf "stores differ after %a" Ir.pp_outcome
+              ri.Interp.outcome;
+          true)
+        pkts)
 
 (* {1 Hop budget as a counted final} *)
 
@@ -354,4 +824,9 @@ let tests =
       hop_budget_long_chain;
     Alcotest.test_case "interpreter rejects width-mismatched assigns" `Quick
       interp_width_check;
+    Alcotest.test_case "every registry element: compiled = scalar" `Quick
+      registry_differential;
+    Alcotest.test_case "compiled engine sees reset and loaded state" `Quick
+      state_roundtrip;
+    QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) compiled_matches_interp;
   ]

@@ -141,4 +141,49 @@ let props =
         B.equal va (B.of_string ~width:w (B.to_string_dec va)));
   ]
 
-let tests = unit_tests @ List.map QCheck_alcotest.to_alcotest props
+(* {1 Native-word conversions vs bit-by-bit references} *)
+
+(* A random value of a random width in 1-130, built byte by byte. *)
+let arb_wide =
+  QCheck.make
+    ~print:(fun v -> Format.asprintf "%a" B.pp v)
+    QCheck.Gen.(
+      int_range 1 130 >>= fun w ->
+      string_size ~gen:char (return ((w + 7) / 8)) >|= fun s ->
+      B.extract ~hi:(w - 1) ~lo:0 (B.of_bytes_be s))
+
+(* [to_int_trunc] as it was: one [testbit] per bit. *)
+let to_int_trunc_bitwise v =
+  let acc = ref 0 in
+  for i = min (B.width v) (Sys.int_size - 1) - 1 downto 0 do
+    acc := (!acc lsl 1) lor if B.testbit v i then 1 else 0
+  done;
+  !acc
+
+let word_props =
+  [
+    QCheck.Test.make ~count:1000 ~name:"to_int_trunc matches bit-by-bit"
+      arb_wide (fun v -> B.to_int_trunc v = to_int_trunc_bitwise v);
+    QCheck.Test.make ~count:1000 ~name:"to_int is Some iff bits 62+ are clear"
+      arb_wide (fun v ->
+        let fits =
+          List.for_all
+            (fun i -> not (B.testbit v i))
+            (List.init (max 0 (B.width v - 62)) (fun i -> 62 + i))
+        in
+        B.to_int v = if fits then Some (to_int_trunc_bitwise v) else None);
+    QCheck.Test.make ~count:1000 ~name:"words hold each bit, and round-trip"
+      arb_wide (fun v ->
+        let w = B.width v in
+        let ws = Array.make (B.nwords w + 1) (-1) in
+        B.to_words v ws 1;
+        let bit i = (ws.(1 + (i / B.word_bits)) lsr (i mod B.word_bits)) land 1 in
+        ws.(0) = -1
+        && List.for_all
+             (fun i -> bit i = if i < w && B.testbit v i then 1 else 0)
+             (List.init (B.word_bits * B.nwords w) Fun.id)
+        && B.equal v (B.of_words ~width:w ws 1));
+  ]
+
+let tests =
+  unit_tests @ List.map QCheck_alcotest.to_alcotest (props @ word_props)

@@ -222,5 +222,64 @@ let interp_matches_bitvec =
       in
       P.get_u8 pkt 0 = B.to_int_trunc expect)
 
+(* Property: a private store is a map from keys to values, with the
+   declared default for missing keys and the declared contents after
+   [reset], whatever its key and value widths (one native word or
+   several). *)
+let stores_are_maps =
+  QCheck.Test.make ~count:200 ~name:"private stores are maps at every width"
+    QCheck.(triple (int_range 1 130) (int_range 1 130) (int_bound 10_000))
+    (fun (kw, vw, seed) ->
+      let st = Random.State.make [| seed |] in
+      let rand w =
+        (* Few distinct keys, so writes overwrite and reads hit. *)
+        B.extract ~hi:(w - 1) ~lo:0
+          (B.of_bytes_be
+             (String.init ((w + 7) / 8) (fun _ ->
+                  Char.chr (Random.State.int st 3))))
+      in
+      let init = [ (rand kw, rand vw) ] and default = rand vw in
+      let decl =
+        Ir.store ~name:"s" ~key_width:kw ~val_width:vw ~kind:Ir.Private
+          ~default ~init ()
+      in
+      let stores = Stores.init [ decl ] in
+      let model = Hashtbl.create 16 in
+      let reset () =
+        Hashtbl.reset model;
+        List.iter (fun (k, v) -> Hashtbl.replace model (B.to_string_hex k) v) init
+      in
+      reset ();
+      let ok = ref true in
+      for _ = 1 to 60 do
+        let k = rand kw in
+        match Random.State.int st 10 with
+        | 0 ->
+          Stores.reset stores;
+          reset ()
+        | 1 | 2 | 3 | 4 ->
+          let v = rand vw in
+          Stores.write stores "s" k v;
+          Hashtbl.replace model (B.to_string_hex k) v
+        | _ ->
+          let expect =
+            Option.value (Hashtbl.find_opt model (B.to_string_hex k)) ~default
+          in
+          ok := !ok && B.equal expect (Stores.read stores "s" k)
+      done;
+      let entries =
+        List.map
+          (fun (k, v) -> (B.to_string_hex k, B.to_string_hex v))
+          (Stores.entries stores "s")
+      in
+      !ok
+      && List.sort compare entries
+         = List.sort compare
+             (Hashtbl.fold
+                (fun k v acc -> (k, B.to_string_hex v) :: acc)
+                model []))
+
 let tests =
-  unit_tests @ List.map QCheck_alcotest.to_alcotest [ interp_matches_bitvec ]
+  unit_tests
+  @ List.map QCheck_alcotest.to_alcotest
+      [ interp_matches_bitvec; stores_are_maps ]
