@@ -16,13 +16,13 @@ bench:
 ci: build
 	dune runtest
 	dune exec bin/vdpverify.exe -- crash examples/router.click
+	dune exec bin/vdpverify.exe -- crash test/malformed.click; test $$? -eq 1
 	dune exec bin/vdpverify.exe -- crash -j 4 --certify examples/router.click
 	dune exec bin/vdpverify.exe -- bound -j 4 examples/router.click
 	dune exec bin/vdpverify.exe -- verify --certify examples/router.click
 	dune exec bin/vdpverify.exe -- crash --certify examples/firewall.click
 	dune exec bin/vdpverify.exe -- replay examples/router.click
 	dune exec bin/vdpverify.exe -- replay examples/firewall.click
-	dune exec bin/vdpverify.exe -- replay --engine batched examples/router.click
 	dune exec bin/vdpverify.exe -- replay --engine compiled examples/router.click
 	dune exec bin/vdpverify.exe -- replay --engine compiled examples/firewall.click
 	dune exec bin/vdpverify.exe -- pump -n 20000 --engine compiled examples/router.click

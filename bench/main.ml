@@ -858,9 +858,9 @@ let e8 () =
           (fun (v : V.violation) ->
             if not v.V.confirmed then
               Printf.printf "    UNCONFIRMED at node %d: %s\n" v.V.node
-                (match v.V.replayed with
-                | Some { W.status = W.Unconfirmed why; _ } -> why
-                | _ -> "no replay attempted"))
+                (match v.V.replayed.W.status with
+                | W.Unconfirmed why -> why
+                | W.Confirmed -> "confirmed"))
           vs
       end;
       Printf.printf "%-24s %10d %10d %10d\n%!" name (List.length vs)
@@ -1053,8 +1053,11 @@ let e9 () =
     Printf.printf "E9 FAILED: the structural gate cache never hit\n";
     exit_code := 1
   end;
-  (* End-to-end differential: both example pipelines, full crash +
-     bound verification, preprocessing on vs off, must agree. *)
+  (* End-to-end: both example pipelines, full crash + bound
+     verification. Step 2 always preprocesses, so every refutation it
+     derives must pass an independent certificate check (which replays
+     the elimination trace against the raw conjunction, or refutes the
+     raw conjunction itself). *)
   let examples =
     List.filter Sys.file_exists
       [ "examples/router.click"; "examples/firewall.click" ]
@@ -1065,52 +1068,50 @@ let e9 () =
       let pl = Click.Config.parse_file path in
       (* The instruction bound enumerates far more composite paths than
          crash freedom; on the segment-heavy firewall (IPFilter) that
-         search is impractical in either mode, so the bound leg of the
-         differential runs on the router only. *)
+         search is impractical, so the bound leg runs on the router
+         only. *)
       let with_bound = path = "examples/router.click" in
-      let run ~preprocess =
-        Summaries.clear ();
-        Solver.Cache.clear Solver.shared_cache;
-        let config = { V.default_config with V.preprocess } in
-        let crash = V.check_crash_freedom ~config pl in
-        let bound =
-          if with_bound then Some (V.instruction_bound ~config pl) else None
-        in
-        (crash, bound)
+      let config = { V.default_config with V.certify = true } in
+      let (crash, bound_r), dt =
+        time (fun () ->
+            Summaries.clear ();
+            Solver.Cache.clear Solver.shared_cache;
+            let crash = V.check_crash_freedom ~config pl in
+            let bound =
+              if with_bound then Some (V.instruction_bound ~config pl)
+              else None
+            in
+            (crash, bound))
       in
-      let (c1, b1), dt1 = time (fun () -> run ~preprocess:true) in
-      let (c0, b0), dt0 = time (fun () -> run ~preprocess:false) in
-      let bound r = Option.bind r (fun (b : V.bound_report) -> b.V.bound) in
-      let agree =
-        same_verdict c1.V.verdict c0.V.verdict
-        && bound b1 = bound b0
-        && Option.map (fun (b : V.bound_report) -> b.V.exact) b1
-           = Option.map (fun (b : V.bound_report) -> b.V.exact) b0
+      let bound = Option.bind bound_r (fun (b : V.bound_report) -> b.V.bound) in
+      let certified =
+        Vdp_topo.Query.cert_complete crash.V.cert
+        && Option.fold ~none:true
+             ~some:(fun (b : V.bound_report) ->
+               Vdp_topo.Query.cert_complete b.V.b_cert)
+             bound_r
       in
-      Printf.printf
-        "%-28s preprocess on %.2fs / off %.2fs: %s (%s, bound %s)\n%!" path
-        dt1 dt0
-        (if agree then "identical verdicts+bounds" else "MISMATCH")
-        (verdict_str c1.V.verdict)
-        (match bound b1 with
+      Printf.printf "%-28s %.2fs: %s, bound %s, %s\n%!" path dt
+        (verdict_str crash.V.verdict)
+        (match bound with
         | Some b -> string_of_int b
-        | None -> if with_bound then "none" else "skipped");
-      if not agree then begin
-        Printf.printf "E9 FAILED: end-to-end divergence on %s\n" path;
+        | None -> if with_bound then "none" else "skipped")
+        (if certified then "every refutation certified" else "UNCERTIFIED");
+      if not certified then begin
+        Printf.printf "E9 FAILED: uncertified refutation on %s\n" path;
         exit_code := 1
       end;
       erows :=
         Json.Obj
           [
             ("pipeline", Json.Str path);
-            ("agree", Json.Bool agree);
-            ("crash_verdict", Json.Str (verdict_str c1.V.verdict));
+            ("certified", Json.Bool certified);
+            ("crash_verdict", Json.Str (verdict_str crash.V.verdict));
             ( "bound",
-              match bound b1 with
+              match bound with
               | Some b -> Json.Int b
               | None -> Json.Str (if with_bound then "none" else "skipped") );
-            ("seconds_preprocessed", Json.Float dt1);
-            ("seconds_raw", Json.Float dt0);
+            ("seconds", Json.Float dt);
           ]
         :: !erows)
     examples;
@@ -1345,7 +1346,7 @@ let e10 () =
   | None ->
     Printf.printf "no BENCH_e10_baseline.json; skipping regression check\n"
 
-(* {1 E11 — batched runtime and compiled fast-path throughput} *)
+(* {1 E11 — compiled fast-path throughput} *)
 
 (* Packets/sec on the evaluation pipelines, one run per engine. Each
    engine gets a fresh instance and an identically seeded workload, so
@@ -1357,7 +1358,7 @@ let e10 () =
    absolute pps, so the committed baseline is machine-independent. *)
 let e11 () =
   section
-    "E11: packets/sec — scalar interpreter vs batched vs batched+compiled";
+    "E11: packets/sec — scalar interpreter vs compiled batch engine";
   let smoke = Sys.getenv_opt "VDP_E11_SMOKE" <> None in
   let count = if smoke then 5_000 else 200_000 in
   let seed = 11 in
@@ -1373,7 +1374,7 @@ let e11 () =
           else None)
         [ "examples/firewall.click" ]
   in
-  let engines = Click.Runtime.[ Scalar; Batched; Compiled ] in
+  let engines = Click.Runtime.[ Scalar; Compiled ] in
   Printf.printf "%d packets per run (seed %d)%s\n\n" count seed
     (if smoke then " [smoke]" else "");
   Printf.printf "%-24s %10s %12s %10s %9s\n" "pipeline" "engine" "pps"
@@ -1511,9 +1512,9 @@ let e11 () =
    content-independent) that is {e nothing}, and re-verification is a
    summary-cache probe returning the memoized verdict in milliseconds.
 
-   Gates: the 1M-entry tables must build in a few seconds (this part
-   runs in CI via VDP_E12_SMOKE=1); the array-backed DIR-16-8-8 store
-   must agree with the reference trie on randomized lookups; the
+   Gates: the 1M-entry FIB must build in a few seconds (this part runs
+   in CI via VDP_E12_SMOKE=1); the FIB's DIR-16-8-8 stores must agree
+   with the reference trie on randomized lookups; the
    incremental verdict must equal the from-scratch one and arrive at
    least 10x faster (regression-gated against BENCH_e12_baseline.json). *)
 
@@ -1570,55 +1571,52 @@ let e12 () =
      so the millions of build-time slot writes sweep empty tables. *)
   Summaries.clear ();
   Vdp_verif.Staleness.reset_stats ();
-  (* 1M-entry builds: the standalone DIR-16-8-8 array store and the
-     element-level FIB (three shared static stores + ownership maps). *)
-  let triples =
-    List.map
-      (fun (r : Click.El_lookup.route) ->
-        (r.Click.El_lookup.prefix, r.Click.El_lookup.plen,
-         r.Click.El_lookup.port + 1))
-      routes
-  in
-  let dir, dir_dt = time (fun () -> Vdp_tables.Dir_lpm.of_routes triples) in
+  (* The 1M-entry build: the DIR-16-8-8 FIB that RadixIPLookup ships
+     (three shared static stores + ownership maps). *)
   let fib, fib_dt =
     time (fun () -> Click.El_lookup.Fib.create ~nports:3 routes)
   in
-  let dir_slots = Vdp_tables.Dir_lpm.memory_slots dir in
-  Printf.printf
-    "build (%d routes): DIR-16-8-8 %.2fs (%d slots, ~%.0f MB), element FIB \
-     %.2fs (%d routes)\n"
-    (List.length routes) dir_dt dir_slots
-    (float_of_int (dir_slots * 9) /. 1e6)
-    fib_dt
+  Printf.printf "build (%d routes): DIR-16-8-8 FIB %.2fs (%d distinct)\n"
+    (List.length routes) fib_dt
     (Click.El_lookup.Fib.count fib);
   let build_budget = 8.0 in
-  if dir_dt > build_budget || fib_dt > build_budget then begin
+  if fib_dt > build_budget then begin
     Printf.printf "E12 FAILED: 1M-entry build exceeded %.0fs\n" build_budget;
     exit_code := 1
   end;
-  (* Randomized differential of the compact store against the reference
-     trie, on a deduplicated subset (the trie is pointer-fat at 1M). *)
+  (* Randomized differential of the FIB against the reference trie, on
+     a deduplicated subset (the trie is pointer-fat at 1M). *)
   let sub_n = 100_000 in
   let dedup = Hashtbl.create sub_n in
   List.iter
-    (fun (p, l, v) ->
-      if Hashtbl.length dedup < sub_n || Hashtbl.mem dedup (p, l) then
-        Hashtbl.replace dedup (p, l) v)
-    triples;
-  let sub = Hashtbl.fold (fun (p, l) v acc -> (p, l, v) :: acc) dedup [] in
-  let trie = Vdp_tables.Lpm.of_list sub in
-  let dir_sub = Vdp_tables.Dir_lpm.of_routes sub in
+    (fun (r : Click.El_lookup.route) ->
+      let k = (r.Click.El_lookup.prefix, r.Click.El_lookup.plen) in
+      if Hashtbl.length dedup < sub_n || Hashtbl.mem dedup k then
+        Hashtbl.replace dedup k r)
+    routes;
+  let sub = Hashtbl.fold (fun _ r acc -> r :: acc) dedup [] in
+  let trie =
+    Vdp_tables.Lpm.of_list
+      (List.map
+         (fun (r : Click.El_lookup.route) ->
+           (r.Click.El_lookup.prefix, r.Click.El_lookup.plen,
+            r.Click.El_lookup.port))
+         sub)
+  in
+  let fib_sub = Click.El_lookup.Fib.create ~nports:3 sub in
   let nlookups = if smoke then 50_000 else 200_000 in
   let mismatches = ref 0 in
   for _ = 1 to nlookups do
     let addr = rand32 () in
-    if Vdp_tables.Lpm.lookup trie addr <> Vdp_tables.Dir_lpm.lookup dir_sub addr
+    if
+      Vdp_tables.Lpm.lookup trie addr
+      <> Option.map snd (Click.El_lookup.Fib.lookup fib_sub addr)
     then incr mismatches
   done;
   Printf.printf "differential vs trie: %d lookups, %d mismatches\n" nlookups
     !mismatches;
   if !mismatches > 0 then begin
-    Printf.printf "E12 FAILED: DIR store disagrees with the reference trie\n";
+    Printf.printf "E12 FAILED: the FIB disagrees with the reference trie\n";
     exit_code := 1
   end;
   (* The router pipeline with the 1M-entry FIB behind RadixIPLookup. *)
@@ -1771,9 +1769,7 @@ let e12 () =
     exit_code := 1
   end;
   record "routes" (Json.Int (Click.El_lookup.Fib.count fib));
-  record "dir_build_seconds" (Json.Float dir_dt);
   record "fib_build_seconds" (Json.Float fib_dt);
-  record "dir_slots" (Json.Int dir_slots);
   record "differential_lookups" (Json.Int nlookups);
   record "differential_mismatches" (Json.Int !mismatches);
   record "cold_seconds" (Json.Float cold_dt);
@@ -2068,8 +2064,6 @@ let micro () =
     List.init 64 (fun i -> ((10 lsl 24) lor (i lsl 16), 16 + (i mod 9), i))
   in
   let trie = Vdp_tables.Lpm.of_list routes in
-  let dir = Vdp_tables.Dir_lpm.of_routes routes in
-  let ft = Vdp_tables.Flow_table.create ~buckets:1024 ~overflow:1024 in
   let x = T.var "x" 16 and y = T.var "y" 16 in
   let sat_query =
     [ T.ult x y; T.eq (T.band x (T.bv_int ~width:16 0xff)) (T.bv_int ~width:16 0x2a) ]
@@ -2087,14 +2081,6 @@ let micro () =
       Test.make ~name:"lpm: trie lookup"
         (Staged.stage (fun () ->
              ignore (Vdp_tables.Lpm.lookup trie 0x0a2a0101)));
-      Test.make ~name:"lpm: DIR array lookup"
-        (Staged.stage (fun () ->
-             ignore (Vdp_tables.Dir_lpm.lookup dir 0x0a2a0101)));
-      Test.make ~name:"flow table: set+find"
-        (Staged.stage (fun () ->
-             incr idx;
-             Vdp_tables.Flow_table.set ft (!idx land 1023) !idx;
-             ignore (Vdp_tables.Flow_table.find ft (!idx land 1023))));
       Test.make ~name:"solver: small sat query"
         (Staged.stage (fun () -> ignore (Solver.check sat_query)));
       Test.make ~name:"solver: small unsat query"

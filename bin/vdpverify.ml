@@ -35,18 +35,6 @@ let monolithic_arg =
   in
   Arg.(value & flag & info [ "monolithic" ] ~doc)
 
-let no_cache_arg =
-  let doc = "Disable the Step-2 query cache." in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let no_preprocess_arg =
-  let doc =
-    "Disable word-level solver preprocessing (equality substitution, \
-     constant propagation, cone slicing) and bit-blast every Step-2 query \
-     as written."
-  in
-  Arg.(value & flag & info [ "no-preprocess" ] ~doc)
-
 let jobs_arg =
   let doc =
     "Number of domains for Step-1 symbolic execution and Step-2 suspect-path \
@@ -64,15 +52,6 @@ let certify_arg =
   in
   Arg.(value & flag & info [ "certify" ] ~doc)
 
-let no_replay_arg =
-  let doc =
-    "Skip replaying witnesses on the concrete runtime. By default every \
-     violation's witness (packet plus the initial private state its path \
-     depends on) is re-executed and the violation is only reported as \
-     confirmed when the runtime reproduces the claimed outcome."
-  in
-  Arg.(value & flag & info [ "no-replay" ] ~doc)
-
 let load path =
   try Ok (Vdp_click.Config.parse_file path) with
   | Vdp_click.Config.Parse_error m ->
@@ -83,14 +62,10 @@ let load path =
     Error (Printf.sprintf "bad configuration for %s: %s" cls m)
   | Invalid_argument m -> Error m
 
-let verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
-    ~certify =
+let verifier_config max_len ~jobs ~certify =
   {
     V.default_config with
     V.engine = { E.default_config with E.max_len };
-    V.cache = not no_cache;
-    V.preprocess = not no_preprocess;
-    V.replay = not no_replay;
     V.jobs = max 1 jobs;
     V.certify = certify;
   }
@@ -104,8 +79,7 @@ let verdict_code verdict cert =
   | _ -> 2
 
 let crash_cmd =
-  let run config_path max_len monolithic budget no_cache no_preprocess
-      no_replay jobs certify =
+  let run config_path max_len monolithic budget jobs certify =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
@@ -135,10 +109,7 @@ let crash_cmd =
           2
       end
       else begin
-        let config =
-          verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
-            ~certify
-        in
+        let config = verifier_config max_len ~jobs ~certify in
         Vdp_smt.Solver.reset_stats ();
         let r = V.check_crash_freedom ~config pl in
         Format.printf "%a  %a@.@." Vdp_verif.Report.pp_report r
@@ -151,21 +122,16 @@ let crash_cmd =
     (Cmd.info "crash" ~doc)
     Term.(
       const run $ config_arg $ max_len_arg $ monolithic_arg $ budget_arg
-      $ no_cache_arg $ no_preprocess_arg $ no_replay_arg
       $ jobs_arg $ certify_arg)
 
 let bound_cmd =
-  let run config_path max_len no_cache no_preprocess no_replay jobs
-      certify =
+  let run config_path max_len jobs certify =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
       1
     | Ok pl ->
-      let config =
-        verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
-          ~certify
-      in
+      let config = verifier_config max_len ~jobs ~certify in
       Vdp_smt.Solver.reset_stats ();
       let r = V.instruction_bound ~config pl in
       Format.printf "%a  %a@.@." Vdp_verif.Report.pp_bound_report r
@@ -176,25 +142,19 @@ let bound_cmd =
   Cmd.v
     (Cmd.info "bound" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ no_cache_arg $ no_preprocess_arg
-      $ no_replay_arg $ jobs_arg
-      $ certify_arg)
+      const run $ config_arg $ max_len_arg $ jobs_arg $ certify_arg)
 
 (* Crash freedom + instruction bound in one run — the "is this pipeline
    fit to ship" command. With [--certify], both properties' refutations
    must additionally carry independently checked certificates. *)
 let verify_cmd =
-  let run config_path max_len no_cache no_preprocess no_replay jobs
-      certify =
+  let run config_path max_len jobs certify =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
       1
     | Ok pl ->
-      let config =
-        verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
-          ~certify
-      in
+      let config = verifier_config max_len ~jobs ~certify in
       Vdp_smt.Solver.reset_stats ();
       let rc = V.check_crash_freedom ~config pl in
       Format.printf "%a@." Vdp_verif.Report.pp_report rc;
@@ -212,23 +172,18 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ no_cache_arg $ no_preprocess_arg
-      $ no_replay_arg $ jobs_arg
-      $ certify_arg)
+      const run $ config_arg $ max_len_arg $ jobs_arg $ certify_arg)
 
 (* Certification-focused view: run both properties with certificates
    forced on and report certified/uncertified counts per verdict. *)
 let cert_cmd =
-  let run config_path max_len no_cache no_preprocess jobs =
+  let run config_path max_len jobs =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
       1
     | Ok pl ->
-      let config =
-        verifier_config max_len ~no_cache ~no_preprocess ~no_replay:false
-          ~jobs ~certify:true
-      in
+      let config = verifier_config max_len ~jobs ~certify:true in
       Vdp_smt.Solver.reset_stats ();
       let rc = V.check_crash_freedom ~config pl in
       let rb = V.instruction_bound ~config pl in
@@ -255,8 +210,7 @@ let cert_cmd =
   Cmd.v
     (Cmd.info "cert" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ no_cache_arg $ no_preprocess_arg
-      $ jobs_arg)
+      const run $ config_arg $ max_len_arg $ jobs_arg)
 
 (* Verify, apply live route-table changes, re-verify incrementally.
    The second run reuses every Step-1 summary and Step-2 query-cache
@@ -270,8 +224,7 @@ let delta_cmd =
     | [ addr; len ] -> (Vdp_packet.Ipv4.addr_of_string addr, int_of_string len)
     | _ -> invalid_arg (Printf.sprintf "bad prefix %S (want A.B.C.D/len)" s)
   in
-  let run config_path max_len adds dels no_cache no_preprocess no_replay
-      jobs =
+  let run config_path max_len adds dels jobs =
     match load config_path with
     | Error m ->
       Format.eprintf "error: %s@." m;
@@ -294,10 +247,7 @@ let delta_cmd =
           config_path;
         1
       | Some fib -> (
-        let config =
-          verifier_config max_len ~no_cache ~no_preprocess ~no_replay ~jobs
-            ~certify:false
-        in
+        let config = verifier_config max_len ~jobs ~certify:false in
         Vdp_smt.Solver.reset_stats ();
         Vdp_verif.Staleness.reset_stats ();
         let session = V.session ~config pl in
@@ -365,9 +315,7 @@ let delta_cmd =
   Cmd.v
     (Cmd.info "delta" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ add_arg $ del_arg
-      $ no_cache_arg $ no_preprocess_arg $ no_replay_arg
-      $ jobs_arg)
+      const run $ config_arg $ max_len_arg $ add_arg $ del_arg $ jobs_arg)
 
 let engine_arg =
   let engine_conv =
@@ -381,9 +329,9 @@ let engine_arg =
           Format.pp_print_string fmt (Vdp_click.Runtime.engine_name e) )
   in
   let doc =
-    "Concrete runtime engine: $(b,scalar) (per-packet interpreter), \
-     $(b,batched) (preallocated batch ring), or $(b,compiled) (batched, \
-     with element IR lowered to closures)."
+    "Concrete runtime engine: $(b,scalar) (per-packet interpreter) or \
+     $(b,compiled) (element IR lowered to closures, run over a \
+     preallocated batch ring)."
   in
   Arg.(
     value
@@ -473,7 +421,7 @@ let pump_cmd =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let batch_arg =
-    let doc = "Batch ring capacity for the batched engines." in
+    let doc = "Batch ring capacity for the compiled engine." in
     Arg.(
       value
       & opt int Vdp_click.Runtime.default_batch
@@ -482,7 +430,7 @@ let pump_cmd =
   let doc =
     "Drive a generated workload through the concrete runtime and report \
      throughput and outcome statistics (the paper's \"verified need not be \
-     slow\" demo; compare $(b,--engine) scalar/batched/compiled)."
+     slow\" demo; compare $(b,--engine) scalar/compiled)."
   in
   Cmd.v
     (Cmd.info "pump" ~doc)
@@ -504,12 +452,10 @@ let load_fabric path =
     Error (Printf.sprintf "bad configuration for %s: %s" cls m)
   | Invalid_argument m -> Error m
 
-let topo_config max_len ~no_cache ~no_preprocess ~certify =
+let topo_config max_len ~certify =
   {
     Q.default_config with
     Q.engine = { E.default_config with E.max_len };
-    Q.cache = not no_cache;
-    Q.preprocess = not no_preprocess;
     Q.certify = certify;
   }
 
@@ -588,8 +534,8 @@ let crash_code (c : Q.crash_report) =
    [crash] additionally verifies per-fabric crash-freedom — every
    feasible crash end from any ingress, headroom exhaustion included —
    and reports the worst-case instruction bound. *)
-let run_topo ?(crash = false) config_path max_len no_cache no_preprocess
-    certify ingress egress ~select ~mk =
+let run_topo ?(crash = false) config_path max_len certify ingress egress
+    ~select ~mk =
   match load_fabric config_path with
   | Error m ->
     Format.eprintf "error: %s@." m;
@@ -611,7 +557,7 @@ let run_topo ?(crash = false) config_path max_len no_cache no_preprocess
       Format.eprintf "error: %s@." m;
       1
     | Ok props -> (
-      let config = topo_config max_len ~no_cache ~no_preprocess ~certify in
+      let config = topo_config max_len ~certify in
       try
         let rel =
           Vdp_topo.Relation.build ~config:config.Q.engine fab
@@ -643,9 +589,8 @@ let topo_egress_arg =
   Arg.(value & pos 2 (some string) None & info [] ~docv:"EGRESS" ~doc)
 
 let reach_cmd =
-  let run config_path max_len no_cache no_preprocess certify ingress egress =
-    run_topo config_path max_len no_cache no_preprocess certify ingress
-      egress
+  let run config_path max_len certify ingress egress =
+    run_topo config_path max_len certify ingress egress
       ~select:(function Vdp_click.Config.Reach _ -> true | _ -> false)
       ~mk:(fun a b -> Vdp_click.Config.Reach (a, b))
   in
@@ -659,13 +604,12 @@ let reach_cmd =
   Cmd.v
     (Cmd.info "reach" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ no_cache_arg $ no_preprocess_arg
-      $ certify_arg $ topo_ingress_arg $ topo_egress_arg)
+      const run $ config_arg $ max_len_arg $ certify_arg $ topo_ingress_arg
+      $ topo_egress_arg)
 
 let isolate_cmd =
-  let run config_path max_len no_cache no_preprocess certify ingress egress =
-    run_topo ~crash:true config_path max_len no_cache no_preprocess certify
-      ingress egress
+  let run config_path max_len certify ingress egress =
+    run_topo ~crash:true config_path max_len certify ingress egress
       ~select:(function
         | Vdp_click.Config.Isolate _ | Vdp_click.Config.Temporal _ -> true
         | _ -> false)
@@ -686,8 +630,8 @@ let isolate_cmd =
   Cmd.v
     (Cmd.info "isolate" ~doc)
     Term.(
-      const run $ config_arg $ max_len_arg $ no_cache_arg $ no_preprocess_arg
-      $ certify_arg $ topo_ingress_arg $ topo_egress_arg)
+      const run $ config_arg $ max_len_arg $ certify_arg $ topo_ingress_arg
+      $ topo_egress_arg)
 
 let show_cmd =
   let run config_path =

@@ -46,17 +46,16 @@ let certify ~cls ~config =
           (if v.V.confirmed then " — reproduced on the runtime" else
              if v.V.stateful then " — requires a particular state history"
              else "");
-        match v.V.witness with
-        | Some pkt when P.length pkt <= 64 ->
+        let pkt = v.V.replayed.Vdp_verif.Witness.packet in
+        if P.length pkt <= 64 then
           Format.printf "  crashing packet:@.%s@." (P.hex_dump pkt)
-        | Some pkt ->
+        else
           Format.printf "  crashing packet of %d bytes (first 32):@.%s@."
             (P.length pkt)
             (P.hex_dump
                (let q = P.clone pkt in
                 P.take q 32;
-                q))
-        | None -> ())
+                q)))
       vs);
   report
 

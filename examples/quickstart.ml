@@ -25,14 +25,12 @@ let () =
 
   (* Use the returned packet: drive the runtime into the crash. *)
   (match report.V.verdict with
-  | V.Violated (v :: _) -> (
-    match v.V.witness with
-    | Some pkt ->
-      let inst = Vdp_click.Runtime.instantiate e2_only in
-      let run = Vdp_click.Runtime.push inst (P.clone pkt) in
-      Format.printf "replaying the witness on the runtime: %a@."
-        Vdp_click.Runtime.pp_final run.Vdp_click.Runtime.final
-    | None -> ())
+  | V.Violated (v :: _) ->
+    let pkt = v.V.replayed.Vdp_verif.Witness.packet in
+    let inst = Vdp_click.Runtime.instantiate e2_only in
+    let run = Vdp_click.Runtime.push inst (P.clone pkt) in
+    Format.printf "replaying the witness on the runtime: %a@."
+      Vdp_click.Runtime.pp_final run.Vdp_click.Runtime.final
   | _ -> ());
 
   (* The toy pipeline also terminates within a provable bound. *)

@@ -240,31 +240,6 @@ let replay_trace (query : T.t list) (trace : P.trace_step list)
 
 (* {1 Checking} *)
 
-let prof_replay = ref 0.
-let prof_drat = ref 0.
-let prof_blast = ref 0.
-let prof_sat = ref 0.
-let prof_setup = ref 0.
-let prof_trim = ref 0.
-let prof_interval = ref 0.
-let prof_core_certs = ref 0
-let prof_full_certs = ref 0
-let prof_cone_clauses = ref 0
-
-let () =
-  at_exit (fun () ->
-      if Sys.getenv_opt "VDP_CERT_PROF" <> None then
-        Printf.eprintf
-          "CERT_PROF replay %.3fs drat %.3fs blast %.3fs sat %.3fs setup %.3fs trim %.3fs interval %.3fs core/full %d/%d cone_clauses %d\n%!"
-          !prof_replay !prof_drat !prof_blast !prof_sat !prof_setup !prof_trim
-          !prof_interval !prof_core_certs !prof_full_certs !prof_cone_clauses)
-
-let timed acc f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  acc := !acc +. (Unix.gettimeofday () -. t0);
-  r
-
 let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
   match cert.reason with
   | R_folded ->
@@ -284,8 +259,7 @@ let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
     if p.residual = [] then error "empty residual certifies nothing"
     else
       let* () =
-        if p.preprocessed then
-          timed prof_replay (fun () -> replay_trace cert.query p.trace p.residual)
+        if p.preprocessed then replay_trace cert.query p.trace p.residual
         else if T.equal (T.and_ p.residual) cert.key then Ok ()
         else error "raw residual differs from the query conjunction"
       in
@@ -307,9 +281,8 @@ let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
           in
           covered p.residual sub
       in
-      timed prof_drat (fun () ->
-          Drat.check ~expected_deletions:p.deletions ~nvars:p.nvars ~cnf:p.cnf
-            p.steps)
+      Drat.check ~expected_deletions:p.deletions ~nvars:p.nvars ~cnf:p.cnf
+        p.steps
 
 (* {1 Production} *)
 
@@ -402,20 +375,13 @@ let blast_unsat ?shared ?max_conflicts ?blasted ~preprocessed
     match shared with
     | None ->
       let bb = Bitblast.create ~proof:true ~track:true () in
-      timed prof_blast (fun () ->
-          List.iter (fun c -> Bitblast.assert_term bb c) to_blast);
+      List.iter (fun c -> Bitblast.assert_term bb c) to_blast;
       Bitblast.sat bb
     | Some sb ->
       let roots, cone =
-        timed prof_blast (fun () ->
-            Mutex.lock sb.sb_lock;
-            Fun.protect
-              ~finally:(fun () -> Mutex.unlock sb.sb_lock)
-              (fun () ->
-                let roots =
-                  List.map (Bitblast.lit_of_bool sb.sb_ctx) to_blast
-                in
-                (roots, Bitblast.clause_cone sb.sb_ctx roots)))
+        Mutex.protect sb.sb_lock (fun () ->
+            let roots = List.map (Bitblast.lit_of_bool sb.sb_ctx) to_blast in
+            (roots, Bitblast.clause_cone sb.sb_ctx roots))
       in
       (* Renumber the cone compactly. The shared store numbers gates
          across every certificate it has ever served; reusing that
@@ -433,30 +399,25 @@ let blast_unsat ?shared ?max_conflicts ?blasted ~preprocessed
           m
       in
       let mlit l = Sat.lit (mvar (Sat.lit_var l)) (Sat.lit_is_pos l) in
-      (match blasted with
-      | Some _ -> incr prof_core_certs
-      | None -> incr prof_full_certs);
-      prof_cone_clauses := !prof_cone_clauses + List.length cone;
-      timed prof_setup (fun () ->
-          let tl = mlit (Bitblast.const_lit sb.sb_ctx true) in
-          let cone = List.map (List.map mlit) cone in
-          let roots = List.map mlit roots in
-          let sat = Sat.create () in
-          Sat.enable_proof sat;
-          Sat.enable_tracking sat;
-          for _ = 1 to !next do
-            ignore (Sat.new_var sat)
-          done;
-          Sat.add_clause sat [ tl ];
-          List.iter (fun c -> Sat.add_clause sat c) cone;
-          List.iter (fun l -> Sat.add_clause sat [ l ]) roots;
-          sat)
+      let tl = mlit (Bitblast.const_lit sb.sb_ctx true) in
+      let cone = List.map (List.map mlit) cone in
+      let roots = List.map mlit roots in
+      let sat = Sat.create () in
+      Sat.enable_proof sat;
+      Sat.enable_tracking sat;
+      for _ = 1 to !next do
+        ignore (Sat.new_var sat)
+      done;
+      Sat.add_clause sat [ tl ];
+      List.iter (fun c -> Sat.add_clause sat c) cone;
+      List.iter (fun l -> Sat.add_clause sat [ l ]) roots;
+      sat
   in
-  match timed prof_sat (fun () -> Sat.solve ?max_conflicts sat) with
+  match Sat.solve ?max_conflicts sat with
   | Sat.Unsat ->
     let untrimmed, _ = Sat.proof_sizes sat in
     let cnf, steps, deletions =
-      match timed prof_trim (fun () -> Sat.trimmed_proof sat) with
+      match Sat.trimmed_proof sat with
       | Some (cnf, adds) ->
         ( cnf,
           List.map
@@ -511,7 +472,7 @@ let blast_unsat ?shared ?max_conflicts ?blasted ~preprocessed
    re-run. [core] is the answering solver's unsat core over
    [pre.conjuncts] (see [Solver.last_core]). *)
 
-let produce ?(preprocess = true) ?max_conflicts ?shared ?pre:pre0 ?core
+let produce ?max_conflicts ?shared ?pre:pre0 ?core
     ?pcache_find ?pcache_store ?(pcache_hit = ref false)
     ?(solve_seconds = ref 0.) ?(check_seconds = ref 0.) (query : T.t list) :
     (t, string) result =
@@ -537,7 +498,7 @@ let produce ?(preprocess = true) ?max_conflicts ?shared ?pre:pre0 ?core
     lazy (match pre0 with Some p -> p | None -> P.run query)
   in
   let interval conjs residual ~trace ~preprocessed () =
-    match timed prof_interval (fun () -> I.explain (T.and_ conjs)) with
+    match I.explain (T.and_ conjs) with
     | Some ex ->
       checked
         {
@@ -561,49 +522,42 @@ let produce ?(preprocess = true) ?max_conflicts ?shared ?pre:pre0 ?core
         else error "folded: conjunction is not literally false");
       (fun () -> interval query query ~trace:[] ~preprocessed:false ());
       (fun () ->
-        if not preprocess then error "interval-pre: preprocessing disabled"
-        else
-          let p = Lazy.force pre in
-          interval p.P.conjuncts p.P.conjuncts ~trace:p.P.trace
-            ~preprocessed:true ());
+        let p = Lazy.force pre in
+        interval p.P.conjuncts p.P.conjuncts ~trace:p.P.trace
+          ~preprocessed:true ());
       (fun () ->
         match pcache_find with
         | None -> error "pcache: no proof cache"
-        | Some find ->
-          if not preprocess then error "pcache: preprocessing disabled"
-          else
-            let p = Lazy.force pre in
-            (match find p.P.key.T.id with
-            | None -> error "pcache: miss"
-            | Some payload -> (
-              (* Same preprocessed key, so the cached residual's
-                 conjunction is hash-cons-equal to this query's; swap in
-                 this query's own elimination trace and re-check in
-                 full. *)
-              match
-                checked
-                  {
-                    query;
-                    key;
-                    reason =
-                      R_drat
-                        { payload with trace = p.P.trace; preprocessed = true };
-                  }
-              with
-              | Ok cert ->
-                pcache_hit := true;
-                Ok cert
-              | Error e -> Error e)));
+        | Some find -> (
+          let p = Lazy.force pre in
+          match find p.P.key.T.id with
+          | None -> error "pcache: miss"
+          | Some payload -> (
+            (* Same preprocessed key, so the cached residual's
+               conjunction is hash-cons-equal to this query's; swap in
+               this query's own elimination trace and re-check in
+               full. *)
+            match
+              checked
+                {
+                  query;
+                  key;
+                  reason =
+                    R_drat
+                      { payload with trace = p.P.trace; preprocessed = true };
+                }
+            with
+            | Ok cert ->
+              pcache_hit := true;
+              Ok cert
+            | Error e -> Error e)));
       (fun () ->
         match core with
         | None -> error "drat-core: no core from the answering solver"
         | Some [] -> error "drat-core: empty core"
         | Some sub ->
-          if not preprocess then error "drat-core: preprocessing disabled"
-          else drat ?sb:shared (Lazy.force pre) ~blasted:sub ~preprocessed:true ());
-      (fun () ->
-        if not preprocess then error "drat: preprocessing disabled"
-        else drat ?sb:shared (Lazy.force pre) ~preprocessed:true ());
+          drat ?sb:shared (Lazy.force pre) ~blasted:sub ~preprocessed:true ());
+      (fun () -> drat ?sb:shared (Lazy.force pre) ~preprocessed:true ());
       (* Last-resort raw blast stays unshared on purpose: it must hold
          even if the shared gate store is somehow corrupted. *)
       (fun () -> drat (P.identity query) ~preprocessed:false ());
@@ -674,7 +628,6 @@ let empty_summary () =
   }
 
 type collector = {
-  preprocess : bool;
   max_conflicts : int option;
   memo : (int, bool) Hashtbl.t;  (* raw key id -> certified? *)
   pcache : (int, drat_payload) Hashtbl.t;
@@ -685,9 +638,8 @@ type collector = {
   lock : Mutex.t;
 }
 
-let create_collector ?(preprocess = true) ?max_conflicts () =
+let create_collector ?max_conflicts () =
   {
-    preprocess;
     max_conflicts;
     memo = Hashtbl.create 64;
     pcache = Hashtbl.create 64;
@@ -795,7 +747,7 @@ let certify_refutation ?pre ?core col (query : T.t list) : (t, string) result =
       locked col (fun () -> Hashtbl.replace col.pcache id payload)
     in
     let outcome =
-      produce ~preprocess:col.preprocess ?max_conflicts:col.max_conflicts
+      produce ?max_conflicts:col.max_conflicts
         ~shared:col.shared ?pre ?core ~pcache_find ~pcache_store ~pcache_hit
         ~solve_seconds:solve_s ~check_seconds:check_s query
     in

@@ -103,7 +103,10 @@ let tokenize src =
     else if c >= '0' && c <= '9' then begin
       let start = !i in
       while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do incr i done;
-      push (Int (int_of_string (String.sub src start (!i - start))))
+      let digits = String.sub src start (!i - start) in
+      match int_of_string_opt digits with
+      | Some v -> push (Int v)
+      | None -> fail "number out of range: %s" digits
     end
     else if
       (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'

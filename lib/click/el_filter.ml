@@ -35,23 +35,33 @@ type rule = { action : action; clauses : clause list }
 let mask_of_len len =
   if len = 0 then 0 else 0xffffffff lxor ((1 lsl (32 - len)) - 1)
 
+(* An integer field in [lo, hi]; [what] names it in the error. *)
+let field what lo hi s =
+  match int_of_string_opt s with
+  | Some v when v >= lo && v <= hi -> v
+  | _ -> invalid_arg (Printf.sprintf "IPFilter: bad %s %s" what s)
+
 let parse_cidr s =
   match String.split_on_char '/' s with
-  | [ addr; len ] -> (Ipv4.addr_of_string addr, int_of_string len)
+  | [ addr; len ] -> (
+    match int_of_string_opt len with
+    | Some l when l >= 0 && l <= 32 -> (Ipv4.addr_of_string addr, l)
+    | _ -> invalid_arg ("IPFilter: bad prefix length in " ^ s))
   | [ addr ] -> (Ipv4.addr_of_string addr, 32)
   | _ -> invalid_arg ("IPFilter: bad prefix " ^ s)
 
 let parse_ports s =
+  let port = field "port" 0 0xffff in
   match String.split_on_char '-' s with
-  | [ p ] -> (int_of_string p, int_of_string p)
-  | [ lo; hi ] -> (int_of_string lo, int_of_string hi)
+  | [ p ] -> (port p, port p)
+  | [ lo; hi ] -> (port lo, port hi)
   | _ -> invalid_arg ("IPFilter: bad port range " ^ s)
 
 let parse_proto = function
   | "tcp" -> 6
   | "udp" -> 17
   | "icmp" -> 1
-  | n -> int_of_string n
+  | n -> field "protocol" 0 255 n
 
 let parse_rule spec =
   let tokens =

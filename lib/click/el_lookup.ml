@@ -25,6 +25,12 @@ type route = {
 
 let parse_route spec =
   (* "10.0.0.0/8 1" or "10.0.0.0/8 192.168.0.1 1" *)
+  let field what lo hi s =
+    match int_of_string_opt s with
+    | Some v when v >= lo && v <= hi -> v
+    | _ ->
+      invalid_arg (Printf.sprintf "bad %s %s in route %s" what s spec)
+  in
   match String.split_on_char ' ' (String.trim spec)
         |> List.filter (fun s -> s <> "")
   with
@@ -38,12 +44,12 @@ let parse_route spec =
     | [ addr; len ] ->
       {
         prefix = Vdp_packet.Ipv4.addr_of_string addr;
-        plen = int_of_string len;
+        plen = field "prefix length" 0 32 len;
         gw;
-        port = int_of_string port;
+        port = field "port" 0 254 port;
       }
-    | _ -> invalid_arg ("StaticIPLookup: bad route " ^ spec))
-  | _ -> invalid_arg ("StaticIPLookup: bad route " ^ spec)
+    | _ -> invalid_arg ("bad route " ^ spec))
+  | _ -> invalid_arg ("bad route " ^ spec)
 
 let mask_of_len len =
   if len = 0 then 0 else 0xffffffff lxor ((1 lsl (32 - len)) - 1)

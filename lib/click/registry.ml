@@ -46,7 +46,7 @@ let () =
   register "EtherEncap" (function
     | [ ethertype; src; dst ] ->
       El_basic.ether_encap
-        ~ethertype:(int_of_string (String.trim ethertype))
+        ~ethertype:(int_arg "EtherEncap" ethertype)
         ~src:(Eth.mac_of_string (String.trim src))
         ~dst:(Eth.mac_of_string (String.trim dst))
     | _ -> fail "EtherEncap" "expects ETHERTYPE, SRC, DST");
@@ -144,7 +144,19 @@ let classes () =
   Hashtbl.fold (fun k _ acc -> k :: acc) constructors []
   |> List.sort String.compare
 
+(* A constructor rejects its configuration with [Invalid_argument]
+   naming the offending text; that surfaces as [Bad_config], without
+   the class name the message may already start with. *)
 let make ~name ~cls ~config =
   match Hashtbl.find_opt constructors cls with
   | None -> raise (Unknown_class cls)
-  | Some f -> Element.make ~name ~cls ~config (f config)
+  | Some f -> (
+    match f config with
+    | prog -> Element.make ~name ~cls ~config prog
+    | exception Invalid_argument m ->
+      let prefix = cls ^ ": " in
+      fail cls
+        (if String.starts_with ~prefix m then
+           String.sub m (String.length prefix)
+             (String.length m - String.length prefix)
+         else m))

@@ -2,21 +2,20 @@
     collecting per-hop traces and aggregate statistics. This is the
     "fast path" whose behaviour the verifier proves things about.
 
-    Three engines share one observable semantics:
+    Two engines share one observable semantics:
 
-    - {!Scalar} — the original per-packet recursive walk over the
+    - {!Scalar} — the reference: a per-packet recursive walk over the
       per-instruction interpreter. The only engine that tolerates
       cyclic pipelines (until the hop budget trips).
-    - {!Batched} — per-element batch processing: packets are staged in
-      a preallocated slot ring, and each node's program runs over every
-      packet queued at that node (in topological order) before the
-      batch moves on. No per-packet list or closure allocation in the
-      hot loop. Because pipelines are DAGs, a packet's node sequence is
-      strictly ascending in topological order, so per-slot traces come
-      out in true execution order.
-    - {!Compiled} — the batched schedule, with each element's IR
-      lowered once per instance to an OCaml closure program
-      ({!Vdp_ir.Compile}) instead of being re-interpreted per packet.
+    - {!Compiled} — each element's IR lowered once per instance to an
+      OCaml closure program ({!Vdp_ir.Compile}), run over a batch
+      schedule: packets are staged in a preallocated slot ring, and
+      each node's program runs over every packet queued at that node
+      (in topological order) before the batch moves on. No per-packet
+      list or closure allocation in the hot loop. Because pipelines
+      are DAGs, a packet's node sequence is strictly ascending in
+      topological order, so per-slot traces come out in true execution
+      order.
 
     Outcomes, traces, instruction counts and store evolution are
     identical across engines; the differential oracle and
@@ -28,16 +27,12 @@ module Compile = Vdp_ir.Compile
 module Stores = Vdp_ir.Stores
 module P = Vdp_packet.Packet
 
-type engine = Scalar | Batched | Compiled
+type engine = Scalar | Compiled
 
-let engine_name = function
-  | Scalar -> "scalar"
-  | Batched -> "batched"
-  | Compiled -> "compiled"
+let engine_name = function Scalar -> "scalar" | Compiled -> "compiled"
 
 let engine_of_string = function
   | "scalar" -> Some Scalar
-  | "batched" -> Some Batched
   | "compiled" -> Some Compiled
   | _ -> None
 
@@ -112,7 +107,7 @@ let instantiate ?(engine = Scalar) ?(batch = default_batch) ?(label = "")
           (Pipeline.node pipeline i).Pipeline.element.Element.program
         in
         match engine with
-        | Scalar | Batched -> Interp.run prog stores.(i)
+        | Scalar -> Interp.run prog stores.(i)
         | Compiled -> Compile.compile prog stores.(i))
   in
   let egress_of =
@@ -129,12 +124,12 @@ let instantiate ?(engine = Scalar) ?(batch = default_batch) ?(label = "")
   let order =
     match engine with
     | Scalar -> [||]
-    | Batched | Compiled ->
+    | Compiled ->
       (* Raises on cyclic pipelines: the batch schedule needs packet
          paths to ascend in topological order. *)
       Array.of_list (Pipeline.topological_order pipeline)
   in
-  let capacity = match engine with Scalar -> 1 | _ -> max 1 batch in
+  let capacity = match engine with Scalar -> 1 | Compiled -> max 1 batch in
   {
     pipeline;
     label;
@@ -201,7 +196,7 @@ let push_scalar ?trace inst pkt =
   let final = hop (Pipeline.entry inst.pipeline) 0 in
   { final; steps = List.rev !steps; total_instrs = !total }
 
-(* {1 The batched engines} *)
+(* {1 The batch schedule of the compiled engine} *)
 
 (* Run the first [k] ring slots through the pipeline, one node at a
    time in topological order. Input ports must already be set on the
@@ -298,7 +293,7 @@ let push ?(in_port = 0) ?trace inst pkt =
   pkt.P.port <- in_port;
   match inst.engine with
   | Scalar -> push_scalar ?trace inst pkt
-  | Batched | Compiled -> push_batched ?trace inst pkt
+  | Compiled -> push_batched ?trace inst pkt
 
 (* {1 Aggregate statistics over a workload} *)
 
@@ -323,7 +318,7 @@ let count_final st = function
   | Crashed_at _ -> st.crashed <- st.crashed + 1
   | Hop_budget_at _ -> st.hop_budget <- st.hop_budget + 1
 
-(** Drive a workload and aggregate. Batched engines fill the slot ring
+(** Drive a workload and aggregate. The compiled engine fills the slot ring
     with up to [capacity] packets per sweep; the scalar engine pushes
     one packet at a time. A packet that exhausts the hop budget is
     counted in [hop_budget] rather than aborting the whole workload. *)
@@ -339,7 +334,7 @@ let run_workload ?(in_port = 0) inst pkts =
         st.max_instrs <- max st.max_instrs r.total_instrs;
         count_final st r.final)
       pkts
-  | Batched | Compiled ->
+  | Compiled ->
     let pkts = Array.of_list pkts in
     let n = Array.length pkts in
     let pos = ref 0 in
@@ -396,7 +391,7 @@ let run_pool ?(in_port = 0) inst templates count =
       st.max_instrs <- max st.max_instrs r.total_instrs;
       count_final st r.final
     done
-  | Batched | Compiled ->
+  | Compiled ->
     let pos = ref 0 in
     while !pos < count do
       (* One sweep must not alias two ring slots to one pool packet. *)

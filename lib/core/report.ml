@@ -2,46 +2,45 @@
 
 module P = Vdp_packet.Packet
 
+(* A witness packet, its first 96 bytes hex-dumped. *)
+let pp_packet fmt pkt =
+  let shown =
+    if P.length pkt <= 96 then pkt
+    else begin
+      let q = P.clone pkt in
+      P.take q 96;
+      q
+    end
+  in
+  Format.fprintf fmt "witness packet (%d bytes%s):@,%s@," (P.length pkt)
+    (if P.length pkt > 96 then ", first 96 shown" else "")
+    (P.hex_dump shown)
+
 let pp_violation fmt (v : Verifier.violation) =
   Format.fprintf fmt "@[<v2>violation at element '%s' (node %d): %a%s%s@,"
     v.Verifier.element v.Verifier.node Vdp_symbex.Engine.pp_outcome
     v.Verifier.outcome
     (if v.Verifier.confirmed then " [reproduced on the runtime]" else "")
     (if v.Verifier.stateful then " [depends on private state]" else "");
-  (match v.Verifier.replayed with
-  | Some r -> (
-    (match r.Witness.status with
-    | Witness.Confirmed -> ()
-    | Witness.Unconfirmed why ->
-      Format.fprintf fmt "replay did not reproduce it: %s@," why);
-    match r.Witness.state with
-    | [] -> ()
-    | state ->
-      Format.fprintf fmt "initial state loaded for the replay:@,";
-      List.iter
-        (fun (node, store, kvs) ->
-          List.iter
-            (fun (k, value) ->
-              Format.fprintf fmt "  node %d %s[%s] = %s@," node store
-                (Vdp_bitvec.Bitvec.to_string_hex k)
-                (Vdp_bitvec.Bitvec.to_string_hex value))
-            kvs)
-        state)
-  | None -> ());
-  (match v.Verifier.witness with
-  | Some pkt ->
-    let shown =
-      if P.length pkt <= 96 then pkt
-      else begin
-        let q = P.clone pkt in
-        P.take q 96;
-        q
-      end
-    in
-    Format.fprintf fmt "witness packet (%d bytes%s):@,%s@," (P.length pkt)
-      (if P.length pkt > 96 then ", first 96 shown" else "")
-      (P.hex_dump shown)
-  | None -> Format.fprintf fmt "no witness packet extracted@,");
+  let r = v.Verifier.replayed in
+  (match r.Witness.status with
+  | Witness.Confirmed -> ()
+  | Witness.Unconfirmed why ->
+    Format.fprintf fmt "replay did not reproduce it: %s@," why);
+  (match r.Witness.state with
+  | [] -> ()
+  | state ->
+    Format.fprintf fmt "initial state loaded for the replay:@,";
+    List.iter
+      (fun (node, store, kvs) ->
+        List.iter
+          (fun (k, value) ->
+            Format.fprintf fmt "  node %d %s[%s] = %s@," node store
+              (Vdp_bitvec.Bitvec.to_string_hex k)
+              (Vdp_bitvec.Bitvec.to_string_hex value))
+          kvs)
+      state);
+  pp_packet fmt r.Witness.packet;
   Format.fprintf fmt "@]"
 
 let pp_verdict fmt = function
@@ -130,18 +129,7 @@ let pp_bound_report fmt (r : Verifier.bound_report) =
   Format.fprintf fmt "@,  %a@,%a" pp_stats r.Verifier.b_stats pp_cert_opt
     r.Verifier.b_cert;
   (match r.Verifier.witness with
-  | Some pkt ->
-    let shown =
-      if P.length pkt <= 96 then pkt
-      else begin
-        let q = P.clone pkt in
-        P.take q 96;
-        q
-      end
-    in
-    Format.fprintf fmt "  witness packet (%d bytes%s):@,%s@," (P.length pkt)
-      (if P.length pkt > 96 then ", first 96 shown" else "")
-      (P.hex_dump shown)
+  | Some pkt -> Format.fprintf fmt "  %a" pp_packet pkt
   | None -> ());
   Format.fprintf fmt "@]"
 

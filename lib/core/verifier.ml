@@ -24,8 +24,13 @@
     only the new segment's constraints, each return pops it, and the
     solver keeps its blasted term DAG and learned clauses throughout. A
     shared query cache additionally memoizes identical composite
-    conditions (common across properties on the same pipeline);
-    [config.cache = false] disables it.
+    conditions (common across properties on the same pipeline).
+
+    Every satisfiable answer is replayed ({!Witness.replay}): the
+    initial private state the path depends on is derived from the model
+    and loaded, and the concrete runtime must reproduce the claimed
+    outcome before the violation (or bound witness) counts as
+    confirmed.
 
     Crash-freedom exploration only descends into subtrees that can
     still reach a suspect segment — the pruning that, combined with
@@ -60,20 +65,7 @@ type config = {
   engine : Engine.config;
   solver_budget : int;  (** conflict budget per composite check *)
   assume : T.t list;    (** extra assumptions on the input packet *)
-  replay : bool;
-      (** replay each pipeline witness through {!Witness.replay}: derive
-          the initial private state the violating path depends on, load
-          it, and require the concrete runtime to reproduce the claimed
-          outcome before tagging the violation confirmed. Off, a
-          stateless runtime spot-check of crash witnesses is all that
-          runs. Fabric queries ({!Vdp_topo.Query}) ignore it: their
-          witnesses always replay from boot state. *)
   max_composite_paths : int;
-  cache : bool;  (** memoize Step-2 queries in [Solver.shared_cache] *)
-  preprocess : bool;
-      (** word-level solver preprocessing (equality substitution,
-          constant propagation, slicing) before bit-blasting each
-          Step-2 query *)
   jobs : int;
       (** domains used for Step-1 symbex and Step-2 suspect checking;
           1 (the default) keeps everything on the calling domain.
@@ -95,10 +87,7 @@ let default_config =
     engine = Engine.default_config;
     solver_budget = 2_000_000;
     assume = [];
-    replay = true;
     max_composite_paths = 2_000_000;
-    cache = true;
-    preprocess = true;
     jobs = 1;
     certify = false;
   }
@@ -108,13 +97,12 @@ type violation = {
   element : string;
   outcome : Engine.outcome;
   cond : T.t list;
-  witness : Vdp_packet.Packet.t option;
   confirmed : bool;
       (** the witness reproduced the outcome on the concrete runtime *)
   stateful : bool;  (** depends on values read from private state *)
-  replayed : Witness.t option;
-      (** full replay record (run, loaded state, divergence point) when
-          [config.replay] was on *)
+  replayed : Witness.t;
+      (** the witness replay: its [packet] is the witness, with the
+          loaded private state, the run and any divergence point *)
 }
 
 type verdict =
@@ -168,9 +156,7 @@ type report = {
 let now () = Unix.gettimeofday ()
 
 let make_ctx cfg =
-  let cache = if cfg.cache then Some Solver.shared_cache else None in
-  Solver.create_ctx ?cache ~preprocess:cfg.preprocess ~track_core:cfg.certify
-    ()
+  Solver.create_ctx ~cache:Solver.shared_cache ~track_core:cfg.certify ()
 
 (* Feasibility of the conjunction the context holds; [deps] are the
    static-state slices it was built from. *)
@@ -209,8 +195,8 @@ let solve_small ctx ~max_conflicts ~deps =
 let make_cert cfg =
   if cfg.certify then
     Some
-      (Vdp_cert.Certificate.create_collector ~preprocess:cfg.preprocess
-         ~max_conflicts:cfg.solver_budget ())
+      (Vdp_cert.Certificate.create_collector ~max_conflicts:cfg.solver_budget
+         ())
   else None
 
 (* The certifier for refutations answered by [ctx]: it certifies
@@ -269,34 +255,16 @@ let any_incomplete summaries =
     (fun (e : Summaries.entry) -> e.Summaries.result.Engine.incomplete > 0)
     summaries
 
-(* Does the runtime reproduce the predicted outcome for this witness? *)
-let validate_crash pl pkt node =
-  let inst = Click.Runtime.instantiate pl in
-  match (Click.Runtime.push inst (Vdp_packet.Packet.clone pkt)).Click.Runtime.final with
-  | Click.Runtime.Crashed_at (n, _) -> n = node
-  | _ -> false
-
-(* Replay one Sat model: with [config.replay], through the full
-   witness-replay machinery (initial private state derived from the
-   model and loaded); otherwise a stateless spot-check of crash
-   witnesses. Returns (replay record, witness packet, confirmed). *)
+(* Replay one Sat model: derive the initial private state it assumes,
+   load it, and run the witness packet on the concrete runtime. *)
 let replay_model cfg pl (stats : stats) ~model ~st ~expect =
-  let max_len = cfg.engine.Engine.max_len in
-  if cfg.replay then begin
-    let r = Witness.replay pl ~max_len ~model ~st ~expect in
-    stats.replays <- stats.replays + 1;
-    let ok = Witness.confirmed r in
-    if ok then stats.replays_confirmed <- stats.replays_confirmed + 1;
-    (Some r, r.Witness.packet, ok)
-  end
-  else
-    let pkt = Compose.witness_packet model ~max_len in
-    let confirmed =
-      match expect with
-      | Witness.Crash_at node -> validate_crash pl pkt node
-      | _ -> false
-    in
-    (None, pkt, confirmed)
+  let r =
+    Witness.replay pl ~max_len:cfg.engine.Engine.max_len ~model ~st ~expect
+  in
+  stats.replays <- stats.replays + 1;
+  if Witness.confirmed r then
+    stats.replays_confirmed <- stats.replays_confirmed + 1;
+  r
 
 let trace_reads_kv (st : Compose.t) =
   List.exists
@@ -557,7 +525,7 @@ let violation_property cfg pl expand =
     match decide cfg env ~solve:solve_small ~deps:st.Compose.static_deps with
     | Solver.Unsat | Solver.Unknown -> []
     | Solver.Sat model ->
-      let replayed, witness, confirmed =
+      let replayed =
         replay_model cfg pl env.counters ~model ~st ~expect:s.s_expect
       in
       [
@@ -566,8 +534,7 @@ let violation_property cfg pl expand =
           element = nodes.(s.s_node).Click.Pipeline.element.Click.Element.name;
           outcome = s.s_outcome;
           cond = st.Compose.cond;
-          witness = Some witness;
-          confirmed;
+          confirmed = Witness.confirmed replayed;
           stateful = s.s_seg_reads && trace_reads_kv st;
           replayed;
         };
@@ -771,8 +738,8 @@ type bound_report = {
   measured : int option;
       (** instructions the runtime actually spent on the witness *)
   b_replayed : Witness.t option;
-      (** replay record of the witness (with its derived initial
-          state), when [config.replay] was on *)
+      (** replay record of the witness, with its derived initial
+          state *)
   b_stats : stats;
   b_verdict : verdict;  (** Unknown if exploration was incomplete *)
   b_cert : Vdp_cert.Certificate.summary option;
@@ -852,37 +819,24 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
     match best with
     | None -> (None, None, None)
     | Some (_, st, model) ->
-      let max_len = config.engine.Engine.max_len in
-      if config.replay then begin
-        (* Load the private state the longest path assumed, then require
-           the runtime's count to land inside the path's interval. *)
-        let r =
-          Witness.replay pl ~max_len ~model ~st
-            ~expect:
-              (Witness.Instrs_between
-                 (st.Compose.instr_lo, st.Compose.instr_hi))
-        in
-        stats.replays <- stats.replays + 1;
-        if Witness.confirmed r then
-          stats.replays_confirmed <- stats.replays_confirmed + 1;
-        ( Some r.Witness.packet,
-          Some r.Witness.run.Click.Runtime.total_instrs,
-          Some r )
-      end
-      else
-        let pkt = Compose.witness_packet model ~max_len in
-        let inst = Click.Runtime.instantiate pl in
-        let r = Click.Runtime.push inst (Vdp_packet.Packet.clone pkt) in
-        (Some pkt, Some r.Click.Runtime.total_instrs, None)
+      (* Load the private state the longest path assumed, then require
+         the runtime's count to land inside the path's interval. *)
+      let r =
+        replay_model config pl stats ~model ~st
+          ~expect:
+            (Witness.Instrs_between (st.Compose.instr_lo, st.Compose.instr_hi))
+      in
+      ( Some r.Witness.packet,
+        Some r.Witness.run.Click.Runtime.total_instrs,
+        Some r )
   in
   stats.step2_time <- now () -. t0;
   let verdict =
-    if budget_hit then Unknown "composite path budget exceeded"
-    else if any_incomplete summaries then
-      Unknown "element symbolic execution was incomplete"
-    else if stats.unknown_checks > 0 then
-      Unknown "solver budget exceeded on some checks"
-    else Proved
+    match
+      unknown_reason ~incomplete:(any_incomplete summaries) stats ~budget_hit
+    with
+    | Some why -> Unknown why
+    | None -> Proved
   in
   {
     bound;

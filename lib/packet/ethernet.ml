@@ -10,10 +10,16 @@ type mac = string (* 6 bytes *)
 
 let mac_of_string s =
   (* "aa:bb:cc:dd:ee:ff" *)
+  let bad () = invalid_arg ("Ethernet.mac_of_string: bad address " ^ s) in
   let parts = String.split_on_char ':' s in
-  if List.length parts <> 6 then invalid_arg "Ethernet.mac_of_string";
+  if List.length parts <> 6 then bad ();
   String.concat ""
-    (List.map (fun h -> String.make 1 (Char.chr (int_of_string ("0x" ^ h)))) parts)
+    (List.map
+       (fun h ->
+         match int_of_string_opt ("0x" ^ h) with
+         | Some v when v >= 0 && v <= 255 -> String.make 1 (Char.chr v)
+         | _ -> bad ())
+       parts)
 
 let mac_to_string m =
   String.concat ":"

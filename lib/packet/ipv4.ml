@@ -8,15 +8,16 @@ let proto_udp = 17
 type addr = int (* host-order 32-bit, always in [0, 2^32) *)
 
 let addr_of_string s =
+  let bad () = invalid_arg ("Ipv4.addr_of_string: bad address " ^ s) in
   match String.split_on_char '.' s with
   | [ a; b; c; d ] ->
     let n x =
-      let v = int_of_string x in
-      if v < 0 || v > 255 then invalid_arg "Ipv4.addr_of_string";
-      v
+      match int_of_string_opt x with
+      | Some v when v >= 0 && v <= 255 -> v
+      | _ -> bad ()
     in
     (n a lsl 24) lor (n b lsl 16) lor (n c lsl 8) lor n d
-  | _ -> invalid_arg "Ipv4.addr_of_string"
+  | _ -> bad ()
 
 let addr_to_string a =
   Printf.sprintf "%d.%d.%d.%d"

@@ -430,7 +430,6 @@ type ctx = {
   mutable scopes : scope list;  (* innermost first; never empty *)
   cstats : stats;
   cache : Cache.t option;
-  preprocess : bool;
   track_core : bool;
   mutable checks : int;  (* solved (non-cached) checks, for simplify cadence *)
   (* Residue of the last [check_ctx], for certificate producers: the
@@ -443,13 +442,12 @@ type ctx = {
   mutable last_core : Term.t list option;
 }
 
-let create_ctx ?cache ?(preprocess = true) ?(track_core = false) () =
+let create_ctx ?cache ?(track_core = false) () =
   {
     bb = Bitblast.create ~track:track_core ();
     scopes = [ { asserted = [] } ];
     cstats = fresh_stats ();
     cache;
-    preprocess;
     track_core;
     checks = 0;
     last_pre = None;
@@ -485,7 +483,7 @@ let check_ctx ?(max_conflicts = max_int) ?deps ctx =
   let sts = [ stats; ctx.cstats ] in
   ctx.last_pre <- None;
   ctx.last_core <- None;
-  check_conj sts ?cache:ctx.cache ?deps ~preprocess:ctx.preprocess
+  check_conj sts ?cache:ctx.cache ?deps ~preprocess:true
     ~on_pre:(fun pre -> ctx.last_pre <- Some pre)
     (asserted ctx)
     ~blast_and_solve:(fun pre ->

@@ -146,8 +146,7 @@ val is_unsat : ?max_conflicts:int -> Term.t list -> bool
 
 type ctx
 
-val create_ctx :
-  ?cache:Cache.t -> ?preprocess:bool -> ?track_core:bool -> unit -> ctx
+val create_ctx : ?cache:Cache.t -> ?track_core:bool -> unit -> ctx
 (** A fresh context with one root scope. Contexts are not thread-safe;
     create one per exploration. [track_core] turns on antecedent
     tracking in the underlying SAT solver: every [Unsat] from

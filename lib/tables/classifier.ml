@@ -22,14 +22,20 @@ let parse_hex_bytes s =
   let n = String.length s in
   if n = 0 || n mod 2 <> 0 then
     invalid_arg ("Classifier: ragged hex string " ^ s);
-  String.init (n / 2)
-    (fun i -> Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+  String.init (n / 2) (fun i ->
+      match int_of_string_opt ("0x" ^ String.sub s (2 * i) 2) with
+      | Some v when v >= 0 -> Char.chr v
+      | _ -> invalid_arg ("Classifier: bad hex string " ^ s))
 
 let parse_clause s =
   match String.index_opt s '/' with
   | None -> invalid_arg ("Classifier: missing '/' in clause " ^ s)
   | Some slash ->
-    let offset = int_of_string (String.sub s 0 slash) in
+    let offset =
+      match int_of_string_opt (String.sub s 0 slash) with
+      | Some v when v >= 0 -> v
+      | _ -> invalid_arg ("Classifier: bad offset in clause " ^ s)
+    in
     let rest = String.sub s (slash + 1) (String.length s - slash - 1) in
     let value_hex, mask_hex =
       match String.index_opt rest '%' with

@@ -1,5 +1,6 @@
 (** Longest-prefix match on a binary trie — the reference
-    implementation that the array-based {!Dir_lpm} is checked against. *)
+    implementation that the DIR-16-8-8 FIB behind RadixIPLookup
+    ([Vdp_click.El_lookup.Fib]) is checked against. *)
 
 type 'a node = {
   mutable value : 'a option;

@@ -18,9 +18,8 @@
     - A satisfiable breach/reach answer must {e replay}: the model's
       packet(s) are pushed through the actual wired runtimes
       ({!Fabric.push}) from boot state and the flow is tagged confirmed
-      only if the concrete run ends where the symbolic path claimed.
-      This replay is mandatory; [config.replay] governs only pipeline
-      witnesses.
+      only if the concrete run ends where the symbolic path claimed,
+      as every pipeline witness is replayed too.
     - An unsatisfiable answer can be certified through
       {!Vdp_cert.Certificate}, upgrading [Holds] to a checked proof.
 
@@ -49,10 +48,7 @@ type config = V.config = {
   engine : Engine.config;
   solver_budget : int;
   assume : T.t list;
-  replay : bool;
   max_composite_paths : int;
-  cache : bool;
-  preprocess : bool;
   jobs : int;
   certify : bool;
 }

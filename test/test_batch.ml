@@ -1,5 +1,5 @@
-(* The batched runtime and the compiled fast path: all three engines
-   must be observationally identical — same finals, same per-element
+(* The compiled fast path and its batch schedule: both engines must be
+   observationally identical — same finals, same per-element
    steps, same instruction counts, same packet bytes, same key/value
    state — on the same workloads. Plus the robustness fixes that ride
    along: RadixIPLookup across the full /0–/32 prefix range (checked
@@ -25,7 +25,7 @@ let check_bool = Alcotest.(check bool)
 let find name =
   List.find Sys.file_exists [ "../examples/" ^ name; "examples/" ^ name ]
 
-let engines = [ R.Scalar; R.Batched; R.Compiled ]
+let engines = [ R.Scalar; R.Compiled ]
 
 let final_str f = Format.asprintf "%a" R.pp_final f
 
@@ -156,7 +156,7 @@ let radix_fixed () =
         ])
     engines
 
-(* {1 Scalar vs batched vs compiled: exact observational equality} *)
+(* {1 Scalar vs compiled: exact observational equality} *)
 
 let window p = Bytes.sub_string p.P.buf p.P.head p.P.len
 
@@ -224,14 +224,10 @@ let nat_config =
 
 let engine_differential name pl () =
   let pkts = Gen.workload ~seed:3 ~nflows:8 ~corrupt_ratio:0.2 300 in
-  let scalar = run_engine pl R.Scalar pkts in
-  List.iter
-    (fun engine ->
-      check_same_runs
-        (Printf.sprintf "%s scalar-vs-%s" name (R.engine_name engine))
-        scalar
-        (run_engine pl engine pkts))
-    [ R.Batched; R.Compiled ];
+  check_same_runs
+    (Printf.sprintf "%s scalar-vs-compiled" name)
+    (run_engine pl R.Scalar pkts)
+    (run_engine pl R.Compiled pkts);
   (* The aggregate driver must agree with itself across engines too. *)
   let stats engine =
     let st =
@@ -242,14 +238,10 @@ let engine_differential name pl () =
     R.(st.sent, st.egressed, st.dropped, st.crashed, st.hop_budget,
        st.instrs, st.max_instrs)
   in
-  let s = stats R.Scalar in
-  List.iter
-    (fun engine ->
-      check_bool
-        (Printf.sprintf "%s aggregate stats %s" name (R.engine_name engine))
-        true
-        (stats engine = s))
-    [ R.Batched; R.Compiled ]
+  check_bool
+    (Printf.sprintf "%s aggregate stats compiled" name)
+    true
+    (stats R.Compiled = stats R.Scalar)
 
 (* {1 Every registry element, compiled and interpreted}
 
@@ -745,14 +737,10 @@ let hop_budget_scalar () =
   check_int "hop_budget" 5 st.R.hop_budget;
   check_int "crashed" 0 st.R.crashed
 
-let hop_budget_batched_rejects_cycles () =
-  List.iter
-    (fun engine ->
-      Alcotest.check_raises
-        (R.engine_name engine ^ " rejects cycles")
-        (Invalid_argument "Pipeline: cycle detected")
-        (fun () -> ignore (R.instantiate ~engine (cyclic ()))))
-    [ R.Batched; R.Compiled ]
+let hop_budget_compiled_rejects_cycles () =
+  Alcotest.check_raises "compiled rejects cycles"
+    (Invalid_argument "Pipeline: cycle detected")
+    (fun () -> ignore (R.instantiate ~engine:R.Compiled (cyclic ())))
 
 let hop_budget_long_chain () =
   (* An acyclic chain longer than the budget: every engine must stop
@@ -818,8 +806,17 @@ let tests =
         engine_differential "nat" (Click.Config.parse nat_config) ());
     Alcotest.test_case "hop budget is a final, not an exception" `Quick
       hop_budget_scalar;
-    Alcotest.test_case "batched engines reject cyclic pipelines" `Quick
-      hop_budget_batched_rejects_cycles;
+    Alcotest.test_case "compiled engine rejects cyclic pipelines" `Quick
+      hop_budget_compiled_rejects_cycles;
+    Alcotest.test_case "engine names: scalar and compiled only" `Quick
+      (fun () ->
+        List.iter
+          (fun e ->
+            check_bool (R.engine_name e) true
+              (R.engine_of_string (R.engine_name e) = Some e))
+          engines;
+        check_bool "batched is not an engine" true
+          (R.engine_of_string "batched" = None));
     Alcotest.test_case "hop budget agrees across engines" `Quick
       hop_budget_long_chain;
     Alcotest.test_case "interpreter rejects width-mismatched assigns" `Quick

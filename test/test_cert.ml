@@ -211,8 +211,16 @@ let drat_solver_tests =
 let v16 n = T.var ("tc" ^ n) 16
 let c16 = T.bv_int ~width:16
 
-let produce ?preprocess q =
-  C.produce ?preprocess q
+let produce q = C.produce q
+
+(* The raw DRAT tier, reached directly: the conjunction blasted as
+   written, with no preprocessing, and the certificate checked. *)
+let produce_raw q =
+  match C.blast_unsat ~preprocessed:false (Vdp_smt.Preprocess.identity q) with
+  | Error e -> Error e
+  | Ok payload ->
+    let cert = { C.query = q; key = T.and_ q; reason = C.R_drat payload } in
+    Result.map (fun () -> cert) (C.check cert)
 
 let kind_of = function Ok c -> C.kind c | Error _ -> "error"
 
@@ -235,8 +243,8 @@ let certificate_tests =
         let q =
           [ T.eq k (T.add a b); T.ule k c; T.ule c d; T.ult d k ]
         in
-        let on = produce ~preprocess:true q in
-        let off = produce ~preprocess:false q in
+        let on = produce q in
+        let off = produce_raw q in
         check_bool "on ok" true (cert_ok on);
         check_bool "off ok" true (cert_ok off);
         Alcotest.(check string) "kind on" "drat" (kind_of on);
@@ -359,7 +367,7 @@ let trimming_tests =
                   (to_drat steps))));
     Alcotest.test_case "certificate proofs are trimmed strictly smaller"
       `Quick (fun () ->
-        match drat_payload_of (produce ~preprocess:true (pcache_q1 ())) with
+        match drat_payload_of (produce (pcache_q1 ())) with
         | None -> Alcotest.fail "expected a drat certificate"
         | Some p ->
           let adds =
@@ -501,13 +509,13 @@ let differential_tests =
             Alcotest.failf "query %d: solver disagrees with brute force" i;
           if not expect then begin
             incr unsats;
-            (match C.produce ~preprocess:true q with
+            (match produce q with
             | Ok cert ->
               if not (is_ok (C.check cert)) then
                 Alcotest.failf "query %d: certificate fails recheck" i
             | Error e ->
               Alcotest.failf "query %d: uncertified (preprocess on): %s" i e);
-            match C.produce ~preprocess:false q with
+            match produce_raw q with
             | Ok cert ->
               if not (is_ok (C.check cert)) then
                 Alcotest.failf "query %d: raw certificate fails recheck" i
@@ -533,7 +541,12 @@ let verifier_tests =
       `Quick (fun () ->
         (* With a one-conflict budget most Step-2 checks come back
            Unknown; an Unknown must poison the verdict on all three
-           checkers, and nothing Unknown may be certified. *)
+           checkers, and nothing Unknown may be certified. The query
+           cache starts cold: a query an earlier unbudgeted run left
+           there would come back Unsat without running into the
+           budget, and its certificate could not be rebuilt within
+           one conflict. *)
+        Solver.Cache.clear Solver.shared_cache;
         let pl = load_example "router.click" in
         let config =
           { V.default_config with V.solver_budget = 1; V.certify = true }

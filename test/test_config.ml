@@ -67,6 +67,36 @@ let tests =
         check_bool "unknown class" true (bad "a :: NoSuchThing;");
         check_bool "duplicate name" true
           (bad "a :: Counter; a :: Counter;"));
+    Alcotest.test_case "malformed numbers are config errors" `Quick
+      (fun () ->
+        (* Each input must be rejected as a Parse_error or Bad_config
+           whose message names the offending text — never an escaping
+           [Failure], never a silent parse. *)
+        let rejected ~names src =
+          let contains m =
+            let n = String.length names and k = String.length m in
+            let rec go i = i + n <= k && (String.sub m i n = names || go (i + 1)) in
+            go 0
+          in
+          match Click.Config.parse src with
+          | _ -> Alcotest.failf "accepted: %s" src
+          | exception Click.Config.Parse_error m ->
+            check_bool (Printf.sprintf "%S names %S" m names) true (contains m)
+          | exception Click.Registry.Bad_config (_, m) ->
+            check_bool (Printf.sprintf "%S names %S" m names) true (contains m)
+        in
+        rejected ~names:"99999999999999999999"
+          "a :: Counter; b :: Discard; a [99999999999999999999] -> b;";
+        rejected ~names:"10.0.0.0/x" "r :: StaticIPLookup(10.0.0.0/x 1);";
+        rejected ~names:"99999999999999999999/0800"
+          "c :: Classifier(99999999999999999999/0800, -);";
+        rejected ~names:"10.0.0.0/40" "r :: StaticIPLookup(10.0.0.0/40 1);";
+        rejected ~names:"10.0.0.0/-1" "r :: StaticIPLookup(10.0.0.0/-1 1);";
+        rejected ~names:"10.1.0.0/99"
+          "f :: IPFilter(allow src 10.1.0.0/99, deny all);";
+        rejected ~names:"10.0.0.0/33" "r :: RadixIPLookup(10.0.0.0/33 1);";
+        rejected ~names:"300.0.0.1" "r :: StaticIPLookup(300.0.0.1/32 1);";
+        rejected ~names:"70000" "f :: IPFilter(allow dport 70000, deny all);");
     Alcotest.test_case "double connection rejected" `Quick (fun () ->
         check_bool "raises" true
           (try

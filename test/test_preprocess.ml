@@ -158,46 +158,48 @@ let differential_test =
       | Solver.Unknown, _ | _, Solver.Unknown -> QCheck.assume_fail ()
       | _ -> false)
 
-(* {1 End-to-end: the example pipelines with preprocessing off} *)
+(* {1 End-to-end: the example pipelines, every preprocessed refutation
+   checked}
+
+   Step 2 always preprocesses, so the end-to-end check is that every
+   Unsat it derives survives an independent certificate check (which
+   replays the elimination trace against the raw conjunction, or
+   refutes the raw conjunction itself), and every Sat is replayed on
+   the runtime by the verifier. *)
 
 (* Works from both the source root and dune's test sandbox. *)
 let example name =
   List.find Sys.file_exists [ "../examples/" ^ name; "examples/" ^ name ]
 
+let certified = { V.default_config with V.certify = true }
+
+let check_cert cert =
+  check_bool "every refutation certified" true
+    (cert <> None && Vdp_topo.Query.cert_complete cert)
+
 let e2e_example name =
   Alcotest.test_case (Printf.sprintf "end-to-end examples/%s" name) `Slow
     (fun () ->
       let pl = Click.Config.parse_file (example name) in
-      let run ~preprocess =
-        Summaries.clear ();
-        Solver.Cache.clear Solver.shared_cache;
-        let config = { V.default_config with V.preprocess } in
-        V.check_crash_freedom ~config pl
-      in
-      let on = run ~preprocess:true in
-      let off = run ~preprocess:false in
-      let verdict r =
-        match r.V.verdict with
-        | V.Proved -> "proved"
-        | V.Violated vs -> Printf.sprintf "violated:%d" (List.length vs)
-        | V.Unknown _ -> "unknown"
-      in
-      Alcotest.(check string) "same verdict" (verdict on) (verdict off))
+      Summaries.clear ();
+      Solver.Cache.clear Solver.shared_cache;
+      let r = V.check_crash_freedom ~config:certified pl in
+      check_bool "proved" true (r.V.verdict = V.Proved);
+      check_cert r.V.cert)
 
 let e2e_bound =
   Alcotest.test_case "end-to-end bound examples/router.click" `Slow
     (fun () ->
       let pl = Click.Config.parse_file (example "router.click") in
-      let run ~preprocess =
-        Summaries.clear ();
-        Solver.Cache.clear Solver.shared_cache;
-        let config = { V.default_config with V.preprocess } in
-        V.instruction_bound ~config pl
-      in
-      let on = run ~preprocess:true in
-      let off = run ~preprocess:false in
-      check_bool "same bound" true
-        (on.V.bound = off.V.bound && on.V.exact = off.V.exact))
+      Summaries.clear ();
+      Solver.Cache.clear Solver.shared_cache;
+      let r = V.instruction_bound ~config:certified pl in
+      check_bool "bound found" true (r.V.bound <> None);
+      check_bool "witness within the bound" true
+        (match (r.V.measured, r.V.bound) with
+        | Some m, Some b -> m <= b
+        | _ -> false);
+      check_cert r.V.b_cert)
 
 let tests =
   unit_tests

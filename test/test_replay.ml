@@ -63,9 +63,7 @@ let assert_all_confirmed name (r : V.report) =
   List.iter
     (fun (v : V.violation) ->
       check_bool (name ^ ": confirmed") true v.V.confirmed;
-      match v.V.replayed with
-      | Some w -> check_bool (name ^ ": replay status") true (W.confirmed w)
-      | None -> Alcotest.failf "%s: violation carries no replay" name)
+      check_bool (name ^ ": replay status") true (W.confirmed v.V.replayed))
     vs;
   check_int
     (name ^ ": every replay confirmed")
@@ -131,10 +129,7 @@ let replay_tests =
                quota's div-by-zero is reachable from a fresh state. *)
             let needs_state =
               List.exists
-                (fun (v : V.violation) ->
-                  match v.V.replayed with
-                  | Some { W.state = _ :: _; _ } -> true
-                  | _ -> false)
+                (fun (v : V.violation) -> v.V.replayed.W.state <> [])
                 (violations r)
             in
             if expect_state then
@@ -147,20 +142,35 @@ let replay_tests =
         let config = { fast_config with V.jobs = 4 } in
         let r = V.check_crash_freedom ~config (guard "BuggyCounter" []) in
         assert_all_confirmed "BuggyCounter j4" r);
-    Alcotest.test_case "--no-replay skips the runtime entirely" `Quick
-      (fun () ->
+    Alcotest.test_case "every Sat answer is replayed" `Quick (fun () ->
+        (* Crash, reach and bound on one stateful buggy pipeline: each
+           violation and the bound witness is one replay, and nothing
+           else is. *)
         Summaries.clear ();
-        let config = { fast_config with V.replay = false } in
-        let r =
-          V.check_crash_freedom ~config (Click.El_toy.e2_pipeline ())
+        let pl = guard "BuggyCounter" [] in
+        let crash = V.check_crash_freedom ~config:fast_config pl in
+        let reach =
+          V.check_reachability ~config:fast_config
+            ~bad:(function V.End_drop _ -> true | _ -> false)
+            pl
         in
-        let vs = violations r in
-        check_bool "violations found" true (vs <> []);
+        let bound = V.instruction_bound ~config:fast_config pl in
+        check_bool "crash violations found" true (violations crash <> []);
+        check_bool "reach violations found" true (violations reach <> []);
+        let vs = violations crash @ violations reach in
         List.iter
           (fun (v : V.violation) ->
-            check_bool "no full replay attached" true (v.V.replayed = None))
+            let w = v.V.replayed in
+            check_bool "the replay ran the witness" true
+              (w.W.run.Click.Runtime.steps <> []);
+            check_bool "confirmed is the replay's status" (W.confirmed w)
+              v.V.confirmed)
           vs;
-        check_int "no replays counted" 0 r.V.stats.V.replays);
+        check_bool "bound witness replayed" true (bound.V.b_replayed <> None);
+        check_int "one replay per Sat answer"
+          (List.length vs + 1)
+          (crash.V.stats.V.replays + reach.V.stats.V.replays
+          + bound.V.b_stats.V.replays));
     Alcotest.test_case "bound witness replays within the interval" `Quick
       (fun () ->
         Summaries.clear ();

@@ -1,8 +1,7 @@
-(* LPM structures (trie vs DIR arrays), flow table, classifier. *)
+(* LPM structures (the trie vs the DIR-16-8-8 FIB behind
+   RadixIPLookup), classifier. *)
 
 module Lpm = Vdp_tables.Lpm
-module Dir = Vdp_tables.Dir_lpm
-module Ft = Vdp_tables.Flow_table
 module Cls = Vdp_tables.Classifier
 module P = Vdp_packet.Packet
 module Ipv4 = Vdp_packet.Ipv4
@@ -12,6 +11,30 @@ let check_bool = Alcotest.(check bool)
 let ip = Ipv4.addr_of_string
 
 let opt_int = Alcotest.(check (option int))
+
+(* The FIB seen as a next-hop table, as the trie is: a route's next hop
+   is its output port (0-254). *)
+module Dir = struct
+  module Fib = Vdp_click.El_lookup.Fib
+
+  let route (prefix, plen, port) =
+    { Vdp_click.El_lookup.prefix; plen; gw = 0; port }
+
+  (* No table here is looked up by store id, so each leaves the FIB
+     registry at once and is freed after its test. *)
+  let unregistered t =
+    List.iter (Hashtbl.remove Fib.registry) (Fib.store_ids t);
+    t
+
+  let of_routes routes =
+    unregistered (Fib.create ~nports:255 (List.map route routes))
+
+  let create () = unregistered (Fib.create ~nports:255 [])
+  let insert t ~prefix ~len nh = Fib.insert t (route (prefix, len, nh))
+  let delete t ~prefix ~len = Fib.delete t ~prefix ~plen:len
+  let lookup t addr = Option.map snd (Fib.lookup t addr)
+  let count = Fib.count
+end
 
 let sample_routes =
   [
@@ -45,30 +68,6 @@ let unit_tests =
         in
         opt_int "host" (Some 9) (Dir.lookup d (ip "10.1.2.3"));
         opt_int "neighbour" (Some 0) (Dir.lookup d (ip "10.1.2.4")));
-    Alcotest.test_case "flow table basics" `Quick (fun () ->
-        let t = Ft.create ~buckets:8 ~overflow:8 in
-        Ft.set t 1 10;
-        Ft.set t 9 90;  (* same bucket as 1 for many hash choices *)
-        Ft.set t 1 11;
-        opt_int "updated" (Some 11) (Ft.find t 1);
-        opt_int "chained" (Some 90) (Ft.find t 9);
-        opt_int "missing" None (Ft.find t 3);
-        check_int "count" 2 (Ft.count t));
-    Alcotest.test_case "flow table remove" `Quick (fun () ->
-        let t = Ft.create ~buckets:4 ~overflow:8 in
-        List.iter (fun k -> Ft.set t k (k * 10)) [ 1; 5; 9; 13 ];
-        Ft.remove t 5;
-        opt_int "gone" None (Ft.find t 5);
-        opt_int "kept" (Some 90) (Ft.find t 9);
-        Ft.set t 5 50;
-        opt_int "reinserted" (Some 50) (Ft.find t 5));
-    Alcotest.test_case "flow table raises Full" `Quick (fun () ->
-        let t = Ft.create ~buckets:1 ~overflow:2 in
-        Ft.set t 0 0;
-        Ft.set t 1 1;
-        Ft.set t 2 2;
-        check_bool "full" true
-          (try Ft.set t 3 3; false with Ft.Full -> true));
     Alcotest.test_case "classifier patterns" `Quick (fun () ->
         let t = Cls.parse [ "12/0800"; "12/0806 20/0001"; "-" ] in
         let ipv4_frame =
@@ -120,7 +119,6 @@ let props =
                 routes))
          random_route_list)
       (fun routes ->
-        (* Dir_lpm supports prefixes <= stride(16)+low(16); all ok. *)
         let trie = Lpm.of_list routes in
         let dir = Dir.of_routes routes in
         let st = Random.State.make [| 7 |] in
@@ -146,21 +144,6 @@ let props =
         in
         QCheck.assume unambiguous;
         !ok);
-    QCheck.Test.make ~count:100 ~name:"flow table model check"
-      QCheck.(list_of_size (QCheck.Gen.int_range 1 60)
-                (pair (int_bound 30) (int_bound 1000)))
-      (fun ops ->
-        let t = Ft.create ~buckets:16 ~overflow:64 in
-        let model = Hashtbl.create 16 in
-        List.iter
-          (fun (k, v) ->
-            Ft.set t k v;
-            Hashtbl.replace model k v)
-          ops;
-        Hashtbl.fold
-          (fun k v acc -> acc && Ft.find t k = Some v)
-          model true
-        && Ft.count t = Hashtbl.length model);
   ]
 
 (* Randomized route tables that force the boundary prefix lengths: a

@@ -12,6 +12,7 @@ module E = Vdp_symbex.Engine
 module S = Vdp_symbex.Sstate
 module Click = Vdp_click
 module V = Vdp_verif.Verifier
+module W = Vdp_verif.Witness
 module Mono = Vdp_verif.Monolithic
 module Kv = Vdp_verif.Kvmodel
 module Summaries = Vdp_verif.Summaries
@@ -65,10 +66,8 @@ let tests_unit =
           | None -> Alcotest.fail "expected the assert violation"
         in
         check_bool "witness reproduces on runtime" true v.V.confirmed;
-        match v.V.witness with
-        | Some pkt ->
-          check_bool "first byte negative" true (P.get_u8 pkt 0 >= 0x80)
-        | None -> Alcotest.fail "expected witness");
+        let pkt = v.V.replayed.W.packet in
+        check_bool "first byte negative" true (P.get_u8 pkt 0 >= 0x80));
     Alcotest.test_case "fig2: E1 -> E2 is crash-free (composition)" `Quick
       (fun () ->
         Summaries.clear ();
@@ -130,13 +129,10 @@ let tests_unit =
           (* The witness must be a valid IPv4 frame with TTL 0 — the
              solver had to satisfy the checksum to get it past
              CheckIPHeader. *)
-          (match v.V.witness with
-          | Some pkt ->
-            let q = P.clone pkt in
-            P.pull q 14;
-            check_bool "valid header" true (Ipv4.header_ok q);
-            check_int "ttl zero" 0 (P.get_u8 q 8)
-          | None -> Alcotest.fail "expected witness")
+          let q = P.clone v.V.replayed.W.packet in
+          P.pull q 14;
+          check_bool "valid header" true (Ipv4.header_ok q);
+          check_int "ttl zero" 0 (P.get_u8 q 8)
         | None -> Alcotest.fail "expected div-by-zero violation");
     Alcotest.test_case "safe market element certifies" `Quick (fun () ->
         Summaries.clear ();
@@ -348,9 +344,7 @@ let tests_unit =
         match violations r with
         | [ v ] ->
           check_bool "confirmed" true v.V.confirmed;
-          (match v.V.witness with
-          | Some pkt -> check_bool "short" true (P.length pkt < 20)
-          | None -> Alcotest.fail "expected witness")
+          check_bool "short" true (P.length v.V.replayed.W.packet < 20)
         | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
   ]
 
@@ -417,13 +411,13 @@ let headroom_tests =
     Alcotest.test_case "configured headroom budget is respected" `Quick
       (fun () ->
         (* Same 3-encap pipeline, verified under different budgets.
-           Replay is off: the concrete runtime always allocates the
-           default headroom, so non-default budgets cannot reproduce. *)
+           The concrete runtime always allocates the default headroom,
+           so the witnesses of a non-default budget may replay
+           unconfirmed; only the verdicts are checked. *)
         let with_headroom h =
           {
             fast_config with
             V.engine = { E.default_config with E.max_len = 128; E.headroom = h };
-            V.replay = false;
           }
         in
         let pl () =
