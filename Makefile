@@ -21,6 +21,7 @@ ci: build
 	dune exec bin/vdpverify.exe -- bound -j 4 examples/router.click
 	dune exec bin/vdpverify.exe -- verify --certify examples/router.click
 	dune exec bin/vdpverify.exe -- crash --certify examples/firewall.click
+	dune exec bin/vdpverify.exe -- crash -j 2 --certify examples/netflow_nat.click
 	dune exec bin/vdpverify.exe -- replay examples/router.click
 	dune exec bin/vdpverify.exe -- replay examples/firewall.click
 	dune exec bin/vdpverify.exe -- replay --engine compiled examples/router.click
@@ -37,6 +38,7 @@ ci: build
 	VDP_E12_SMOKE=1 dune exec bench/main.exe -- e12
 	dune exec bin/vdpverify.exe -- delta examples/radix_router.click --add "198.51.100.0/24 1"
 	dune exec bin/vdpverify.exe -- reach examples/multi_tenant.click
+	dune exec bin/vdpverify.exe -- reach --certify examples/multi_tenant.click
 	dune exec bin/vdpverify.exe -- isolate examples/multi_tenant.click
 	dune exec bin/vdpverify.exe -- isolate --certify examples/multi_tenant.click
 	VDP_E13_SMOKE=1 dune exec bench/main.exe -- e13

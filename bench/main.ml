@@ -136,6 +136,8 @@ let solver_stats_json () =
             ("proof_clauses", Json.Int s.Solver.cert_proof_clauses);
             ("proof_deletions", Json.Int s.Solver.cert_proof_deletions);
             ("pcache_hits", Json.Int s.Solver.cert_pcache_hits);
+            ("drat_ctx", Json.Int s.Solver.cert_drat_ctx);
+            ("fallback", Json.Int s.Solver.cert_fallback);
             ("trimmed_clauses", Json.Int s.Solver.cert_trimmed_clauses);
             ("untrimmed_clauses", Json.Int s.Solver.cert_untrimmed_clauses);
             ("solve_seconds", Json.Float s.Solver.cert_solve_time);
@@ -1148,10 +1150,12 @@ let e10 () =
   (* Verify each pipeline twice — certification off, then on — and
      require (a) identical verdicts/bounds, (b) every refutation behind
      the certified run independently validated. The instruction bound
-     runs on the router only (see E9: the firewall's segment count makes
-     it impractical in either mode). The regression gate is computed
-     over the two fast pipelines only, so smoke and full runs compare on
-     the same scale; smoke mode skips the router entirely. *)
+     runs on the router only: on the firewall it takes tens of seconds
+     in either mode, nearly all of it Step-2 composition of the
+     IPFilter's ~15 k segments rather than solving or certification.
+     The regression gate is computed over the two fast pipelines only,
+     so smoke and full runs compare on the same scale; smoke mode skips
+     the router entirely. *)
   let pipelines =
     List.concat
       [
@@ -1238,6 +1242,8 @@ let e10 () =
             ("folded", Json.Int s.C.folded);
             ("interval", Json.Int s.C.interval);
             ("drat", Json.Int s.C.drat);
+            ("drat_ctx", Json.Int s.C.drat_ctx);
+            ("fallback", Json.Int s.C.fallback);
             ("cached", Json.Int s.C.cached);
             ("proof_clauses", Json.Int s.C.proof_clauses);
             ("proof_deletions", Json.Int s.C.proof_deletions);

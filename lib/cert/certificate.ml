@@ -7,7 +7,8 @@
    in a form small independent code can re-check:
 
    - {b folded}: the raw conjunction's smart-constructor normal form is
-     literally [false]. Checking is [Term.is_false].
+     literally [false] (checking is [Term.is_false]), or — [folded-pre]
+     — the residual left by replaying the elimination trace is.
    - {b interval}: the producer's interval analysis emptied some
      subject's range. The explanation is replayed by
      {!Interval_check}, which re-derives every bound from the atoms
@@ -26,11 +27,18 @@
    - {b cached}: provenance — the same raw conjunction was already
      certified; the reference is to that checked certificate.
 
-   Production always re-solves in a fresh, assumption-free,
-   proof-logging solver instance (the incremental front end answers
-   under selector assumptions, which never yields a standalone empty
-   clause), so certification cost is isolated from solving cost and
-   measured separately; [bench e10] reports the overhead.
+   A refutation the SAT core decided is certified from the incremental
+   context that decided it ([drat-ctx]): the context answers under a
+   selector assumption [sel], so what it derives is [~sel], and before
+   retiring [sel] it reads that derivation's trimmed cone out of its
+   clause log. The checker proves [~sel] from the cone's CNF and holds
+   [sel] to occurring only as [~sel] in binary root clauses, which makes
+   the CNF with [sel] set a refutation of the core. The query cache
+   keeps that proof with the answer, so a hit in another context needs
+   no solve either. A fresh, assumption-free re-solve remains only as
+   the fallback: for a query-cache hit with no stored proof, and for an
+   in-context proof that fails its check. [bench e10] reports the
+   overhead.
 
    Trusted base: [Term]'s hash-consed smart constructors and
    [substitute], [Preprocess.split_list]/[resplit], [Eval], [Bitblast]
@@ -48,22 +56,22 @@ module Eval = Vdp_smt.Eval
 module Model = Vdp_smt.Model
 
 type drat_payload = {
-  nvars : int;  (** SAT variables in the certifying instance *)
-  cnf : int list list;  (** problem clauses as asserted, oldest first *)
-  steps : Drat.step list;  (** the proof trace, oldest first *)
-  deletions : int;
-      (** the producing solver's own deletion counters (learned +
-          problem); cross-checked against the trace's delete steps.
-          Always 0 for backward-trimmed proofs, which keep no deletions *)
+  nvars : int;  (** SAT variables, renumbered densely *)
+  cnf : int list list;  (** the refutation cone's asserted clauses *)
+  steps : Drat.step list;  (** its derivation steps, oldest first *)
+  goal : int array;
+      (** [[||]]: the steps refute [cnf] outright (a fresh re-solve).
+          Otherwise the one-literal clause [~sel]: the answering
+          context refuted [core] under its selector [sel], and the CNF
+          guards each of [core]'s root clauses as [~sel \/ l] *)
   residual : T.t list;  (** the refuted conjunction *)
-  blasted : T.t list option;
-      (** when [Some], the CNF encodes only this multiset-subset of
-          [residual] (an unsat core reported by the answering solver);
-          refuting a subset of a conjunction refutes the conjunction.
-          [None] means the whole residual was blasted *)
+  core : T.t list option;
+      (** in-context proofs only: the multiset-subset of [residual]
+          whose root clauses the cone holds; refuting a subset of a
+          conjunction refutes the conjunction *)
   untrimmed : int;
-      (** clause additions in the forward proof log before backward
-          trimming ([steps] holds the trimmed count) *)
+      (** derived clauses in the producing solver's log before
+          backward trimming ([steps] holds the trimmed count) *)
   trace : P.trace_step list;
       (** elimination script from the raw query to [residual]; empty
           when [preprocessed] is false *)
@@ -78,7 +86,9 @@ type interval_payload = {
 }
 
 type reason =
-  | R_folded
+  | R_folded of P.trace_step list option
+      (** [None]: the raw conjunction folds to [false]. [Some trace]:
+          replaying the elimination trace leaves a residual that does *)
   | R_interval of interval_payload
   | R_drat of drat_payload
   | R_cached of int
@@ -92,10 +102,11 @@ type t = {
 
 let kind (c : t) =
   match c.reason with
-  | R_folded -> "folded"
+  | R_folded None -> "folded"
+  | R_folded (Some _) -> "folded-pre"
   | R_interval p -> if p.i_preprocessed then "interval-pre" else "interval"
   | R_drat p ->
-    if p.blasted <> None then "drat-core"
+    if p.goal <> [||] then "drat-ctx"
     else if p.preprocessed then "drat"
     else "drat-raw"
   | R_cached _ -> "cached"
@@ -240,11 +251,33 @@ let replay_trace (query : T.t list) (trace : P.trace_step list)
 
 (* {1 Checking} *)
 
+(* An in-context proof shows [cnf] implies [~sel]. That refutes the
+   core only if [sel] does nothing but switch the core's root clauses
+   on: it must occur solely as [~sel], and only in binary clauses
+   [~sel \/ l]. Setting [sel] true then leaves the other clauses plus
+   every [l], and those are unsatisfiable. *)
+let selector_guarded goal cnf =
+  match goal with
+  | [| g |] ->
+    let v = Drat.var g in
+    let guard = function
+      | [ a; b ] -> (a = g && Drat.var b <> v) || (b = g && Drat.var a <> v)
+      | _ -> false
+    in
+    if
+      List.for_all
+        (fun c -> guard c || not (List.exists (fun l -> Drat.var l = v) c))
+        cnf
+    then Ok ()
+    else error "selector occurs outside its binary root clauses"
+  | _ -> error "goal is not a single negated selector"
+
 let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
   match cert.reason with
-  | R_folded ->
+  | R_folded None ->
     if T.is_false cert.key then Ok ()
     else error "conjunction does not fold to false"
+  | R_folded (Some trace) -> replay_trace cert.query trace [ T.fls ]
   | R_interval p ->
     let* () =
       if p.i_preprocessed then replay_trace cert.query p.i_trace p.i_residual
@@ -264,12 +297,14 @@ let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
         else error "raw residual differs from the query conjunction"
       in
       let* () =
-        (* A core certificate refutes a subset of the residual; verify
-           the subset relation (multiset inclusion by hash-consed
-           identity) so the CNF provably talks about conjuncts of the
-           residual the trace replay just vouched for. *)
-        match p.blasted with
-        | None -> Ok ()
+        (* A core refutes a subset of the residual; verify the subset
+           relation (multiset inclusion by hash-consed identity) so the
+           CNF provably talks about conjuncts of the residual the trace
+           replay just vouched for. *)
+        match p.core with
+        | None ->
+          if p.goal = [||] then Ok ()
+          else error "in-context proof without a core"
         | Some [] -> error "empty unsat core certifies nothing"
         | Some sub ->
           let rec covered set = function
@@ -281,215 +316,99 @@ let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
           in
           covered p.residual sub
       in
-      Drat.check ~expected_deletions:p.deletions ~nvars:p.nvars ~cnf:p.cnf
+      let* () =
+        if p.goal = [||] then Ok () else selector_guarded p.goal p.cnf
+      in
+      Drat.check ~expected_deletions:0 ~goal:p.goal ~nvars:p.nvars ~cnf:p.cnf
         p.steps
 
 (* {1 Production} *)
 
-(* A long-lived provenance-recording blast context shared across
-   certificate productions. Suspect paths through one pipeline share
-   most of their conjuncts, so a per-certificate fresh blast re-encodes
-   the same circuits hundreds of times; the shared context encodes each
-   gate once and {!blast_unsat} copies only the clause cone of its own
-   roots into a fresh proof-logging solver. The shared instance never
-   receives root unit clauses — it is a gate store, not a solver — and
-   it carries its own lock because production runs outside the
-   collector's. *)
-type shared_blast = { sb_ctx : Bitblast.ctx; sb_lock : Mutex.t }
-
-let create_shared_blast () =
+let payload_of (tp : Sat.trimmed) ~untrimmed ~core ~preprocessed
+    (pre : P.result) =
   {
-    sb_ctx = Bitblast.create ~track:true ~provenance:true ();
-    sb_lock = Mutex.create ();
+    nvars = tp.Sat.nvars;
+    cnf = tp.Sat.cnf;
+    steps = List.map (fun c -> Drat.Add c) tp.Sat.steps;
+    goal = tp.Sat.goal;
+    residual = pre.P.conjuncts;
+    core;
+    untrimmed;
+    trace = pre.P.trace;
+    preprocessed;
   }
 
-(* Re-answer [conjuncts] on the persistent shared instance under a
-   throwaway selector assumption and harvest the conflict cone's tags
-   as an unsat core. Used when the answering solver supplied no core
-   (a one-shot fabric query, a query-cache hit): the persistent
-   instance keeps gate encodings and learned clauses across
-   certificates, so this discovery solve costs a fraction of a
-   standalone re-solve, and the core it
-   yields shrinks the standalone proof solve that follows. The core is
-   only a hint — {!check} verifies the subset relation and the DRAT
-   proof regardless — so a wrong answer here degrades cost, never
-   soundness. *)
-let discover_core ?max_conflicts sb (conjuncts : T.t list) : T.t list option =
-  Mutex.lock sb.sb_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sb.sb_lock)
-    (fun () ->
-      let sat = Bitblast.sat sb.sb_ctx in
-      let selector = Bitblast.fresh sb.sb_ctx in
-      List.iteri
-        (fun i c -> Bitblast.assert_under ~tag:i sb.sb_ctx ~selector c)
-        conjuncts;
-      let r = Sat.solve ?max_conflicts ~assumptions:[ selector ] sat in
-      let core =
-        match r with
-        | Sat.Unsat ->
-          let arr = Array.of_list conjuncts in
-          let sub =
-            List.filter_map
-              (fun i ->
-                if i >= 0 && i < Array.length arr then Some arr.(i) else None)
-              (List.sort_uniq compare (Sat.last_cone_tags sat))
-          in
-          if sub = [] then None else Some sub
-        | Sat.Sat | Sat.Unknown -> None
-      in
-      (* Permanently retire the selector: this query's root clauses
-         become satisfied at level 0 and never burden later solves. *)
-      Sat.add_clause sat [ Sat.lit_not selector ];
-      core)
-
-(* Bit-blast into a fresh proof-logging, antecedent-tracking instance
-   and re-solve without assumptions. [blasted], when given, is the
-   subset of [pre.conjuncts] actually asserted (an unsat core from the
-   answering solver); the payload records it so {!check} can verify the
-   subset relation. The forward proof is backward-trimmed: only the
-   CNF clauses and derivation steps inside the dependency cone of the
-   empty clause are kept, with no deletions — every kept derived clause
+(* The fallback producer: bit-blast into a fresh antecedent-tracking
+   instance and re-solve without assumptions. The proof is the backward
+   cone of the empty clause: only the CNF clauses and derivation steps
+   it depends on are kept, with no deletions — every kept derived clause
    is RUP with respect to the kept clauses before it, so the trimmed
-   trace still checks as forward DRAT with 0 expected deletions.
-
-   With [?shared], the conjuncts are encoded in (or found already
-   encoded in) the shared gate store, and only their clause cone is
-   replayed into the fresh instance, under the same variable numbering
-   (the fresh instance pre-allocates every shared variable). The
-   payload's CNF and proof still both come from the fresh instance's
-   own log, so the certificate stays self-contained: sharing cuts
-   encoding work, not the evidence. *)
-let blast_unsat ?shared ?max_conflicts ?blasted ~preprocessed
-    (pre : P.result) : (drat_payload, string) result =
-  (* No core from the answering solver (one-shot queries, cache hits): try to
-     discover one on the persistent shared instance before paying for a
-     full-residual standalone proof solve. *)
-  let blasted =
-    match (blasted, shared) with
-    | None, Some sb -> discover_core ?max_conflicts sb pre.P.conjuncts
-    | b, _ -> b
-  in
-  let to_blast = match blasted with Some sub -> sub | None -> pre.P.conjuncts in
-  let sat =
-    match shared with
-    | None ->
-      let bb = Bitblast.create ~proof:true ~track:true () in
-      List.iter (fun c -> Bitblast.assert_term bb c) to_blast;
-      Bitblast.sat bb
-    | Some sb ->
-      let roots, cone =
-        Mutex.protect sb.sb_lock (fun () ->
-            let roots = List.map (Bitblast.lit_of_bool sb.sb_ctx) to_blast in
-            (roots, Bitblast.clause_cone sb.sb_ctx roots))
-      in
-      (* Renumber the cone compactly. The shared store numbers gates
-         across every certificate it has ever served; reusing that
-         numbering would make each fresh instance (and each payload's
-         [nvars]) carry the whole history rather than its own cone. *)
-      let map = Hashtbl.create 256 in
-      let next = ref 0 in
-      let mvar v =
-        match Hashtbl.find_opt map v with
-        | Some m -> m
-        | None ->
-          let m = !next in
-          incr next;
-          Hashtbl.add map v m;
-          m
-      in
-      let mlit l = Sat.lit (mvar (Sat.lit_var l)) (Sat.lit_is_pos l) in
-      let tl = mlit (Bitblast.const_lit sb.sb_ctx true) in
-      let cone = List.map (List.map mlit) cone in
-      let roots = List.map mlit roots in
-      let sat = Sat.create () in
-      Sat.enable_proof sat;
-      Sat.enable_tracking sat;
-      for _ = 1 to !next do
-        ignore (Sat.new_var sat)
-      done;
-      Sat.add_clause sat [ tl ];
-      List.iter (fun c -> Sat.add_clause sat c) cone;
-      List.iter (fun l -> Sat.add_clause sat [ l ]) roots;
-      sat
-  in
-  match Sat.solve ?max_conflicts sat with
-  | Sat.Unsat ->
-    let untrimmed, _ = Sat.proof_sizes sat in
-    let cnf, steps, deletions =
-      match Sat.trimmed_proof sat with
-      | Some (cnf, adds) ->
-        ( cnf,
-          List.map
-            (function
-              | Sat.P_add lits -> Drat.Add lits
-              | Sat.P_delete _ -> assert false)
-            adds,
-          0 )
-      | None ->
-        (* Tracking captured no cone (cannot happen on an
-           assumption-free Unsat, but degrade to the forward log). *)
-        ( Sat.proof_cnf sat,
-          List.map
-            (function
-              | Sat.P_add lits -> Drat.Add lits
-              | Sat.P_delete lits -> Drat.Delete lits)
-            (Sat.proof_steps sat),
-          Sat.num_learned_deleted sat + Sat.num_problem_deleted sat )
-    in
+   trace still checks as forward DRAT with 0 expected deletions. *)
+let blast_unsat ?max_conflicts ~preprocessed (pre : P.result) :
+    (drat_payload, string) result =
+  let bb = Bitblast.create ~track:true () in
+  List.iter (Bitblast.assert_term bb) pre.P.conjuncts;
+  let sat = Bitblast.sat bb in
+  let r = Sat.solve ?max_conflicts sat in
+  match (r, Sat.trimmed_proof sat) with
+  | Sat.Unsat, Some tp ->
     Ok
-      {
-        nvars = Sat.num_vars sat;
-        cnf;
-        steps;
-        deletions;
-        residual = pre.P.conjuncts;
-        blasted;
-        untrimmed;
-        trace = pre.P.trace;
-        preprocessed;
-      }
-  | Sat.Sat ->
-    if blasted = None then error "certifying re-solve answered Sat"
-    else error "unsat core re-solve answered Sat"
-  | Sat.Unknown -> error "certifying re-solve exhausted its conflict budget"
+      (payload_of tp ~untrimmed:(Sat.num_derived sat) ~core:None ~preprocessed
+         pre)
+  | Sat.Unsat, None -> error "certifying re-solve captured no refutation cone"
+  | Sat.Sat, _ -> error "certifying re-solve answered Sat"
+  | Sat.Unknown, _ -> error "certifying re-solve exhausted its conflict budget"
+
+(* What one production spent: seconds producing proofs (in-context
+   extraction plus re-solves), seconds checking them, how many fresh
+   re-solves ran, and whether the proof cache answered. *)
+type work = {
+  mutable solve_s : float;
+  mutable check_s : float;
+  mutable resolves : int;
+  mutable pcache_hit : bool;
+}
+
+let fresh_work () =
+  { solve_s = 0.; check_s = 0.; resolves = 0; pcache_hit = false }
 
 (* Produce a certificate that has already passed {!check}, walking the
-   fallback chain: folded, interval replay, a proof-cache hit (a
+   tiers: folded, interval replay over the raw conjunction, folded or
+   interval replay over the preprocessed residual, a proof-cache hit (a
    previously checked trimmed proof over the same preprocessed key,
    re-checked in full against this query's own elimination trace — a
-   tampered cached proof is rejected, never trusted), DRAT over the
-   answering solver's unsat core, DRAT over the preprocessed residual,
-   DRAT over the raw conjunction. Each candidate is validated before
-   acceptance, so a producer/checker divergence (e.g. the replayed
-   interval analysis is weaker than the solver's, or a stale core no
-   longer refutes) degrades to the next, more expensive certificate
-   instead of a bogus one.
+   tampered cached proof is rejected, never trusted), DRAT read from the
+   answering context, and last the fresh re-solves: DRAT over the
+   preprocessed residual, then over the raw conjunction. Each candidate
+   is validated before acceptance, so a producer/checker divergence
+   degrades to the next tier instead of a bogus certificate.
 
-   [pre] lets the caller hand over the preprocessing result of the
-   answering solve, so the certified residual — and the proof-cache
-   key — are exactly the ones the query cache saw, and the pass is not
-   re-run. [core] is the answering solver's unsat core over
-   [pre.conjuncts] (see [Solver.last_core]). *)
-
-let produce ?max_conflicts ?shared ?pre:pre0 ?core
-    ?pcache_find ?pcache_store ?(pcache_hit = ref false)
-    ?(solve_seconds = ref 0.) ?(check_seconds = ref 0.) (query : T.t list) :
+   The answering context hands over what it already knows. [stage] is
+   the stage that decided, and the tiers it has already shown cannot
+   apply are skipped: a query the SAT core decided did not fold, and no
+   interval refutation applied to it. [pre] is its preprocessing
+   result, so the certified residual — and the proof-cache key — are
+   exactly the ones the query cache saw. [proof] is its trimmed
+   in-context refutation, or the one stored with a cached answer (see
+   [Solver.last_proof]). Without [stage] every tier is tried. *)
+let produce ?max_conflicts ?pre:pre0 ?stage ?proof ?pcache_find
+    ?pcache_store ?(work = fresh_work ()) (query : T.t list) :
     (t, string) result =
   let key = T.and_ query in
   let checked cert =
     let t0 = now () in
     let r = check cert in
-    check_seconds := !check_seconds +. (now () -. t0);
+    work.check_s <- work.check_s +. (now () -. t0);
     match r with Ok () -> Ok cert | Error e -> Error (kind cert ^ ": " ^ e)
   in
-  let drat ?sb pre ?blasted ~preprocessed () =
+  let resolve pre ~preprocessed () =
     if T.is_true pre.P.key then
       error "preprocessing reduced the query to true; nothing to refute"
     else
       let t0 = now () in
-      let r = blast_unsat ?shared:sb ?max_conflicts ?blasted ~preprocessed pre in
-      solve_seconds := !solve_seconds +. (now () -. t0);
+      let r = blast_unsat ?max_conflicts ~preprocessed pre in
+      work.solve_s <- work.solve_s +. (now () -. t0);
+      work.resolves <- work.resolves + 1;
       let* payload = r in
       checked { query; key; reason = R_drat payload }
   in
@@ -515,65 +434,85 @@ let produce ?max_conflicts ?shared ?pre:pre0 ?core
         }
     | None -> error "interval: no explanation"
   in
-  let candidates =
+  let at stages =
+    match stage with None -> true | Some st -> List.mem st stages
+  in
+  let tiers =
     [
-      (fun () ->
-        if T.is_false key then checked { query; key; reason = R_folded }
-        else error "folded: conjunction is not literally false");
-      (fun () -> interval query query ~trace:[] ~preprocessed:false ());
-      (fun () ->
-        let p = Lazy.force pre in
-        interval p.P.conjuncts p.P.conjuncts ~trace:p.P.trace
-          ~preprocessed:true ());
-      (fun () ->
-        match pcache_find with
-        | None -> error "pcache: no proof cache"
-        | Some find -> (
+      ( at [ S.Folded ],
+        fun () ->
+          if T.is_false key then checked { query; key; reason = R_folded None }
+          else error "folded: conjunction is not literally false" );
+      ( at [ S.Interval_raw ],
+        interval query query ~trace:[] ~preprocessed:false );
+      ( at [ S.Folded_pre ],
+        fun () ->
           let p = Lazy.force pre in
-          match find p.P.key.T.id with
-          | None -> error "pcache: miss"
-          | Some payload -> (
-            (* Same preprocessed key, so the cached residual's
-               conjunction is hash-cons-equal to this query's; swap in
-               this query's own elimination trace and re-check in
-               full. *)
-            match
-              checked
-                {
-                  query;
-                  key;
-                  reason =
-                    R_drat
-                      { payload with trace = p.P.trace; preprocessed = true };
-                }
-            with
-            | Ok cert ->
-              pcache_hit := true;
-              Ok cert
-            | Error e -> Error e)));
-      (fun () ->
-        match core with
-        | None -> error "drat-core: no core from the answering solver"
-        | Some [] -> error "drat-core: empty core"
-        | Some sub ->
-          drat ?sb:shared (Lazy.force pre) ~blasted:sub ~preprocessed:true ());
-      (fun () -> drat ?sb:shared (Lazy.force pre) ~preprocessed:true ());
-      (* Last-resort raw blast stays unshared on purpose: it must hold
-         even if the shared gate store is somehow corrupted. *)
-      (fun () -> drat (P.identity query) ~preprocessed:false ());
+          if T.is_false p.P.key then
+            checked { query; key; reason = R_folded (Some p.P.trace) }
+          else error "folded-pre: residual is not literally false" );
+      ( at [ S.Interval_pre; S.Cached ],
+        fun () ->
+          let p = Lazy.force pre in
+          interval p.P.conjuncts p.P.conjuncts ~trace:p.P.trace
+            ~preprocessed:true () );
+      ( at [ S.Cached ],
+        fun () ->
+          match pcache_find with
+          | None -> error "pcache: no proof cache"
+          | Some find -> (
+            let p = Lazy.force pre in
+            match find p.P.key.T.id with
+            | None -> error "pcache: miss"
+            | Some payload ->
+              (* Same preprocessed key, so the cached residual's
+                 conjunction is hash-cons-equal to this query's; swap in
+                 this query's own elimination trace and re-check in
+                 full. *)
+              let r =
+                checked
+                  {
+                    query;
+                    key;
+                    reason = R_drat { payload with trace = p.P.trace };
+                  }
+              in
+              work.pcache_hit <- Result.is_ok r;
+              r) );
+      ( proof <> None,
+        fun () ->
+          match proof with
+          | None -> error "drat-ctx: no in-context proof"
+          | Some pr ->
+            work.solve_s <- work.solve_s +. pr.S.extract_seconds;
+            checked
+              {
+                query;
+                key;
+                reason =
+                  R_drat
+                    (payload_of pr.S.trimmed ~untrimmed:pr.S.logged
+                       ~core:(Some pr.S.core) ~preprocessed:true
+                       (Lazy.force pre));
+              } );
+      (true, fun () -> resolve (Lazy.force pre) ~preprocessed:true ());
+      (* The raw blast trusts no preprocessing: it holds even if the
+         elimination trace fails to replay. *)
+      (true, resolve (P.identity query) ~preprocessed:false);
     ]
   in
   let rec walk errs = function
     | [] -> error "uncertified (%s)" (String.concat "; " (List.rev errs))
-    | c :: rest -> (
+    | (false, _) :: rest -> walk errs rest
+    | (true, c) :: rest -> (
       match c () with Ok cert -> Ok cert | Error e -> walk (e :: errs) rest)
   in
-  let r = walk [] candidates in
+  let r = walk [] tiers in
   (* Remember freshly produced-and-checked preprocessed proofs under
      their preprocessed key for future queries with the same residual. *)
   (match (r, pcache_store) with
   | Ok { reason = R_drat payload; _ }, Some store
-    when (not !pcache_hit) && payload.preprocessed ->
+    when (not work.pcache_hit) && payload.preprocessed ->
     store (Lazy.force pre).P.key.T.id payload
   | _ -> ());
   r
@@ -593,6 +532,9 @@ type summary = {
   mutable folded : int;
   mutable interval : int;
   mutable drat : int;
+  mutable drat_ctx : int;
+      (** of [drat]: read from the answering context, no re-solve *)
+  mutable fallback : int;  (** fresh re-solves run to produce DRAT *)
   mutable cached : int;
   mutable pcache_hits : int;
       (** discharged by the proof cache: a previously checked trimmed
@@ -602,8 +544,9 @@ type summary = {
   mutable trimmed_clauses : int;
       (** proof additions kept after backward trimming (sums [steps]) *)
   mutable untrimmed_clauses : int;
-      (** proof additions in the forward logs before trimming *)
+      (** derived clauses in the producing solvers' logs before trimming *)
   mutable solve_seconds : float;
+      (** in-context extraction plus fallback re-solves *)
   mutable check_seconds : float;
   mutable failures : string list;  (** first few messages, oldest first *)
 }
@@ -616,6 +559,8 @@ let empty_summary () =
     folded = 0;
     interval = 0;
     drat = 0;
+    drat_ctx = 0;
+    fallback = 0;
     cached = 0;
     pcache_hits = 0;
     proof_clauses = 0;
@@ -633,7 +578,6 @@ type collector = {
   pcache : (int, drat_payload) Hashtbl.t;
       (* preprocessed key id -> checked trimmed proof; aligned with the
          query cache's key so solver cache hits become proof-cache hits *)
-  shared : shared_blast;  (* gate store reused across productions *)
   sum : summary;
   lock : Mutex.t;
 }
@@ -643,7 +587,6 @@ let create_collector ?max_conflicts () =
     max_conflicts;
     memo = Hashtbl.create 64;
     pcache = Hashtbl.create 64;
-    shared = create_shared_blast ();
     sum = empty_summary ();
     lock = Mutex.create ();
   }
@@ -659,20 +602,22 @@ let record_failure col msg =
     col.sum.failures <- col.sum.failures @ [ msg ]
 
 (* Account one fresh (non-provenance) result under the lock. *)
-let record_fresh col outcome ~pcache_hit solve_s check_s =
+let record_fresh col outcome (w : work) =
   let s = col.sum and g = S.stats in
   s.attempted <- s.attempted + 1;
   g.S.cert_attempted <- g.S.cert_attempted + 1;
-  s.solve_seconds <- s.solve_seconds +. solve_s;
-  s.check_seconds <- s.check_seconds +. check_s;
-  g.S.cert_solve_time <- g.S.cert_solve_time +. solve_s;
-  g.S.cert_check_time <- g.S.cert_check_time +. check_s;
+  s.solve_seconds <- s.solve_seconds +. w.solve_s;
+  s.check_seconds <- s.check_seconds +. w.check_s;
+  s.fallback <- s.fallback + w.resolves;
+  g.S.cert_solve_time <- g.S.cert_solve_time +. w.solve_s;
+  g.S.cert_check_time <- g.S.cert_check_time +. w.check_s;
+  g.S.cert_fallback <- g.S.cert_fallback + w.resolves;
   match outcome with
   | Ok cert ->
     s.certified <- s.certified + 1;
     g.S.cert_checked <- g.S.cert_checked + 1;
     (match cert.reason with
-    | R_folded ->
+    | R_folded _ ->
       s.folded <- s.folded + 1;
       g.S.cert_folded <- g.S.cert_folded + 1
     | R_interval _ ->
@@ -681,20 +626,22 @@ let record_fresh col outcome ~pcache_hit solve_s check_s =
     | R_drat p ->
       s.drat <- s.drat + 1;
       g.S.cert_drat <- g.S.cert_drat + 1;
-      if pcache_hit then begin
-        s.pcache_hits <- s.pcache_hits + 1;
-        g.S.cert_pcache_hits <- g.S.cert_pcache_hits + 1
-      end;
-      let adds =
-        List.length
-          (List.filter (function Drat.Add _ -> true | _ -> false) p.steps)
-      in
-      let dels = p.deletions in
+      let count f = List.length (List.filter f p.steps) in
+      let adds = count (function Drat.Add _ -> true | Drat.Delete _ -> false) in
+      let dels = List.length p.steps - adds in
       s.proof_clauses <- s.proof_clauses + adds;
       s.proof_deletions <- s.proof_deletions + dels;
       g.S.cert_proof_clauses <- g.S.cert_proof_clauses + adds;
       g.S.cert_proof_deletions <- g.S.cert_proof_deletions + dels;
-      if not pcache_hit then begin
+      if w.pcache_hit then begin
+        s.pcache_hits <- s.pcache_hits + 1;
+        g.S.cert_pcache_hits <- g.S.cert_pcache_hits + 1
+      end
+      else begin
+        if p.goal <> [||] then begin
+          s.drat_ctx <- s.drat_ctx + 1;
+          g.S.cert_drat_ctx <- g.S.cert_drat_ctx + 1
+        end;
         (* Trimming effectiveness over freshly produced proofs only
            (a cache hit re-checks an already-counted proof). *)
         s.trimmed_clauses <- s.trimmed_clauses + adds;
@@ -726,12 +673,11 @@ let record_cached col ok =
 
 (* Certify a refuted conjunction. Returns the checked certificate —
    [R_cached] when this exact raw conjunction was certified before —
-   or the producer/checker failure chain. [pre] and [core] come from
-   the answering solver when available (see {!Vdp_smt.Solver.last_pre}
-   and [last_core]): they let the producer skip re-preprocessing, blast
-   only the unsat core, and hit the proof cache on the same key the
-   query cache used. *)
-let certify_refutation ?pre ?core col (query : T.t list) : (t, string) result =
+   or the producer/checker failure chain. [stage], [pre] and [proof]
+   come from the answering context when there is one (see
+   {!Vdp_smt.Solver.last_stage}, [last_pre] and [last_proof]). *)
+let certify_refutation ?stage ?pre ?proof col (query : T.t list) :
+    (t, string) result =
   let key = T.and_ query in
   let prior = locked col (fun () -> Hashtbl.find_opt col.memo key.T.id) in
   match prior with
@@ -740,26 +686,22 @@ let certify_refutation ?pre ?core col (query : T.t list) : (t, string) result =
     if ok then Ok { query; key; reason = R_cached key.T.id }
     else error "previously failed to certify this conjunction"
   | None ->
-    let solve_s = ref 0. and check_s = ref 0. in
-    let pcache_hit = ref false in
+    let work = fresh_work () in
     let pcache_find id = locked col (fun () -> Hashtbl.find_opt col.pcache id) in
     let pcache_store id payload =
       locked col (fun () -> Hashtbl.replace col.pcache id payload)
     in
     let outcome =
-      produce ?max_conflicts:col.max_conflicts
-        ~shared:col.shared ?pre ?core ~pcache_find ~pcache_store ~pcache_hit
-        ~solve_seconds:solve_s ~check_seconds:check_s query
+      produce ?max_conflicts:col.max_conflicts ?stage ?pre ?proof
+        ~pcache_find ~pcache_store ~work query
     in
     locked col (fun () ->
         (* A racing domain may have finished the same key first; keep
            the first verdict, but account this (real) work too. *)
         if not (Hashtbl.mem col.memo key.T.id) then
           Hashtbl.replace col.memo key.T.id (Result.is_ok outcome);
-        record_fresh col outcome ~pcache_hit:!pcache_hit !solve_s !check_s);
+        record_fresh col outcome work);
     outcome
-
-let certified col query = Result.is_ok (certify_refutation col query)
 
 let summary col : summary =
   locked col (fun () -> { col.sum with attempted = col.sum.attempted })

@@ -17,10 +17,13 @@
    (assuming its negation and unit-propagating the current database
    yields a conflict) or, failing that, RAT on its first literal; each
    deletion must name a clause actually present (set-equal literals).
-   The trace is accepted only if it derives the empty clause and — when
-   the caller knows how many deletions the producer performed — the
+   The trace is accepted only if it derives the empty clause and, when
+   the caller knows how many deletions the producer performed, the
    deletion count matches, which is what catches a producer that
-   silently drops clauses without logging them. Steps after the
+   silently drops clauses without logging them. A trace may instead
+   establish a goal clause: its negation is then assumed, as unit
+   clauses, before the first step, so the trace refutes the CNF
+   together with the goal's negation. Steps after the
    derivation are applied without inference checks (this checker's
    eager root propagation can conflict before the lazier producer
    notices, so a valid trace may continue past that point), but they
@@ -174,13 +177,15 @@ let delete db lits =
     true
   | _ -> false
 
-(* Scan one clause under the current assignment. *)
+(* Scan one clause under the current assignment. A second unassigned
+   literal settles it as [Open] (or satisfied, which no caller tells
+   apart), so the scan stops there. *)
 type scan = Satisfied | Conflict | Unit of int | Open
 
 let scan_clause db lits =
   let unassigned = ref 0 and the_lit = ref 0 and sat = ref false in
   let i = ref 0 and len = Array.length lits in
-  while (not !sat) && !i < len do
+  while (not !sat) && !unassigned < 2 && !i < len do
     (match lit_state db lits.(!i) with
     | s when s = v_true -> sat := true
     | s when s = unknown ->
@@ -298,11 +303,15 @@ let error fmt = Printf.ksprintf (fun s -> Error s) fmt
    recorded CNF. [expected_deletions], when given, must equal the
    number of deletion steps successfully applied — producers record the
    solver's own deletion counters there, so a deletion performed but
-   not logged (or logged but not performed) is caught. *)
-let check ?expected_deletions ~nvars ~cnf steps : outcome =
+   not logged (or logged but not performed) is caught. [goal] is what
+   the trace establishes: the CNF implies it. Its default, the empty
+   clause, makes the trace a refutation of the CNF; a refutation under
+   assumptions [a1..ak] establishes [~a1 \/ .. \/ ~ak] instead. *)
+let check ?expected_deletions ?(goal = [||]) ~nvars ~cnf steps : outcome =
   let db = create () in
   ensure_var db (max 0 (nvars - 1));
   List.iter (fun lits -> ignore (insert db (Array.of_list lits))) cnf;
+  Array.iter (fun l -> ignore (insert db [| neg l |])) goal;
   let derived_empty = ref (rebuild_root db) in
   let ndel = ref 0 in
   let err = ref None in

@@ -202,22 +202,24 @@ let make_cert cfg =
 (* The certifier for refutations answered by [ctx]: it certifies
    exactly the conjunction the context decided — a pipeline path's
    condition, or a fabric path's plus its boot grounding. It hands the
-   certificate producer what the answering solver already knows: the
+   certificate producer what the answering context already knows: the
+   stage that decided (so tiers that cannot apply are skipped), the
    preprocessing result (so the proof cache is keyed exactly like the
-   query cache) and the unsat core over the residual conjuncts (so only
-   the core is re-blasted). All three are read synchronously, before
-   the context changes or runs another check; [defer] decides where the
-   produce-and-check work itself runs. *)
+   query cache) and, for a SAT-decided refutation, the trimmed proof
+   the context extracted before retiring the check's selector. All are
+   read synchronously, before the context runs another check; [defer]
+   decides where checking them runs. *)
 let certifier cert ctx ~defer =
   match cert with
   | None -> fun () -> ()
   | Some col ->
     fun () ->
-      let pre = Solver.last_pre ctx and core = Solver.last_core ctx in
-      let cond = Solver.asserted ctx in
+      let stage = Solver.last_stage ctx and pre = Solver.last_pre ctx in
+      let proof = Solver.last_proof ctx and cond = Solver.asserted ctx in
       defer (fun () ->
           ignore
-            (Vdp_cert.Certificate.certify_refutation ?pre ?core col cond
+            (Vdp_cert.Certificate.certify_refutation ?stage ?pre ?proof col
+               cond
               : (Vdp_cert.Certificate.t, string) result))
 
 let cert_summary cert = Option.map Vdp_cert.Certificate.summary cert

@@ -25,27 +25,13 @@ type ctx = {
   ite_cache : (int * int * int, int) Hashtbl.t;
   mutable gate_hits : int;
   mutable gate_misses : int;
-  (* Gate provenance for {!clause_cone}: per gate output variable, its
-     Tseitin defining clauses and the variables of its input literals.
-     Recorded only when the context is created with [~provenance:true]
-     — a long-lived context can then hand any subset of its gate graph
-     to a fresh solver as a self-contained CNF. *)
-  provenance : provenance option;
 }
 
-and provenance = {
-  defs : (int, int list list) Hashtbl.t;  (* gate var -> defining clauses *)
-  deps : (int, int list) Hashtbl.t;       (* gate var -> input vars *)
-}
-
-(* [~proof] turns on DRAT logging in the underlying solver before the
-   constant-true unit is asserted, so the recorded CNF is complete;
-   [~reduce_interval] is forwarded to {!Sat.create} (certification tests
-   shrink it to force clause-database deletions into the proof). *)
-let create ?reduce_interval ?(proof = false) ?(track = false)
-    ?(provenance = false) () =
-  let sat = Sat.create ?reduce_interval () in
-  if proof then Sat.enable_proof sat;
+(* [~track] turns on antecedent tracking in the underlying solver
+   before the constant-true unit is asserted, so the clause log is
+   complete. *)
+let create ?(track = false) () =
+  let sat = Sat.create () in
   if track then Sat.enable_tracking sat;
   let v = Sat.new_var sat in
   let true_lit = Sat.lit v true in
@@ -62,10 +48,6 @@ let create ?reduce_interval ?(proof = false) ?(track = false)
     ite_cache = Hashtbl.create 64;
     gate_hits = 0;
     gate_misses = 0;
-    provenance =
-      (if provenance then
-         Some { defs = Hashtbl.create 1024; deps = Hashtbl.create 1024 }
-       else None);
   }
 
 let gate_hits ctx = ctx.gate_hits
@@ -76,16 +58,6 @@ let false_lit ctx = Sat.lit_not ctx.true_lit
 let const_lit ctx b = if b then ctx.true_lit else false_lit ctx
 let fresh ctx = Sat.lit (Sat.new_var ctx.sat) true
 let clause ctx lits = Sat.add_clause ctx.sat lits
-
-(* Register a freshly defined gate: output literal, input literals, the
-   clauses just added. No-op unless provenance recording is on. *)
-let record_gate ctx o inputs clauses =
-  match ctx.provenance with
-  | None -> ()
-  | Some p ->
-    let v = Sat.lit_var o in
-    Hashtbl.replace p.defs v clauses;
-    Hashtbl.replace p.deps v (List.map Sat.lit_var inputs)
 
 (* {1 Gates} *)
 
@@ -107,12 +79,6 @@ let g_and ctx a b =
       clause ctx [ Sat.lit_not o; a ];
       clause ctx [ Sat.lit_not o; b ];
       clause ctx [ o; Sat.lit_not a; Sat.lit_not b ];
-      record_gate ctx o [ a; b ]
-        [
-          [ Sat.lit_not o; a ];
-          [ Sat.lit_not o; b ];
-          [ o; Sat.lit_not a; Sat.lit_not b ];
-        ];
       Hashtbl.add ctx.and_cache key o;
       o
   end
@@ -147,13 +113,6 @@ let g_xor ctx a b =
         clause ctx [ Sat.lit_not o; Sat.lit_not va; Sat.lit_not vb ];
         clause ctx [ o; Sat.lit_not va; vb ];
         clause ctx [ o; va; Sat.lit_not vb ];
-        record_gate ctx o [ va; vb ]
-          [
-            [ Sat.lit_not o; va; vb ];
-            [ Sat.lit_not o; Sat.lit_not va; Sat.lit_not vb ];
-            [ o; Sat.lit_not va; vb ];
-            [ o; va; Sat.lit_not vb ];
-          ];
         Hashtbl.add ctx.xor_cache key o;
         o
     in
@@ -182,15 +141,6 @@ let rec g_ite ctx c t e =
       clause ctx [ c; e; Sat.lit_not o ];
       clause ctx [ Sat.lit_not t; Sat.lit_not e; o ];
       clause ctx [ t; e; Sat.lit_not o ];
-      record_gate ctx o [ c; t; e ]
-        [
-          [ Sat.lit_not c; Sat.lit_not t; o ];
-          [ Sat.lit_not c; t; Sat.lit_not o ];
-          [ c; Sat.lit_not e; o ];
-          [ c; e; Sat.lit_not o ];
-          [ Sat.lit_not t; Sat.lit_not e; o ];
-          [ t; e; Sat.lit_not o ];
-        ];
       Hashtbl.add ctx.ite_cache key o;
       o
   end
@@ -444,33 +394,3 @@ let extract_model ctx : Model.t =
     (fun name l -> Model.set_bool m name (lit_model_value ctx l))
     ctx.bool_vars;
   m
-
-(* {1 Clause-cone extraction (provenance contexts)} *)
-
-(* The transitive Tseitin definition cone of [roots]: the defining
-   clauses of every gate reachable from the roots' variables through
-   gate input edges. Variables that name no gate (problem variables,
-   the constant-true var) terminate the walk. Gates come out in
-   ascending variable order, so certificate payloads built from a
-   shared context are deterministic. The cone plus the constant-true
-   unit is a self-contained CNF equisatisfiable with the roots'
-   conjunction once each root is asserted as a unit. *)
-let clause_cone ctx roots =
-  match ctx.provenance with
-  | None -> invalid_arg "Bitblast.clause_cone: provenance recording off"
-  | Some p ->
-    let seen = Hashtbl.create 256 in
-    let gates = ref [] in
-    let rec visit v =
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
-        match Hashtbl.find_opt p.deps v with
-        | Some ins ->
-          gates := v :: !gates;
-          List.iter visit ins
-        | None -> ()
-      end
-    in
-    List.iter (fun l -> visit (Sat.lit_var l)) roots;
-    let gate_vars = List.sort compare !gates in
-    List.concat_map (fun v -> Hashtbl.find p.defs v) gate_vars

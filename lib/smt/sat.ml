@@ -63,34 +63,38 @@ type proof = {
 
 (* {1 Antecedent tracking}
 
-   When enabled, every logged clause — problem clauses as asserted and
-   every derived (P_add) step — receives a monotonically increasing
-   {e serial}, and every derivation records which serials it resolved
-   on: the conflicting clause, each reason clause dereferenced by
-   conflict analysis, and the level-0 literals it silently dropped
-   (encoded as [-1 - var] and resolved lazily against the solver's
-   reason graph — level-0 assignments are never undone, so the reasons
-   survive until the walk). On every Unsat exit the solver immediately
-   computes the backward dependency cone from the final conflict.
+   When enabled, every clause addition — problem clauses as asserted and
+   every derived clause — receives a monotonically increasing {e serial}
+   and is logged under it, and every derivation records which serials
+   it resolved on: the conflicting clause, each reason clause
+   dereferenced by conflict analysis, and the level-0 literals it
+   silently dropped (encoded as [-1 - var] and resolved lazily against
+   the solver's reason graph — level-0 assignments are never undone, so
+   the reasons survive until the walk). Deletions are never logged: a
+   trimmed proof carries none. On every Unsat exit — including Unsat
+   under assumptions — the solver immediately computes the backward
+   dependency cone from the final conflict.
 
    Two consumers: {!last_cone_tags} maps the cone back to caller tags
    attached via [add_clause ~tag] (the incremental front end tags each
    asserted conjunct, turning the cone into an unsat core over the
-   query's conjuncts), and {!trimmed_proof} restricts a DRAT log to the
-   cone (backward proof trimming: only clauses reachable from the empty
-   clause are kept). Tracking costs one [match] per site when off. *)
+   query's conjuncts), and {!trimmed_proof} reads the cone's clauses
+   back out of the log in serial order (backward proof trimming: only
+   clauses reachable from the refutation are kept). Serials are
+   chronological, so that order puts every derived clause after its
+   antecedents. Tracking costs one [match] per site when off. *)
 
 type track = {
   mutable cser : int array;  (* clause arena id -> serial, -1 *)
   mutable vser : int array;  (* var -> serial of the unit step that
                                 assigned it at level 0, -1 *)
   mutable next_serial : int;
+  mutable log : int array array;  (* serial -> clause as logged *)
   ants : (int, int array) Hashtbl.t;  (* derived serial -> antecedents;
                                          entries >= 0 are serials,
-                                         [-1 - v] is variable [v] *)
+                                         [-1 - v] is variable [v]; the
+                                         keys are the derived serials *)
   tags : (int, int) Hashtbl.t;  (* serial -> caller tag *)
-  mutable orig_ser_rev : int list;  (* serial per [orig_rev] entry *)
-  mutable add_ser_rev : int list;  (* serial per [P_add] step *)
   mutable cone : (int, unit) Hashtbl.t option;  (* last Unsat's cone *)
 }
 
@@ -213,36 +217,44 @@ let enable_tracking s =
           cser = Array.make (max 64 (Array.length s.clauses)) (-1);
           vser = Array.make (max 32 s.nvars) (-1);
           next_serial = 0;
+          log = Array.make 64 [||];
           ants = Hashtbl.create 256;
           tags = Hashtbl.create 64;
-          orig_ser_rev = [];
-          add_ser_rev = [];
           cone = None;
         }
 
 let tracking s = s.track <> None
 
-(* Serial for the next [orig_rev] entry / [P_add] step; -1 when off. *)
-let track_orig s tag =
+(* Log [lits] under the next serial and return it; -1 when off. *)
+let track_clause s tag lits =
   match s.track with
   | None -> -1
   | Some tr ->
     let k = tr.next_serial in
     tr.next_serial <- k + 1;
-    tr.orig_ser_rev <- k :: tr.orig_ser_rev;
+    if k = Array.length tr.log then begin
+      let log = Array.make (2 * k) [||] in
+      Array.blit tr.log 0 log 0 k;
+      tr.log <- log
+    end;
+    tr.log.(k) <- lits;
     (match tag with Some t -> Hashtbl.replace tr.tags k t | None -> ());
     k
 
-let track_add s tag ants =
-  match s.track with
-  | None -> -1
-  | Some tr ->
-    let k = tr.next_serial in
-    tr.next_serial <- k + 1;
-    tr.add_ser_rev <- k :: tr.add_ser_rev;
-    (match ants with [] -> () | _ -> Hashtbl.replace tr.ants k (Array.of_list ants));
-    (match tag with Some t -> Hashtbl.replace tr.tags k t | None -> ());
-    k
+let track_orig s tag lits =
+  if s.track = None then -1 else track_clause s tag (Array.of_list lits)
+
+(* [lits] may be the very array the arena stores: watch maintenance
+   reorders it in place, which leaves the logged clause set-equal. *)
+let track_add s tag ants lits =
+  let k = track_clause s tag lits in
+  (match s.track with
+  | Some tr -> Hashtbl.replace tr.ants k (Array.of_list ants)
+  | None -> ());
+  k
+
+let num_derived s =
+  match s.track with None -> 0 | Some tr -> Hashtbl.length tr.ants
 
 let num_vars s = s.nvars
 let num_clauses s = s.nclauses
@@ -495,7 +507,7 @@ and add_clause ?tag s lits =
     backtrack s 0;
     let lits = List.sort_uniq Stdlib.compare lits in
     log_orig s lits;
-    let so = track_orig s tag in
+    let so = track_orig s tag lits in
     let tautology =
       List.exists (fun l -> List.mem (lit_not l) lits) lits
     in
@@ -518,6 +530,7 @@ and add_clause ?tag s lits =
                  (fun l ->
                    if lit_value s l = 0 then Some (-1 - lit_var l) else None)
                  lits)
+            (Array.of_list kept)
         else so
       in
       match kept with
@@ -755,7 +768,7 @@ let solve ?(max_conflicts = max_int) ?(assumptions = []) s =
                        (fun l -> -1 - lit_var l)
                        s.clauses.(cid).lits)
               in
-              let sa = track_add s None deps in
+              let sa = track_add s None deps [||] in
               set_cone s [ sa ]
             | None -> ());
             status := Some Unsat
@@ -766,22 +779,23 @@ let solve ?(max_conflicts = max_int) ?(assumptions = []) s =
             (match learned with
             | [ l ] ->
               log_add s [ l ];
-              let sa = track_add s None ants in
+              let sa = track_add s None ants [| l |] in
               enqueue s l (-1);
               (match s.track with
               | Some tr -> tr.vser.(lit_var l) <- sa
               | None -> ())
             | l :: _ ->
               log_add s learned;
-              let sa = track_add s None ants in
-              let lid = add_clause_internal s (Array.of_list learned) true in
+              let arr = Array.of_list learned in
+              let sa = track_add s None ants arr in
+              let lid = add_clause_internal s arr true in
               (match s.track with
               | Some tr -> tr.cser.(lid) <- sa
               | None -> ());
               enqueue s l lid
             | [] ->
               log_add s [];
-              let sa = track_add s None ants in
+              let sa = track_add s None ants [||] in
               set_cone s [ sa ];
               status := Some Unsat);
             var_decay s;
@@ -861,7 +875,7 @@ let simplify s =
           @ Array.to_list
               (Array.map (fun l -> -1 - lit_var l) s.clauses.(cid).lits)
         in
-        let sa = track_add s None deps in
+        let sa = track_add s None deps [||] in
         set_cone s [ sa ]
       | None -> ()
     end
@@ -902,25 +916,49 @@ let last_cone_tags s =
     Hashtbl.fold (fun tag () l -> tag :: l) acc []
   | _ -> []
 
-let trimmed_proof s =
-  match (s.proof, s.track) with
-  | Some p, Some ({ cone = Some cone; _ } as tr) ->
-    (* [orig_rev]/[orig_ser_rev] and the P_add subsequence of
-       [steps_rev]/[add_ser_rev] are newest-first and aligned entry for
-       entry; folding left while prepending restores oldest-first. *)
-    let cnf =
-      List.fold_left2
-        (fun acc lits ser -> if Hashtbl.mem cone ser then lits :: acc else acc)
-        [] p.orig_rev tr.orig_ser_rev
-    in
-    let adds =
-      let padds =
-        List.filter (function P_add _ -> true | P_delete _ -> false)
-          p.steps_rev
+type trimmed = {
+  nvars : int;
+  cnf : int list list;
+  steps : int array list;
+  goal : int array;
+}
+
+let trimmed_proof ?(assumptions = []) s =
+  match s.track with
+  | Some ({ cone = Some cone; _ } as tr) ->
+    let sers = Array.of_seq (Hashtbl.to_seq_keys cone) in
+    Array.sort Int.compare sers;
+    (* Renumber the cone's variables densely, in order of first
+       occurrence: a long-lived context numbers every gate it ever
+       encoded, a proof only needs the ones it mentions. *)
+    let map = Hashtbl.create 256 in
+    let mlit l =
+      let v = lit_var l in
+      let v' =
+        match Hashtbl.find_opt map v with
+        | Some v' -> v'
+        | None ->
+          let v' = Hashtbl.length map in
+          Hashtbl.add map v v';
+          v'
       in
-      List.fold_left2
-        (fun acc step ser -> if Hashtbl.mem cone ser then step :: acc else acc)
-        [] padds tr.add_ser_rev
+      (2 * v') lor (l land 1)
     in
-    Some (cnf, adds)
+    let cnf = ref [] and steps = ref [] in
+    Array.iter
+      (fun ser ->
+        let c = Array.map mlit tr.log.(ser) in
+        if Hashtbl.mem tr.ants ser then steps := c :: !steps
+        else cnf := Array.to_list c :: !cnf)
+      sers;
+    let goal =
+      Array.of_list (List.map (fun a -> mlit (lit_not a)) assumptions)
+    in
+    Some
+      {
+        nvars = Hashtbl.length map;
+        cnf = List.rev !cnf;
+        steps = List.rev !steps;
+        goal;
+      }
   | _ -> None

@@ -91,10 +91,10 @@ val num_reductions : t -> int
 
     A {!solve} under non-empty [assumptions] that answers [Unsat] does
     {e not} derive the empty clause (the refutation is relative to the
-    assumptions), so such traces do not certify anything on their own;
-    certificate producers re-solve assumption-free. [Unknown] answers
-    likewise leave the trace without an empty clause, so a budget-starved
-    run can never be mistaken for a refutation. *)
+    assumptions); what it derives is the negated assumptions, which is
+    what {!trimmed_proof} hands out as its goal. [Unknown] answers leave
+    the trace without an empty clause, so a budget-starved run can never
+    be mistaken for a refutation. *)
 
 type proof_step =
   | P_add of int array  (** learned (RUP) clause; [[||]] is the empty clause *)
@@ -116,15 +116,20 @@ val proof_sizes : t -> int * int
 (** {1 Antecedent tracking: unsat cores and backward proof trimming}
 
     When enabled (before any clause is added), every asserted clause and
-    every derived clause receives a serial, and each derivation records
-    the serials it resolved on. On every [Unsat] exit — including
-    [Unsat] under assumptions — the solver captures the backward
-    dependency {e cone} of the final conflict before undoing any
-    assignment. The cone supports two queries, valid until the next
-    {!solve} or until another clause refutes the database. *)
+    every derived clause receives a serial and is logged under it, and
+    each derivation records the serials it resolved on. Deletions are
+    not logged. On every [Unsat] exit — including [Unsat] under
+    assumptions — the solver captures the backward dependency {e cone}
+    of the final conflict before undoing any assignment. The cone
+    supports two queries, valid until the next {!solve} or until
+    another clause refutes the database. *)
 
 val enable_tracking : t -> unit
 val tracking : t -> bool
+
+val num_derived : t -> int
+(** Derived clauses logged by tracking so far: the forward log a proof
+    would carry without trimming. *)
 
 val last_cone_tags : t -> int list
 (** Tags (from [add_clause ~tag]) of the asserted clauses inside the
@@ -132,11 +137,20 @@ val last_cone_tags : t -> int list
     caller tagged. Unordered, deduplicated. [[]] if tracking is off or
     the last answer was not [Unsat]. *)
 
-val trimmed_proof : t -> (int list list * proof_step list) option
-(** Backward-trimmed refutation: the subset of {!proof_cnf} and of the
-    [P_add] steps reachable from the empty clause of the last
-    assumption-free [Unsat], both oldest first and with no deletions.
-    Every kept derived clause is RUP with respect to the clauses kept
-    before it, so the trimmed trace checks as a standard forward DRAT
-    proof with an expected deletion count of 0. [None] unless both
-    proof logging and tracking are on and a cone was captured. *)
+type trimmed = {
+  nvars : int;  (** variables after dense renumbering *)
+  cnf : int list list;  (** asserted clauses in the cone, oldest first *)
+  steps : int array list;  (** derived clauses in the cone, oldest first *)
+  goal : int array;
+      (** the negated assumptions (renumbered); [[||]] without
+          assumptions, where the last step is the empty clause *)
+}
+
+val trimmed_proof : ?assumptions:int list -> t -> trimmed option
+(** Backward-trimmed refutation of the last [Unsat], in O(cone): the
+    logged clauses inside its dependency cone, variables renumbered
+    densely. [assumptions] must be the ones that [solve] was given. Every
+    kept derived clause is RUP with respect to the clauses kept before
+    it, and [goal] is RUP after all of them, so the trace checks as
+    forward DRAT with no deletions. [None] unless tracking is on and
+    a cone was captured. *)

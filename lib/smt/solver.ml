@@ -40,6 +40,8 @@ type stats = {
   mutable cert_pcache_hits : int;
   mutable cert_trimmed_clauses : int;  (* proof adds kept after trimming *)
   mutable cert_untrimmed_clauses : int;  (* proof adds before trimming *)
+  mutable cert_drat_ctx : int;  (* DRAT read from the answering context *)
+  mutable cert_fallback : int;  (* fresh re-solves run to produce DRAT *)
   (* Scheduler counters, copied from [Vdp_core.Pool] after a parallel
      run so they ride the same stats/reporting plumbing. *)
   mutable sched_spawned : int;
@@ -85,6 +87,8 @@ let fresh_stats () =
     cert_pcache_hits = 0;
     cert_trimmed_clauses = 0;
     cert_untrimmed_clauses = 0;
+    cert_drat_ctx = 0;
+    cert_fallback = 0;
     sched_spawned = 0;
     sched_executed = 0;
     sched_stolen = 0;
@@ -143,6 +147,8 @@ let reset_stats_record s =
   s.cert_pcache_hits <- 0;
   s.cert_trimmed_clauses <- 0;
   s.cert_untrimmed_clauses <- 0;
+  s.cert_drat_ctx <- 0;
+  s.cert_fallback <- 0;
   s.sched_spawned <- 0;
   s.sched_executed <- 0;
   s.sched_stolen <- 0;
@@ -167,12 +173,21 @@ let now () = Unix.gettimeofday ()
    query's own eliminated variables. [Unknown] answers are never
    cached: they depend on the conflict budget. *)
 
+type proof = {
+  trimmed : Sat.trimmed;
+  core : Term.t list;
+  logged : int;
+  extract_seconds : float;
+}
+
 module Cache = struct
   module B = Vdp_bitvec.Bitvec
 
   type t = {
-    table : (int, outcome * (int * B.t) list) Hashtbl.t;
-        (* outcome plus the static-state slices (Static_data id,
+    table : (int, outcome * proof option * (int * B.t) list) Hashtbl.t;
+        (* outcome, the answering context's proof of an [Unsat] when it
+           tracked one (so a hit in a certifying context needs no
+           re-solve), and the static-state slices (Static_data id,
            concrete key) the query depended on: a config mutation of
            one of those slices drops exactly the dependent entries *)
     order : int Queue.t;  (* insertion order, for FIFO eviction *)
@@ -208,10 +223,11 @@ module Cache = struct
   let length c = guarded c (fun () -> Hashtbl.length c.table)
 
   let find c id =
-    guarded c (fun () -> Option.map fst (Hashtbl.find_opt c.table id))
+    guarded c (fun () ->
+        Option.map (fun (o, p, _) -> (o, p)) (Hashtbl.find_opt c.table id))
 
   (* Returns the number of evicted entries (0 or 1). *)
-  let add c id outcome deps =
+  let add c id outcome proof deps =
     guarded c (fun () ->
         if Hashtbl.mem c.table id then 0
         else begin
@@ -233,7 +249,7 @@ module Cache = struct
             end
             else 0
           in
-          Hashtbl.add c.table id (outcome, deps);
+          Hashtbl.add c.table id (outcome, proof, deps);
           Queue.add id c.order;
           evicted
         end)
@@ -244,7 +260,7 @@ module Cache = struct
     guarded c (fun () ->
         let victims =
           Hashtbl.fold
-            (fun id (_, deps) acc ->
+            (fun id (_, _, deps) acc ->
               if
                 List.exists
                   (fun (sid', k) -> sid' = sid && B.equal k key)
@@ -286,13 +302,21 @@ let finish sts (o : outcome) =
   | Unknown -> tally sts (fun s -> s.unknown_answers <- s.unknown_answers + 1));
   o
 
-let cache_store sts cache id outcome deps =
+let cache_store sts cache id ?proof outcome deps =
   match (cache, outcome) with
   | Some c, (Sat _ | Unsat) ->
-    let evicted = Cache.add c id outcome deps in
+    let evicted = Cache.add c id outcome proof deps in
     if evicted > 0 then
       tally sts (fun s -> s.cache_evictions <- s.cache_evictions + evicted)
   | _ -> ()
+
+type stage =
+  | Folded
+  | Interval_raw
+  | Folded_pre
+  | Interval_pre
+  | Cached
+  | Solved
 
 (* The shared front end: raw-level interval refutation, word-level
    preprocessing, constant folding, cache lookup, a second interval
@@ -304,18 +328,26 @@ let cache_store sts cache id outcome deps =
    front end completes it with the eliminated variables' bindings and
    re-validates against the original conjunction, so neither a
    preprocessing nor a blasting bug can produce a bogus
-   counterexample. *)
-let check_conj sts ?cache ?(deps = []) ?(on_pre = fun _ -> ()) ~preprocess
-    terms ~blast_and_solve =
+   counterexample. [on_stage] learns which stage decided, and
+   [on_proof] the proof stored with a cached answer. [blast_and_solve]
+   also returns the proof of an [Unsat], if it tracked one, for the
+   cache entry. *)
+let check_conj sts ?cache ?(deps = []) ?(on_pre = fun _ -> ())
+    ?(on_stage = fun _ -> ()) ?(on_proof = fun _ -> ()) ~preprocess terms
+    ~blast_and_solve =
   tally sts (fun s -> s.calls <- s.calls + 1);
+  let decided stage o =
+    on_stage stage;
+    finish sts o
+  in
   let raw = Term.and_ terms in
   if Term.is_false raw then begin
     tally sts (fun s -> s.folded <- s.folded + 1);
-    finish sts Unsat
+    decided Folded Unsat
   end
   else if Interval.refute raw then begin
     tally sts (fun s -> s.interval_refutations <- s.interval_refutations + 1);
-    finish sts Unsat
+    decided Interval_raw Unsat
   end
   else
   let t0 = now () in
@@ -333,17 +365,18 @@ let check_conj sts ?cache ?(deps = []) ?(on_pre = fun _ -> ()) ~preprocess
   in
   if Term.is_true key then begin
     tally sts (fun s -> s.folded <- s.folded + 1);
-    finish sts (accept (Model.create ()))
+    decided Folded_pre (accept (Model.create ()))
   end
   else if Term.is_false key then begin
     tally sts (fun s -> s.folded <- s.folded + 1);
-    finish sts Unsat
+    decided Folded_pre Unsat
   end
   else
     match Option.bind cache (fun c -> Cache.find c key.Term.id) with
-    | Some o ->
+    | Some (o, proof) ->
       tally sts (fun s -> s.cache_hits <- s.cache_hits + 1);
-      finish sts (match o with Sat m -> accept m | o -> o)
+      on_proof proof;
+      decided Cached (match o with Sat m -> accept m | o -> o)
     | None ->
       if cache <> None then
         tally sts (fun s -> s.cache_misses <- s.cache_misses + 1);
@@ -351,12 +384,12 @@ let check_conj sts ?cache ?(deps = []) ?(on_pre = fun _ -> ()) ~preprocess
         tally sts (fun s ->
             s.interval_refutations <- s.interval_refutations + 1);
         cache_store sts cache key.Term.id Unsat deps;
-        finish sts Unsat
+        decided Interval_pre Unsat
       end
       else begin
-        let o = blast_and_solve pre in
-        cache_store sts cache key.Term.id o deps;
-        finish sts (match o with Sat m -> accept m | o -> o)
+        let o, proof = blast_and_solve pre in
+        cache_store sts cache key.Term.id ?proof o deps;
+        decided Solved (match o with Sat m -> accept m | o -> o)
       end
 
 (* Charge blast/solve phase timings and CNF growth to [sts]. *)
@@ -390,10 +423,11 @@ let check ?(max_conflicts = max_int) ?cache ?deps ?(preprocess = true) terms =
             List.iter (Bitblast.assert_term bb) pre.Preprocess.conjuncts)
           ~solve:(fun () -> Sat.solve ~max_conflicts (Bitblast.sat bb))
       in
-      match r with
-      | Sat.Sat -> Sat (Bitblast.extract_model bb)
-      | Sat.Unsat -> Unsat
-      | Sat.Unknown -> Unknown)
+      ( (match r with
+        | Sat.Sat -> Sat (Bitblast.extract_model bb)
+        | Sat.Unsat -> Unsat
+        | Sat.Unknown -> Unknown),
+        None ))
 
 let check_term ?max_conflicts t = check ?max_conflicts [ t ]
 
@@ -433,13 +467,14 @@ type ctx = {
   track_core : bool;
   mutable checks : int;  (* solved (non-cached) checks, for simplify cadence *)
   (* Residue of the last [check_ctx], for certificate producers: the
-     preprocessing result (so the certifier shares the exact
-     preprocessed key the query cache and proof cache use) and, when
-     [track_core] and the answer was [Unsat], the unsat core — the
-     subset of residual conjuncts inside the SAT solver's dependency
-     cone. Both are [None] when the check exited before that stage. *)
+     stage that decided it, the preprocessing result (so the certifier
+     shares the exact preprocessed key the query cache and proof cache
+     use) and, when [track_core] and the SAT core answered [Unsat], the
+     trimmed in-context proof. Each is [None] when the check did not
+     get that far. *)
+  mutable last_stage : stage option;
   mutable last_pre : Preprocess.result option;
-  mutable last_core : Term.t list option;
+  mutable last_proof : proof option;
 }
 
 let create_ctx ?cache ?(track_core = false) () =
@@ -450,8 +485,9 @@ let create_ctx ?cache ?(track_core = false) () =
     cache;
     track_core;
     checks = 0;
+    last_stage = None;
     last_pre = None;
-    last_core = None;
+    last_proof = None;
   }
 
 let ctx_stats ctx = ctx.cstats
@@ -476,15 +512,45 @@ let assert_term ctx t = assert_terms ctx [ t ]
 
 let asserted ctx = List.concat_map (fun sc -> sc.asserted) ctx.scopes
 
+let last_stage ctx = ctx.last_stage
 let last_pre ctx = ctx.last_pre
-let last_core ctx = ctx.last_core
+let last_proof ctx = ctx.last_proof
+
+(* The cone of this check's refutation, read before the selector is
+   retired. Old checks' clauses are level-0-satisfied by their retired
+   selectors (and every clause learned from them carries that
+   selector's negation), so the cone's tags all index into {e this}
+   check's conjuncts. *)
+let extract_proof sat ~selector conjuncts =
+  let t0 = now () in
+  let arr = Array.of_list conjuncts in
+  let core =
+    List.filter_map
+      (fun i -> if i >= 0 && i < Array.length arr then Some arr.(i) else None)
+      (List.sort_uniq Int.compare (Sat.last_cone_tags sat))
+  in
+  Option.map
+    (fun trimmed ->
+      {
+        trimmed;
+        core;
+        logged = Sat.num_derived sat;
+        extract_seconds = now () -. t0;
+      })
+    (Sat.trimmed_proof ~assumptions:[ selector ] sat)
 
 let check_ctx ?(max_conflicts = max_int) ?deps ctx =
   let sts = [ stats; ctx.cstats ] in
+  ctx.last_stage <- None;
   ctx.last_pre <- None;
-  ctx.last_core <- None;
+  ctx.last_proof <- None;
   check_conj sts ?cache:ctx.cache ?deps ~preprocess:true
     ~on_pre:(fun pre -> ctx.last_pre <- Some pre)
+    ~on_stage:(fun st -> ctx.last_stage <- Some st)
+    ~on_proof:(fun p ->
+      (* The extraction was paid, and charged, by the context that
+         solved it. *)
+      ctx.last_proof <- Option.map (fun p -> { p with extract_seconds = 0. }) p)
     (asserted ctx)
     ~blast_and_solve:(fun pre ->
       let sat = Bitblast.sat ctx.bb in
@@ -513,28 +579,16 @@ let check_ctx ?(max_conflicts = max_int) ?deps ctx =
         match r with
         | Sat.Sat -> Sat (Bitblast.extract_model ctx.bb)
         | Sat.Unsat ->
-          if ctx.track_core then begin
-            (* Read the cone before the selector-retiring [add_clause]
-               below touches the solver. Old checks' clauses are
-               level-0-satisfied by their retired selectors, so the
-               cone's tags all index into {e this} check's conjuncts. *)
-            let arr = Array.of_list pre.Preprocess.conjuncts in
-            let core =
-              List.filter_map
-                (fun i ->
-                  if i >= 0 && i < Array.length arr then Some arr.(i)
-                  else None)
-                (Sat.last_cone_tags sat)
-            in
-            ctx.last_core <- Some core
-          end;
+          if ctx.track_core then
+            ctx.last_proof <-
+              extract_proof sat ~selector pre.Preprocess.conjuncts;
           Unsat
         | Sat.Unknown -> Unknown
       in
       (* Permanently retire the selector: this check's root clauses
          become satisfied at level 0 and never burden the search again. *)
       Sat.add_clause sat [ Sat.lit_not selector ];
-      outcome)
+      (outcome, ctx.last_proof))
 
 let pp_outcome fmt = function
   | Sat m -> Format.fprintf fmt "sat@ %a" Model.pp m

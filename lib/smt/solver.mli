@@ -62,7 +62,8 @@ type stats = {
   mutable cert_proof_clauses : int;  (** DRAT clause additions logged *)
   mutable cert_proof_deletions : int;  (** DRAT clause deletions logged *)
   mutable cert_solve_time : float;
-      (** wall seconds re-blasting + re-solving to produce proofs *)
+      (** wall seconds producing proofs: reading them out of the
+          answering context, plus fallback re-solves *)
   mutable cert_check_time : float;
       (** wall seconds in the independent checker *)
   mutable cert_pcache_hits : int;
@@ -72,6 +73,10 @@ type stats = {
       (** DRAT proof additions kept after backward trimming *)
   mutable cert_untrimmed_clauses : int;
       (** DRAT proof additions before trimming (the forward log) *)
+  mutable cert_drat_ctx : int;
+      (** discharged by DRAT read from the context that answered *)
+  mutable cert_fallback : int;
+      (** fresh, assumption-free re-solves run to produce DRAT *)
   mutable sched_spawned : int;
       (** scheduler counters, copied from [Vdp_core.Pool] after a
           parallel run: tasks spawned *)
@@ -96,9 +101,10 @@ val fresh_stats : unit -> stats
 (** Memoizes definite ([Sat]/[Unsat]) answers keyed on the hash-consed
     id of the *preprocessed* constraint conjunction, so queries that
     differ only in eliminated conjuncts collide; cached [Sat] models
-    are re-completed per hit. [Unknown] answers are never cached
-    because they depend on the conflict budget. Bounded, with FIFO
-    eviction. *)
+    are re-completed per hit, and an [Unsat] keeps the in-context proof
+    of the context that solved it (see {!last_proof}). [Unknown]
+    answers are never cached because they depend on the conflict
+    budget. Bounded, with FIFO eviction. *)
 module Cache : sig
   type t
 
@@ -149,9 +155,9 @@ type ctx
 val create_ctx : ?cache:Cache.t -> ?track_core:bool -> unit -> ctx
 (** A fresh context with one root scope. Contexts are not thread-safe;
     create one per exploration. [track_core] turns on antecedent
-    tracking in the underlying SAT solver: every [Unsat] from
-    {!check_ctx} then exposes an unsat core over the residual conjuncts
-    via {!last_core} (certificate producers blast only that subset). *)
+    tracking and clause logging in the underlying SAT solver: every
+    SAT-decided [Unsat] from {!check_ctx} then exposes a trimmed proof
+    via {!last_proof}. *)
 
 val push : ctx -> unit
 (** Open a new scope; subsequent {!assert_terms} go into it. *)
@@ -182,6 +188,23 @@ val asserted : ctx -> Term.t list
 val ctx_stats : ctx -> stats
 (** This context's own counters (also folded into {!stats}). *)
 
+(** Which stage of the pipeline decided a check: the raw conjunction
+    folded to [false], raw interval refutation, the preprocessed
+    conjunction folded, interval refutation of the residual, a
+    query-cache hit, or the SAT core. *)
+type stage =
+  | Folded
+  | Interval_raw
+  | Folded_pre
+  | Interval_pre
+  | Cached
+  | Solved
+
+val last_stage : ctx -> stage option
+(** The stage that decided the most recent {!check_ctx}. Certificate
+    producers skip the tiers that stage has already shown cannot
+    apply. *)
+
 val last_pre : ctx -> Preprocess.result option
 (** Preprocessing result of the most recent {!check_ctx} on this
     context, when the check got as far as preprocessing (i.e. was not
@@ -189,11 +212,26 @@ val last_pre : ctx -> Preprocess.result option
     producers reuse it so the certified residual — and the proof-cache
     key — are exactly the ones the query cache saw. *)
 
-val last_core : ctx -> Term.t list option
-(** Unsat core of the most recent {!check_ctx}, when the context was
-    created with [track_core:true] and the answer was a solver-level
-    [Unsat]: the subset of [last_pre]'s residual conjuncts whose root
-    clauses lie in the SAT solver's dependency cone. Refuting this
-    subset refutes the residual. *)
+(** An in-context refutation: the SAT core's dependency cone for one
+    check, read out before the check's selector was retired. *)
+type proof = {
+  trimmed : Sat.trimmed;
+      (** the cone's CNF and derivation steps; [goal] is the one-literal
+          clause [~selector]. The CNF mentions the selector only in the
+          binary root clauses [~selector \/ l] of [core]'s conjuncts *)
+  core : Term.t list;
+      (** the residual conjuncts ([last_pre]'s) whose root clauses lie
+          in the cone *)
+  logged : int;
+      (** derived clauses the context had logged: the proof's size
+          before trimming *)
+  extract_seconds : float;
+}
+
+val last_proof : ctx -> proof option
+(** The proof of the most recent {!check_ctx}, when the context was
+    created with [track_core:true] and the SAT core answered [Unsat].
+    A query-cache hit carries the proof stored with the cached answer,
+    when the context that solved it tracked one. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

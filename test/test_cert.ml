@@ -348,23 +348,17 @@ let trimming_tests =
         in
         match Sat.trimmed_proof s with
         | None -> Alcotest.fail "expected a trimmed proof"
-        | Some (cnf, steps) ->
-          let adds =
-            List.length
-              (List.filter (function Sat.P_add _ -> true | _ -> false) steps)
-          in
-          let dels =
-            List.length
-              (List.filter
-                 (function Sat.P_delete _ -> true | _ -> false)
-                 steps)
-          in
-          check_bool "strictly fewer additions" true (adds < forward_adds);
-          check_int "no deletions survive trimming" 0 dels;
+        | Some tp ->
+          check_bool "strictly fewer additions" true
+            (List.length tp.Sat.steps < forward_adds);
+          check_int "logged as many derivations as the forward log"
+            forward_adds (Sat.num_derived s);
+          check_bool "no goal without assumptions" true (tp.Sat.goal = [||]);
           check_bool "trimmed proof checks" true
             (is_ok
-               (D.check ~expected_deletions:0 ~nvars:(Sat.num_vars s) ~cnf
-                  (to_drat steps))));
+               (D.check ~expected_deletions:0 ~nvars:tp.Sat.nvars
+                  ~cnf:tp.Sat.cnf
+                  (List.map (fun c -> D.Add c) tp.Sat.steps))));
     Alcotest.test_case "certificate proofs are trimmed strictly smaller"
       `Quick (fun () ->
         match drat_payload_of (produce (pcache_q1 ())) with
@@ -376,7 +370,7 @@ let trimming_tests =
           in
           check_bool "trimmed below the forward log" true
             (adds < p.C.untrimmed);
-          check_int "deletion-free" 0 p.C.deletions);
+          check_int "deletion-free" (List.length p.C.steps) adds);
     Alcotest.test_case "proof-cache hit passes the independent checker"
       `Quick (fun () ->
         let col = C.create_collector () in
@@ -394,8 +388,8 @@ let trimming_tests =
         | Some p ->
           check_bool "cached payload re-checks" true
             (is_ok
-               (D.check ~expected_deletions:p.C.deletions ~nvars:p.C.nvars
-                  ~cnf:p.C.cnf p.C.steps)));
+               (D.check ~expected_deletions:0 ~nvars:p.C.nvars ~cnf:p.C.cnf
+                  p.C.steps)));
     Alcotest.test_case "tampered cached proof is rejected, not trusted"
       `Quick (fun () ->
         let col = C.create_collector () in
@@ -424,8 +418,8 @@ let trimming_tests =
           check_bool "fresh payload has a CNF again" true (p.C.cnf <> []);
           check_bool "fresh payload re-checks" true
             (is_ok
-               (D.check ~expected_deletions:p.C.deletions ~nvars:p.C.nvars
-                  ~cnf:p.C.cnf p.C.steps)));
+               (D.check ~expected_deletions:0 ~nvars:p.C.nvars ~cnf:p.C.cnf
+                  p.C.steps)));
   ]
 
 (* {1 Randomized differential: certificates vs brute force}
@@ -584,6 +578,194 @@ let verifier_tests =
           check_int "all certified" c.C.attempted c.C.certified);
   ]
 
+(* {1 In-context certificates}
+
+   Refutations certified from the incremental context that decided
+   them: the DRAT proof is the SAT core's cone under the check's
+   selector, read out before the selector is retired. *)
+
+(* Constant-free relations between the variables of [random_query]:
+   interval reasoning learns nothing from them, so their refutations
+   fall to the SAT core. *)
+let random_relation st =
+  let var () = T.var [| "ra"; "rb"; "rc"; "rd" |].(Random.State.int st 4) 3 in
+  let term () =
+    match Random.State.int st 4 with
+    | 0 -> T.add (var ()) (var ())
+    | 1 -> T.sub (var ()) (var ())
+    | 2 -> T.bxor (var ()) (var ())
+    | _ -> var ()
+  in
+  List.init (1 + Random.State.int st 3) (fun _ ->
+      match Random.State.int st 4 with
+      | 0 -> T.ule (term ()) (term ())
+      | 1 -> T.ult (term ()) (term ())
+      | 2 -> T.eq (term ()) (term ())
+      | _ -> T.not_ (T.eq (term ()) (term ())))
+
+(* Certify what [ctx] just refuted, from what the context hands over. *)
+let certify_in ?work ctx =
+  C.produce ?work ?stage:(Solver.last_stage ctx) ?pre:(Solver.last_pre ctx)
+    ?proof:(Solver.last_proof ctx) (Solver.asserted ctx)
+
+(* One SAT-decided refutation on a fresh context, and its payload. *)
+let ctx_payload () =
+  let ctx = Solver.create_ctx ~track_core:true () in
+  let q = pcache_q1 () in
+  Solver.assert_terms ctx q;
+  check_bool "unsat" true (Solver.check_ctx ctx = Solver.Unsat);
+  check_bool "decided by the SAT core" true
+    (Solver.last_stage ctx = Some Solver.Solved);
+  match certify_in ctx with
+  | Ok ({ C.reason = C.R_drat p; _ } as cert) when C.kind cert = "drat-ctx"
+    ->
+    (q, p)
+  | Ok cert -> Alcotest.failf "expected drat-ctx, got %s" (C.kind cert)
+  | Error e -> Alcotest.failf "uncertified: %s" e
+
+let context_tests =
+  [
+    Alcotest.test_case "goal clause: established by the steps, or rejected"
+      `Quick (fun () ->
+        (* [cnf2] guarded by a selector [v2]: it implies [~v2], but only
+           through the lemma [~v2 | v1]. *)
+        let sel = pos 2 in
+        let cnf = List.map (fun c -> neg 2 :: c) cnf2 in
+        let lemma = D.Add [| neg 2; pos 1 |] in
+        let goal_check ?goal steps = D.check ?goal ~nvars:3 ~cnf steps in
+        check_bool "goal ~sel established" true
+          (is_ok (goal_check ~goal:[| neg 2 |] [ lemma ]));
+        check_bool "goal needs the lemma" false
+          (is_ok (goal_check ~goal:[| neg 2 |] []));
+        check_bool "flipped goal rejected" false
+          (is_ok (goal_check ~goal:[| sel |] [ lemma ]));
+        check_bool "no goal: the CNF itself is not refuted" false
+          (is_ok (goal_check [ lemma ])));
+    Alcotest.test_case "200 random checks on one context: in-context DRAT"
+      `Quick (fun () ->
+        (* No query cache: every check that gets past folding and the
+           interval tiers is decided by the SAT core of this one
+           context, whose learned clauses and gates pile up across
+           checks. Checks nest: each group shares a prefix scope. Every
+           refutation is certified from the tier its deciding stage
+           names, without a re-solve. *)
+        let st = Random.State.make [| 0x1C7 |] in
+        let ctx = Solver.create_ctx ~track_core:true () in
+        let checks = ref 0 and in_context = ref 0 in
+        while !checks < 240 do
+          Solver.push ctx;
+          Solver.assert_terms ctx (random_relation st);
+          for _ = 1 to 4 do
+            Solver.push ctx;
+            Solver.assert_terms ctx (random_relation st @ random_relation st);
+            incr checks;
+            let expect = brute_force (Solver.asserted ctx) in
+            (match Solver.check_ctx ctx with
+            | Solver.Sat _ ->
+              if not expect then
+                Alcotest.failf "check %d: Sat, brute force says unsat" !checks
+            | Solver.Unknown -> Alcotest.failf "check %d: Unknown" !checks
+            | Solver.Unsat -> (
+              if expect then
+                Alcotest.failf "check %d: Unsat, brute force found a model"
+                  !checks;
+              let work = C.fresh_work () in
+              match certify_in ~work ctx with
+              | Error e -> Alcotest.failf "check %d: uncertified: %s" !checks e
+              | Ok cert ->
+                if work.C.resolves > 0 then
+                  Alcotest.failf "check %d: certified by a re-solve" !checks;
+                if not (is_ok (C.check cert)) then
+                  Alcotest.failf "check %d: certificate fails recheck" !checks;
+                if Solver.last_stage ctx = Some Solver.Solved then begin
+                  if C.kind cert <> "drat-ctx" then
+                    Alcotest.failf "check %d: SAT-decided but certified as %s"
+                      !checks (C.kind cert);
+                  incr in_context
+                end));
+            Solver.pop ctx
+          done;
+          Solver.pop ctx
+        done;
+        check_bool "a healthy share were certified in context" true
+          (!in_context >= 40));
+    Alcotest.test_case "tampered in-context payloads are rejected" `Quick
+      (fun () ->
+        let q, p = ctx_payload () in
+        let recheck p =
+          is_ok
+            (C.check { C.query = q; key = T.and_ q; reason = C.R_drat p })
+        in
+        check_bool "untampered payload checks" true (recheck p);
+        let g = p.C.goal.(0) in
+        let guards c = List.mem g c in
+        (* Each root clause switches on one conjunct of the core, and no
+           proper subset of this core is unsatisfiable. *)
+        let rec drop_first_root = function
+          | [] -> []
+          | c :: rest when guards c -> rest
+          | c :: rest -> c :: drop_first_root rest
+        in
+        check_bool "a root clause dropped" false
+          (recheck { p with C.cnf = drop_first_root p.C.cnf });
+        check_bool "goal selector flipped" false
+          (recheck { p with C.goal = [| g lxor 1 |] });
+        check_bool "unit ~sel added to the CNF" false
+          (recheck { p with C.cnf = p.C.cnf @ [ [ g ] ] });
+        let fresh = 2 * p.C.nvars in
+        check_bool "selector in a non-binary clause" false
+          (recheck
+             {
+               p with
+               C.nvars = p.C.nvars + 2;
+               cnf = [ g; fresh; fresh + 2 ] :: p.C.cnf;
+             }));
+    Alcotest.test_case "query-cache hit without a stored proof re-solves"
+      `Quick (fun () ->
+        (* One context answers and fills the cache; a second, certifying
+           context then gets the same residual from the cache, with no
+           SAT search to read a proof from and an empty proof cache. *)
+        let cache = Solver.Cache.create () in
+        let q = pcache_q1 () in
+        let first = Solver.create_ctx ~cache () in
+        Solver.assert_terms first q;
+        check_bool "first unsat" true (Solver.check_ctx first = Solver.Unsat);
+        let ctx = Solver.create_ctx ~cache ~track_core:true () in
+        Solver.assert_terms ctx q;
+        check_bool "second unsat" true (Solver.check_ctx ctx = Solver.Unsat);
+        check_bool "decided by the cache" true
+          (Solver.last_stage ctx = Some Solver.Cached);
+        check_bool "no in-context proof" true (Solver.last_proof ctx = None);
+        let col = C.create_collector () in
+        let r =
+          C.certify_refutation ?stage:(Solver.last_stage ctx)
+            ?pre:(Solver.last_pre ctx) col q
+        in
+        Alcotest.(check string) "kind" "drat" (kind_of r);
+        let s = C.summary col in
+        check_int "certified" 1 s.C.certified;
+        check_int "one fallback re-solve" 1 s.C.fallback;
+        check_int "nothing in context" 0 s.C.drat_ctx);
+    Alcotest.test_case "query-cache hit reuses the stored in-context proof"
+      `Quick (fun () ->
+        (* As above, but the context that filled the cache tracked its
+           proof: the hit carries it, so no re-solve is needed. *)
+        let cache = Solver.Cache.create () in
+        let q = pcache_q1 () in
+        let first = Solver.create_ctx ~cache ~track_core:true () in
+        Solver.assert_terms first q;
+        check_bool "first unsat" true (Solver.check_ctx first = Solver.Unsat);
+        let ctx = Solver.create_ctx ~cache ~track_core:true () in
+        Solver.assert_terms ctx q;
+        check_bool "second unsat" true (Solver.check_ctx ctx = Solver.Unsat);
+        check_bool "decided by the cache" true
+          (Solver.last_stage ctx = Some Solver.Cached);
+        let work = C.fresh_work () in
+        let r = certify_in ~work ctx in
+        Alcotest.(check string) "kind" "drat-ctx" (kind_of r);
+        check_int "no re-solve" 0 work.C.resolves);
+  ]
+
 let tests =
   drat_hand_tests @ drat_solver_tests @ certificate_tests @ trimming_tests
-  @ differential_tests @ verifier_tests
+  @ differential_tests @ verifier_tests @ context_tests

@@ -420,6 +420,47 @@ let fixed_differential_tests =
           par.V.stats.V.refuted);
   ]
 
+(* Certified crash freedom at -j 2 against -j 1 on the shipped router
+   and NetFlow+NAT. The parallel driver defers each certificate check
+   to a pool task, after its context has gone on to other checks, so
+   this holds the in-context proofs to being read out before the check
+   is deferred: the same verdict, every refutation certified, and the
+   context-extracted DRAT tier actually in use. *)
+let certified_parallel_tests =
+  let find_example name =
+    List.find Sys.file_exists [ "../examples/" ^ name; "examples/" ^ name ]
+  in
+  List.map
+    (fun file ->
+      Alcotest.test_case (file ^ ": certified -j 2 matches -j 1") `Slow
+        (fun () ->
+          let pl = Click.Config.parse_file (find_example file) in
+          let run jobs =
+            Summaries.clear ();
+            Vdp_smt.Solver.Cache.clear Vdp_smt.Solver.shared_cache;
+            V.check_crash_freedom
+              ~config:{ V.default_config with V.certify = true; V.jobs }
+              pl
+          in
+          let seq = run 1 and par = run 2 in
+          check_bool "same verdict kind" true
+            (verdict_kind seq = verdict_kind par);
+          check_bool "same violations" true
+            (violation_sig seq = violation_sig par);
+          List.iter
+            (fun (mode, (r : V.report)) ->
+              match r.V.cert with
+              | None -> Alcotest.failf "%s: no certification summary" mode
+              | Some c ->
+                let module C = Vdp_cert.Certificate in
+                check_int (mode ^ ": certified = attempted") c.C.attempted
+                  c.C.certified;
+                check_int (mode ^ ": none failed") 0 c.C.failed;
+                check_bool (mode ^ ": in-context DRAT used") true
+                  (c.C.drat_ctx > 0))
+            [ ("-j 1", seq); ("-j 2", par) ]))
+    [ "router.click"; "netflow_nat.click" ]
+
 (* {1 Fabric queries}
 
    Fabric queries run on the same two drivers. On seed-drawn
@@ -490,3 +531,4 @@ let tests =
       [ crash_differential; bound_differential; reach_differential ]
   @ fixed_differential_tests
   @ [ QCheck_alcotest.to_alcotest fabric_differential ]
+  @ certified_parallel_tests
