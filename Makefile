@@ -22,6 +22,7 @@ ci: build
 	dune exec bin/vdpverify.exe -- verify --certify examples/router.click
 	dune exec bin/vdpverify.exe -- crash --certify examples/firewall.click
 	dune exec bin/vdpverify.exe -- crash -j 2 --certify examples/netflow_nat.click
+	dune exec bin/vdpverify.exe -- verify --certify examples/netflow_nat.click
 	dune exec bin/vdpverify.exe -- replay examples/router.click
 	dune exec bin/vdpverify.exe -- replay examples/firewall.click
 	dune exec bin/vdpverify.exe -- replay --engine compiled examples/router.click

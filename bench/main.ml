@@ -137,7 +137,6 @@ let solver_stats_json () =
             ("proof_deletions", Json.Int s.Solver.cert_proof_deletions);
             ("pcache_hits", Json.Int s.Solver.cert_pcache_hits);
             ("drat_ctx", Json.Int s.Solver.cert_drat_ctx);
-            ("fallback", Json.Int s.Solver.cert_fallback);
             ("trimmed_clauses", Json.Int s.Solver.cert_trimmed_clauses);
             ("untrimmed_clauses", Json.Int s.Solver.cert_untrimmed_clauses);
             ("solve_seconds", Json.Float s.Solver.cert_solve_time);
@@ -1243,7 +1242,6 @@ let e10 () =
             ("interval", Json.Int s.C.interval);
             ("drat", Json.Int s.C.drat);
             ("drat_ctx", Json.Int s.C.drat_ctx);
-            ("fallback", Json.Int s.C.fallback);
             ("cached", Json.Int s.C.cached);
             ("proof_clauses", Json.Int s.C.proof_clauses);
             ("proof_deletions", Json.Int s.C.proof_deletions);

@@ -89,11 +89,11 @@ let pp_cert_summary fmt (c : Vdp_cert.Certificate.summary) =
   let module C = Vdp_cert.Certificate in
   Format.fprintf fmt
     "certificates: %d/%d refutations certified (%d folded, %d interval, %d \
-     DRAT, %d by provenance, %d proof-cache hits); DRAT %d in-context, %d \
-     fallback re-solves; %d proof clauses, %d deletions; trimming kept %d \
-     of %d logged additions; check %.2fs"
+     DRAT, %d by provenance); DRAT %d in-context, %d from query-cache \
+     hits; %d proof clauses, %d deletions; trimming kept %d of %d logged \
+     additions; check %.2fs"
     c.C.certified c.C.attempted c.C.folded c.C.interval c.C.drat c.C.cached
-    c.C.pcache_hits c.C.drat_ctx c.C.fallback c.C.proof_clauses
+    c.C.drat_ctx c.C.pcache_hits c.C.proof_clauses
     c.C.proof_deletions c.C.trimmed_clauses c.C.untrimmed_clauses
     c.C.check_seconds;
   if c.C.failed > 0 then begin

@@ -193,33 +193,25 @@ let solve_small ctx ~max_conflicts ~deps =
    [Sat], and a [Sat] is vouched for by witness replay, not by a
    proof. *)
 let make_cert cfg =
-  if cfg.certify then
-    Some
-      (Vdp_cert.Certificate.create_collector ~max_conflicts:cfg.solver_budget
-         ())
+  if cfg.certify then Some (Vdp_cert.Certificate.create_collector ())
   else None
 
 (* The certifier for refutations answered by [ctx]: it certifies
    exactly the conjunction the context decided — a pipeline path's
-   condition, or a fabric path's plus its boot grounding. It hands the
-   certificate producer what the answering context already knows: the
-   stage that decided (so tiers that cannot apply are skipped), the
-   preprocessing result (so the proof cache is keyed exactly like the
-   query cache) and, for a SAT-decided refutation, the trimmed proof
-   the context extracted before retiring the check's selector. All are
-   read synchronously, before the context runs another check; [defer]
-   decides where checking them runs. *)
+   condition, or a fabric path's plus its boot grounding — from the
+   evidence the context decided it with. That is read synchronously,
+   before the context runs another check; [defer] decides where
+   checking it runs. *)
 let certifier cert ctx ~defer =
   match cert with
   | None -> fun () -> ()
   | Some col ->
     fun () ->
-      let stage = Solver.last_stage ctx and pre = Solver.last_pre ctx in
-      let proof = Solver.last_proof ctx and cond = Solver.asserted ctx in
+      let refutation = Solver.last_refutation ctx in
+      let cond = Solver.asserted ctx in
       defer (fun () ->
           ignore
-            (Vdp_cert.Certificate.certify_refutation ?stage ?pre ?proof col
-               cond
+            (Vdp_cert.Certificate.certify_refutation ?refutation col cond
               : (Vdp_cert.Certificate.t, string) result))
 
 let cert_summary cert = Option.map Vdp_cert.Certificate.summary cert

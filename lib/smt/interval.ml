@@ -4,11 +4,13 @@
     Two services:
     - [range t] — conservative unsigned bounds of a bit-vector term
       (widths up to 30 bits; wider terms fall back to the trivial range);
-    - [refute t] — [true] only if the boolean term is definitely
-      unsatisfiable. Sound, far from complete: it intersects the ranges
-      implied by comparison atoms that share a common subject term, which
-      is exactly the shape produced by composing pipeline segments
-      (e.g. [in < 0 && 0 < 0] in the paper's toy example). *)
+    - [explain t] — [Some] only if the boolean term is definitely
+      unsatisfiable, with the atoms that show it; [refute t] is its
+      yes/no answer (and also accepts a literal [false]). Sound, far
+      from complete: it intersects the ranges implied by comparison
+      atoms that share a common subject term, which is exactly the shape
+      produced by composing pipeline segments (e.g. [in < 0 && 0 < 0]
+      in the paper's toy example). *)
 
 module B = Vdp_bitvec.Bitvec
 
@@ -103,14 +105,14 @@ let point_value t =
 
 (* {1 Refutation explanations}
 
-   [explain] runs the same analysis as {!refute} but records, per
-   subject, which atoms of the conjunction drove the interval empty, in
-   the order they applied. The result is a replayable script — not a
-   proof by authority: the independent checker in [Vdp_cert] re-derives
-   every step (atom membership in the raw conjunction, the bound each
-   atom implies, the endpoint each disequality shaves) with its own
-   pattern matching and range analysis, so a bug here yields a rejected
-   certificate, not a wrong verdict. *)
+   [explain] records, per subject, which atoms of the conjunction drove
+   the interval empty, in the order they applied. The result is a
+   replayable script — not a proof by authority: the independent
+   checker in [Vdp_cert] re-derives every step (atom membership in the
+   refuted conjunction, the bound each atom implies, the endpoint each
+   disequality shaves) with its own pattern matching and range
+   analysis, so a bug here yields a rejected certificate, not a wrong
+   verdict. *)
 
 type explain_step =
   | X_bound of Term.t * int * int
@@ -126,85 +128,11 @@ type explanation =
   | Ex_diseq_points of Term.t
       (** a disequality atom whose two sides are the same single value *)
 
-let refute (t : Term.t) : bool =
-  if Term.is_false t then true
-  else
-    (* Conjunctions nest once composite conditions are re-conjoined
-       (e.g. [And [And [...]; atom]]); flatten them all. *)
-    let atoms = ref [] in
-    let rec collect (t : Term.t) =
-      match t.node with
-      | Term.And ts -> Array.iter collect ts
-      | _ -> atoms := t :: !atoms
-    in
-    collect t;
-    let tbl : (int, Term.t * int * int) Hashtbl.t = Hashtbl.create 16 in
-    let contradiction = ref false in
-    let interval_of (subject : Term.t) =
-      match Hashtbl.find_opt tbl subject.id with
-      | Some (_, lo, hi) -> (lo, hi)
-      | None -> (
-        match range subject with Some r -> r | None -> (0, max_int))
-    in
-    let note { subject; lo; hi } =
-      let lo0, hi0 = interval_of subject in
-      let lo' = max lo lo0 and hi' = min hi hi0 in
-      if lo' > hi' then contradiction := true
-      else Hashtbl.replace tbl subject.id (subject, lo', hi')
-    in
-    (* Negated equalities cannot be intervals, but they shave the ends
-       off one: collect them and apply after the bounds have settled. *)
-    let diseqs : (Term.t * int) list ref = ref [] in
-    let note_diseq (a : Term.t) (b : Term.t) =
-      if Term.width a <= max_tracked_width then
-        match (point_value a, point_value b) with
-        | Some n, None -> diseqs := (b, n) :: !diseqs
-        | None, Some n -> diseqs := (a, n) :: !diseqs
-        | Some n, Some m -> if n = m then contradiction := true
-        | None, None -> ()
-    in
-    List.iter
-      (fun atom ->
-        let atom, positive =
-          match atom.Term.node with
-          | Term.Not inner -> (inner, false)
-          | _ -> (atom, true)
-        in
-        match (atom.Term.node, positive) with
-        | Term.Eq (a, b), false when not (Sort.is_bool (Term.sort a)) ->
-          note_diseq a b
-        | _ -> (
-          match atom_bound atom ~positive with
-          | Some b -> note b
-          | None -> ()))
-      !atoms;
-    (* Each diseq can tighten an interval endpoint, which can arm other
-       diseqs on the same subject; iterate to a fixpoint (each pass that
-       changes anything shrinks some interval, so this terminates). *)
-    let changed = ref true in
-    while !changed && not !contradiction do
-      changed := false;
-      List.iter
-        (fun ((subject : Term.t), n) ->
-          if not !contradiction then begin
-            let lo, hi = interval_of subject in
-            if lo = n && hi = n then contradiction := true
-            else if lo = n then begin
-              Hashtbl.replace tbl subject.id (subject, lo + 1, hi);
-              changed := true
-            end
-            else if hi = n then begin
-              Hashtbl.replace tbl subject.id (subject, lo, hi - 1);
-              changed := true
-            end
-          end)
-        !diseqs
-    done;
-    !contradiction
-
 let explain (t : Term.t) : explanation option =
   if Term.is_false t then None
   else begin
+    (* Conjunctions nest once composite conditions are re-conjoined
+       (e.g. [And [And [...]; atom]]); flatten them all. *)
     let atoms = ref [] in
     let rec collect (t : Term.t) =
       match t.node with
@@ -236,6 +164,8 @@ let explain (t : Term.t) : explanation option =
       if lo' > hi' then emit subject steps
       else Hashtbl.replace tbl subject.id (subject, lo', hi', steps)
     in
+    (* Negated equalities cannot be intervals, but they shave the ends
+       off one: collect them and apply after the bounds have settled. *)
     let diseqs : (Term.t * Term.t * int) list ref = ref [] in
     let note_diseq atom (a : Term.t) (b : Term.t) =
       if Term.width a <= max_tracked_width then
@@ -263,6 +193,9 @@ let explain (t : Term.t) : explanation option =
             | None -> ())
         end)
       !atoms;
+    (* Each diseq can tighten an interval endpoint, which can arm other
+       diseqs on the same subject; iterate to a fixpoint (each pass that
+       changes anything shrinks some interval, so this terminates). *)
     let changed = ref true in
     while !changed && !found = None do
       changed := false;
@@ -287,3 +220,5 @@ let explain (t : Term.t) : explanation option =
     done;
     !found
   end
+
+let refute (t : Term.t) = Term.is_false t || explain t <> None

@@ -41,7 +41,6 @@ type stats = {
   mutable cert_trimmed_clauses : int;  (* proof adds kept after trimming *)
   mutable cert_untrimmed_clauses : int;  (* proof adds before trimming *)
   mutable cert_drat_ctx : int;  (* DRAT read from the answering context *)
-  mutable cert_fallback : int;  (* fresh re-solves run to produce DRAT *)
   (* Scheduler counters, copied from [Vdp_core.Pool] after a parallel
      run so they ride the same stats/reporting plumbing. *)
   mutable sched_spawned : int;
@@ -88,7 +87,6 @@ let fresh_stats () =
     cert_trimmed_clauses = 0;
     cert_untrimmed_clauses = 0;
     cert_drat_ctx = 0;
-    cert_fallback = 0;
     sched_spawned = 0;
     sched_executed = 0;
     sched_stolen = 0;
@@ -148,7 +146,6 @@ let reset_stats_record s =
   s.cert_trimmed_clauses <- 0;
   s.cert_untrimmed_clauses <- 0;
   s.cert_drat_ctx <- 0;
-  s.cert_fallback <- 0;
   s.sched_spawned <- 0;
   s.sched_executed <- 0;
   s.sched_stolen <- 0;
@@ -170,26 +167,31 @@ let now () = Unix.gettimeofday ()
    conjuncts (a definition spelled [x = 5] vs the constant 5 already
    propagated) also collide. A cached [Sat] model satisfies the
    preprocessed formula; each hit re-completes it against the hitting
-   query's own eliminated variables. [Unknown] answers are never
-   cached: they depend on the conflict budget. *)
+   query's own eliminated variables. An [Unsat] keeps the evidence it
+   was decided with, when there is any: the interval explanation of the
+   residual, or the proof of the context that solved it. [Unknown]
+   answers are never cached: they depend on the conflict budget. *)
 
 type proof = {
   trimmed : Sat.trimmed;
   core : Term.t list;
   logged : int;
   extract_seconds : float;
+  stored : bool;
 }
+
+type evidence = Explained of Interval.explanation | Proved of proof
 
 module Cache = struct
   module B = Vdp_bitvec.Bitvec
 
   type t = {
-    table : (int, outcome * proof option * (int * B.t) list) Hashtbl.t;
-        (* outcome, the answering context's proof of an [Unsat] when it
-           tracked one (so a hit in a certifying context needs no
-           re-solve), and the static-state slices (Static_data id,
-           concrete key) the query depended on: a config mutation of
-           one of those slices drops exactly the dependent entries *)
+    table : (int, outcome * evidence option * (int * B.t) list) Hashtbl.t;
+        (* outcome, the evidence an [Unsat] was decided with (so a hit
+           in a certifying context is certified from it), and the
+           static-state slices (Static_data id, concrete key) the query
+           depended on: a config mutation of one of those slices drops
+           exactly the dependent entries *)
     order : int Queue.t;  (* insertion order, for FIFO eviction *)
     capacity : int;
     lock : Mutex.t;
@@ -226,11 +228,16 @@ module Cache = struct
     guarded c (fun () ->
         Option.map (fun (o, p, _) -> (o, p)) (Hashtbl.find_opt c.table id))
 
-  (* Returns the number of evicted entries (0 or 1). *)
-  let add c id outcome proof deps =
+  (* Returns the number of evicted entries (0 or 1). An entry stored
+     without evidence is upgraded in place when evidence arrives. *)
+  let add c id outcome evidence deps =
     guarded c (fun () ->
-        if Hashtbl.mem c.table id then 0
-        else begin
+        match Hashtbl.find_opt c.table id with
+        | Some (_, None, _) when Option.is_some evidence ->
+          Hashtbl.replace c.table id (outcome, evidence, deps);
+          0
+        | Some _ -> 0
+        | None ->
           let evicted =
             if Hashtbl.length c.table >= c.capacity then begin
               (* Invalidation may have removed queued ids already; skip
@@ -249,10 +256,9 @@ module Cache = struct
             end
             else 0
           in
-          Hashtbl.add c.table id (outcome, proof, deps);
+          Hashtbl.add c.table id (outcome, evidence, deps);
           Queue.add id c.order;
-          evicted
-        end)
+          evicted)
 
   (* Drop every entry that read the mutated (store, key) slice; ids
      linger in [order] and are skipped at eviction time. *)
@@ -302,21 +308,20 @@ let finish sts (o : outcome) =
   | Unknown -> tally sts (fun s -> s.unknown_answers <- s.unknown_answers + 1));
   o
 
-let cache_store sts cache id ?proof outcome deps =
+let cache_store sts cache id ?evidence outcome deps =
   match (cache, outcome) with
   | Some c, (Sat _ | Unsat) ->
-    let evicted = Cache.add c id outcome proof deps in
+    let evicted = Cache.add c id outcome evidence deps in
     if evicted > 0 then
       tally sts (fun s -> s.cache_evictions <- s.cache_evictions + evicted)
   | _ -> ()
 
-type stage =
+type refutation =
   | Folded
-  | Interval_raw
-  | Folded_pre
-  | Interval_pre
-  | Cached
-  | Solved
+  | Interval of Interval.explanation
+  | Folded_pre of Preprocess.result
+  | Interval_pre of Preprocess.result * Interval.explanation
+  | Drat of Preprocess.result * proof
 
 (* The shared front end: raw-level interval refutation, word-level
    preprocessing, constant folding, cache lookup, a second interval
@@ -328,69 +333,88 @@ type stage =
    front end completes it with the eliminated variables' bindings and
    re-validates against the original conjunction, so neither a
    preprocessing nor a blasting bug can produce a bogus
-   counterexample. [on_stage] learns which stage decided, and
-   [on_proof] the proof stored with a cached answer. [blast_and_solve]
-   also returns the proof of an [Unsat], if it tracked one, for the
-   cache entry. *)
-let check_conj sts ?cache ?(deps = []) ?(on_pre = fun _ -> ())
-    ?(on_stage = fun _ -> ()) ?(on_proof = fun _ -> ()) ~preprocess terms
-    ~blast_and_solve =
+   counterexample. [blast_and_solve] also returns the proof of an
+   [Unsat], if it tracked one.
+
+   Every [Unsat] that has evidence hands it to [on_refutation]. A
+   [certifying] caller treats a cached [Unsat] without evidence as a
+   miss: it decides the query itself, and the cache entry is upgraded
+   with what it found. *)
+let check_conj sts ?cache ?(deps = []) ?(certifying = false)
+    ?(on_refutation = ignore) ~preprocess terms ~blast_and_solve =
   tally sts (fun s -> s.calls <- s.calls + 1);
-  let decided stage o =
-    on_stage stage;
-    finish sts o
+  let refuted r =
+    on_refutation r;
+    finish sts Unsat
   in
   let raw = Term.and_ terms in
   if Term.is_false raw then begin
     tally sts (fun s -> s.folded <- s.folded + 1);
-    decided Folded Unsat
-  end
-  else if Interval.refute raw then begin
-    tally sts (fun s -> s.interval_refutations <- s.interval_refutations + 1);
-    decided Interval_raw Unsat
+    refuted Folded
   end
   else
+  match Interval.explain raw with
+  | Some ex ->
+    tally sts (fun s -> s.interval_refutations <- s.interval_refutations + 1);
+    refuted (Interval ex)
+  | None ->
   let t0 = now () in
   let pre = if preprocess then Preprocess.run terms else Preprocess.identity terms in
   tally sts (fun s ->
       s.preprocess_time <- s.preprocess_time +. (now () -. t0);
       s.eliminated_conjuncts <- s.eliminated_conjuncts + pre.Preprocess.eliminated;
       s.sliced_conjuncts <- s.sliced_conjuncts + pre.Preprocess.sliced);
-  on_pre pre;
   let key = pre.Preprocess.key in
   let accept m =
     let m = Preprocess.complete pre m in
     validate_model (Term.and_ terms) m;
     Sat m
   in
+  let refuted_by = function
+    | Some (Explained ex) -> refuted (Interval_pre (pre, ex))
+    | Some (Proved p) -> refuted (Drat (pre, p))
+    | None -> finish sts Unsat
+  in
   if Term.is_true key then begin
     tally sts (fun s -> s.folded <- s.folded + 1);
-    decided Folded_pre (accept (Model.create ()))
+    finish sts (accept (Model.create ()))
   end
   else if Term.is_false key then begin
     tally sts (fun s -> s.folded <- s.folded + 1);
-    decided Folded_pre Unsat
+    refuted (Folded_pre pre)
   end
   else
-    match Option.bind cache (fun c -> Cache.find c key.Term.id) with
-    | Some (o, proof) ->
-      tally sts (fun s -> s.cache_hits <- s.cache_hits + 1);
-      on_proof proof;
-      decided Cached (match o with Sat m -> accept m | o -> o)
-    | None ->
+    let decide () =
       if cache <> None then
         tally sts (fun s -> s.cache_misses <- s.cache_misses + 1);
-      if key != raw && Interval.refute key then begin
-        tally sts (fun s ->
-            s.interval_refutations <- s.interval_refutations + 1);
-        cache_store sts cache key.Term.id Unsat deps;
-        decided Interval_pre Unsat
-      end
-      else begin
-        let o, proof = blast_and_solve pre in
-        cache_store sts cache key.Term.id ?proof o deps;
-        decided Solved (match o with Sat m -> accept m | o -> o)
-      end
+      let evidence, o =
+        match if key != raw then Interval.explain key else None with
+        | Some ex ->
+          tally sts (fun s ->
+              s.interval_refutations <- s.interval_refutations + 1);
+          (Some (Explained ex), Unsat)
+        | None ->
+          let o, proof = blast_and_solve pre in
+          (Option.map (fun p -> Proved p) proof, o)
+      in
+      cache_store sts cache key.Term.id ?evidence o deps;
+      match o with
+      | Sat m -> finish sts (accept m)
+      | Unsat -> refuted_by evidence
+      | Unknown -> finish sts Unknown
+    in
+    match Option.bind cache (fun c -> Cache.find c key.Term.id) with
+    | None -> decide ()
+    | Some (Unsat, None) when certifying -> decide ()
+    | Some (o, evidence) -> (
+      tally sts (fun s -> s.cache_hits <- s.cache_hits + 1);
+      match o with
+      | Sat m -> finish sts (accept m)
+      | _ ->
+        refuted_by
+          (match evidence with
+          | Some (Proved p) -> Some (Proved { p with stored = true })
+          | e -> e))
 
 (* Charge blast/solve phase timings and CNF growth to [sts]. *)
 let instrumented sts bb ~blast ~solve =
@@ -466,15 +490,8 @@ type ctx = {
   cache : Cache.t option;
   track_core : bool;
   mutable checks : int;  (* solved (non-cached) checks, for simplify cadence *)
-  (* Residue of the last [check_ctx], for certificate producers: the
-     stage that decided it, the preprocessing result (so the certifier
-     shares the exact preprocessed key the query cache and proof cache
-     use) and, when [track_core] and the SAT core answered [Unsat], the
-     trimmed in-context proof. Each is [None] when the check did not
-     get that far. *)
-  mutable last_stage : stage option;
-  mutable last_pre : Preprocess.result option;
-  mutable last_proof : proof option;
+  mutable last_refutation : refutation option;
+      (* the evidence the last [check_ctx] decided an [Unsat] with *)
 }
 
 let create_ctx ?cache ?(track_core = false) () =
@@ -485,9 +502,7 @@ let create_ctx ?cache ?(track_core = false) () =
     cache;
     track_core;
     checks = 0;
-    last_stage = None;
-    last_pre = None;
-    last_proof = None;
+    last_refutation = None;
   }
 
 let ctx_stats ctx = ctx.cstats
@@ -512,9 +527,7 @@ let assert_term ctx t = assert_terms ctx [ t ]
 
 let asserted ctx = List.concat_map (fun sc -> sc.asserted) ctx.scopes
 
-let last_stage ctx = ctx.last_stage
-let last_pre ctx = ctx.last_pre
-let last_proof ctx = ctx.last_proof
+let last_refutation ctx = ctx.last_refutation
 
 (* The cone of this check's refutation, read before the selector is
    retired. Old checks' clauses are level-0-satisfied by their retired
@@ -536,21 +549,16 @@ let extract_proof sat ~selector conjuncts =
         core;
         logged = Sat.num_derived sat;
         extract_seconds = now () -. t0;
+        stored = false;
       })
     (Sat.trimmed_proof ~assumptions:[ selector ] sat)
 
 let check_ctx ?(max_conflicts = max_int) ?deps ctx =
   let sts = [ stats; ctx.cstats ] in
-  ctx.last_stage <- None;
-  ctx.last_pre <- None;
-  ctx.last_proof <- None;
+  ctx.last_refutation <- None;
   check_conj sts ?cache:ctx.cache ?deps ~preprocess:true
-    ~on_pre:(fun pre -> ctx.last_pre <- Some pre)
-    ~on_stage:(fun st -> ctx.last_stage <- Some st)
-    ~on_proof:(fun p ->
-      (* The extraction was paid, and charged, by the context that
-         solved it. *)
-      ctx.last_proof <- Option.map (fun p -> { p with extract_seconds = 0. }) p)
+    ~certifying:ctx.track_core
+    ~on_refutation:(fun r -> ctx.last_refutation <- Some r)
     (asserted ctx)
     ~blast_and_solve:(fun pre ->
       let sat = Bitblast.sat ctx.bb in
@@ -575,20 +583,20 @@ let check_ctx ?(max_conflicts = max_int) ?deps ctx =
       in
       (* Extract before retiring: adding the unit clause backtracks to
          level 0 and wipes the satisfying trail. *)
-      let outcome =
+      let answer =
         match r with
-        | Sat.Sat -> Sat (Bitblast.extract_model ctx.bb)
+        | Sat.Sat -> (Sat (Bitblast.extract_model ctx.bb), None)
         | Sat.Unsat ->
-          if ctx.track_core then
-            ctx.last_proof <-
-              extract_proof sat ~selector pre.Preprocess.conjuncts;
-          Unsat
-        | Sat.Unknown -> Unknown
+          ( Unsat,
+            if ctx.track_core then
+              extract_proof sat ~selector pre.Preprocess.conjuncts
+            else None )
+        | Sat.Unknown -> (Unknown, None)
       in
       (* Permanently retire the selector: this check's root clauses
          become satisfied at level 0 and never burden the search again. *)
       Sat.add_clause sat [ Sat.lit_not selector ];
-      (outcome, ctx.last_proof))
+      answer)
 
 let pp_outcome fmt = function
   | Sat m -> Format.fprintf fmt "sat@ %a" Model.pp m

@@ -22,7 +22,15 @@
       retires the selector. Learned clauses, variable activities, gate
       encodings and the blasted term DAG all carry over between checks,
       which is what makes sibling composite paths (sharing long
-      constraint prefixes) cheap to check in sequence. *)
+      constraint prefixes) cheap to check in sequence.
+
+    Every [Unsat] carries the evidence it was decided with: the folded
+    conjunction, the interval explanation of the raw conjunction or the
+    preprocessed residual, or — in a context created with
+    [track_core:true] — the SAT core's trimmed proof. The query cache
+    stores that evidence with the answer, and {!last_refutation} hands
+    it to the certificate checker in [Vdp_cert]. The checker, not this
+    module, is what an [Unsat] rests on. *)
 
 type outcome =
   | Sat of Model.t
@@ -62,21 +70,18 @@ type stats = {
   mutable cert_proof_clauses : int;  (** DRAT clause additions logged *)
   mutable cert_proof_deletions : int;  (** DRAT clause deletions logged *)
   mutable cert_solve_time : float;
-      (** wall seconds producing proofs: reading them out of the
-          answering context, plus fallback re-solves *)
+      (** wall seconds reading proofs out of the answering context *)
   mutable cert_check_time : float;
       (** wall seconds in the independent checker *)
   mutable cert_pcache_hits : int;
-      (** refutations discharged by the proof cache (a previously
-          produced-and-checked proof re-checked against this query) *)
+      (** DRAT certificates built from a proof stored with a query-cache
+          hit (re-checked in full against this query) *)
   mutable cert_trimmed_clauses : int;
       (** DRAT proof additions kept after backward trimming *)
   mutable cert_untrimmed_clauses : int;
       (** DRAT proof additions before trimming (the forward log) *)
   mutable cert_drat_ctx : int;
       (** discharged by DRAT read from the context that answered *)
-  mutable cert_fallback : int;
-      (** fresh, assumption-free re-solves run to produce DRAT *)
   mutable sched_spawned : int;
       (** scheduler counters, copied from [Vdp_core.Pool] after a
           parallel run: tasks spawned *)
@@ -101,8 +106,9 @@ val fresh_stats : unit -> stats
 (** Memoizes definite ([Sat]/[Unsat]) answers keyed on the hash-consed
     id of the *preprocessed* constraint conjunction, so queries that
     differ only in eliminated conjuncts collide; cached [Sat] models
-    are re-completed per hit, and an [Unsat] keeps the in-context proof
-    of the context that solved it (see {!last_proof}). [Unknown]
+    are re-completed per hit, and an [Unsat] keeps the evidence it was
+    decided with: the residual's interval explanation or the proof of
+    the context that solved it (see {!last_refutation}). [Unknown]
     answers are never cached because they depend on the conflict
     budget. Bounded, with FIFO eviction. *)
 module Cache : sig
@@ -156,8 +162,10 @@ val create_ctx : ?cache:Cache.t -> ?track_core:bool -> unit -> ctx
 (** A fresh context with one root scope. Contexts are not thread-safe;
     create one per exploration. [track_core] turns on antecedent
     tracking and clause logging in the underlying SAT solver: every
-    SAT-decided [Unsat] from {!check_ctx} then exposes a trimmed proof
-    via {!last_proof}. *)
+    [Unsat] from {!check_ctx} then exposes its evidence via
+    {!last_refutation}. Such a context treats a cached [Unsat] stored
+    without evidence as a miss: it decides the query itself and
+    upgrades the cache entry. *)
 
 val push : ctx -> unit
 (** Open a new scope; subsequent {!assert_terms} go into it. *)
@@ -188,30 +196,6 @@ val asserted : ctx -> Term.t list
 val ctx_stats : ctx -> stats
 (** This context's own counters (also folded into {!stats}). *)
 
-(** Which stage of the pipeline decided a check: the raw conjunction
-    folded to [false], raw interval refutation, the preprocessed
-    conjunction folded, interval refutation of the residual, a
-    query-cache hit, or the SAT core. *)
-type stage =
-  | Folded
-  | Interval_raw
-  | Folded_pre
-  | Interval_pre
-  | Cached
-  | Solved
-
-val last_stage : ctx -> stage option
-(** The stage that decided the most recent {!check_ctx}. Certificate
-    producers skip the tiers that stage has already shown cannot
-    apply. *)
-
-val last_pre : ctx -> Preprocess.result option
-(** Preprocessing result of the most recent {!check_ctx} on this
-    context, when the check got as far as preprocessing (i.e. was not
-    decided by folding or raw interval refutation). Certificate
-    producers reuse it so the certified residual — and the proof-cache
-    key — are exactly the ones the query cache saw. *)
-
 (** An in-context refutation: the SAT core's dependency cone for one
     check, read out before the check's selector was retired. *)
 type proof = {
@@ -220,18 +204,34 @@ type proof = {
           clause [~selector]. The CNF mentions the selector only in the
           binary root clauses [~selector \/ l] of [core]'s conjuncts *)
   core : Term.t list;
-      (** the residual conjuncts ([last_pre]'s) whose root clauses lie
-          in the cone *)
+      (** the residual conjuncts whose root clauses lie in the cone *)
   logged : int;
       (** derived clauses the context had logged: the proof's size
           before trimming *)
   extract_seconds : float;
+  stored : bool;
+      (** read from a query-cache hit; another context extracted it *)
 }
 
-val last_proof : ctx -> proof option
-(** The proof of the most recent {!check_ctx}, when the context was
-    created with [track_core:true] and the SAT core answered [Unsat].
-    A query-cache hit carries the proof stored with the cached answer,
-    when the context that solved it tracked one. *)
+(** The evidence an [Unsat] was decided with, named by the stage that
+    decided it. *)
+type refutation =
+  | Folded  (** the raw conjunction folds to [false] *)
+  | Interval of Interval.explanation
+      (** interval refutation of the raw conjunction *)
+  | Folded_pre of Preprocess.result
+      (** the preprocessed residual folds to [false] *)
+  | Interval_pre of Preprocess.result * Interval.explanation
+      (** interval refutation of the residual, made now or stored with
+          a query-cache hit *)
+  | Drat of Preprocess.result * proof
+      (** the SAT core refuted the residual, now or (stored with a
+          query-cache hit) in another certifying context *)
+
+val last_refutation : ctx -> refutation option
+(** The evidence of the most recent {!check_ctx}, when it answered
+    [Unsat] and had any: a SAT-decided [Unsat] has a proof only in a
+    context created with [track_core:true], and a cache hit only when
+    the context that decided it kept one. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -211,18 +211,32 @@ let drat_solver_tests =
 let v16 n = T.var ("tc" ^ n) 16
 let c16 = T.bv_int ~width:16
 
-let produce q = C.produce q
+(* Decide [q] on a fresh certifying context (sharing [cache], if any)
+   and hand back the answer with the evidence the context kept. *)
+let decide ?cache ?max_conflicts q =
+  let ctx = Solver.create_ctx ?cache ~track_core:true () in
+  Solver.assert_terms ctx q;
+  let o = Solver.check_ctx ?max_conflicts ctx in
+  (o, Solver.last_refutation ctx, Solver.asserted ctx)
 
-(* The raw DRAT tier, reached directly: the conjunction blasted as
-   written, with no preprocessing, and the certificate checked. *)
-let produce_raw q =
-  match C.blast_unsat ~preprocessed:false (Vdp_smt.Preprocess.identity q) with
-  | Error e -> Error e
-  | Ok payload ->
-    let cert = { C.query = q; key = T.and_ q; reason = C.R_drat payload } in
-    Result.map (fun () -> cert) (C.check cert)
+(* The certificate of [q], from a fresh certifying context's evidence. *)
+let produce ?max_conflicts q =
+  let _, refutation, asserted = decide ?max_conflicts q in
+  C.produce ?refutation asserted
 
 let kind_of = function Ok c -> C.kind c | Error _ -> "error"
+
+(* The one certificate kind each refutation case maps to. *)
+let kind_named = function
+  | Solver.Folded -> "folded"
+  | Solver.Interval _ -> "interval"
+  | Solver.Folded_pre _ -> "folded-pre"
+  | Solver.Interval_pre _ -> "interval-pre"
+  | Solver.Drat _ -> "drat-ctx"
+
+let drat_payload_of = function
+  | Ok { C.reason = C.R_drat p; _ } -> Some p
+  | _ -> None
 
 let certificate_tests =
   [
@@ -236,19 +250,27 @@ let certificate_tests =
         let r = produce [ T.ult x (c16 5); T.ult (c16 10) x ] in
         check_bool "ok" true (cert_ok r);
         Alcotest.(check string) "kind" "interval" (kind_of r));
-    Alcotest.test_case "drat certificate, preprocessing on and off" `Quick
-      (fun () ->
+    Alcotest.test_case
+      "drat certificate, preprocessing on and off: both read in context"
+      `Quick (fun () ->
+        (* [on]: elimination substitutes [k] away and the certificate
+           replays that trace. [off]: nothing to eliminate, so the SAT
+           core refutes the query as written. Both are read out of the
+           deciding context. *)
         let a = v16 "a" and b = v16 "b" and c = v16 "c" and d = v16 "d" in
         let k = v16 "k" in
-        let q =
-          [ T.eq k (T.add a b); T.ule k c; T.ule c d; T.ult d k ]
-        in
-        let on = produce q in
-        let off = produce_raw q in
+        let off = [ T.ule k c; T.ule c d; T.ult d k ] in
+        let on = produce (T.eq k (T.add a b) :: off) in
+        let off = produce off in
         check_bool "on ok" true (cert_ok on);
         check_bool "off ok" true (cert_ok off);
-        Alcotest.(check string) "kind on" "drat" (kind_of on);
-        Alcotest.(check string) "kind off" "drat-raw" (kind_of off));
+        Alcotest.(check string) "kind on" "drat-ctx" (kind_of on);
+        Alcotest.(check string) "kind off" "drat-ctx" (kind_of off);
+        match (drat_payload_of on, drat_payload_of off) with
+        | Some p_on, Some p_off ->
+          check_bool "on replays a trace" true (p_on.C.trace <> []);
+          check_bool "off has none" true (p_off.C.trace = [])
+        | _ -> Alcotest.fail "expected two drat certificates");
     Alcotest.test_case "satisfiable query does not certify" `Quick (fun () ->
         let a = v16 "a" and b = v16 "b" in
         check_bool "error" false (cert_ok (produce [ T.ult a b ])));
@@ -259,8 +281,10 @@ let certificate_tests =
         let q =
           [ T.eq k (T.add a b); T.ule k c; T.ule c d; T.ult d k ]
         in
-        check_bool "error" false
-          (cert_ok (C.produce ~max_conflicts:0 q)));
+        let o, refutation, _ = decide ~max_conflicts:0 q in
+        check_bool "not decided" true (o = Solver.Unknown);
+        check_bool "no evidence" true (refutation = None);
+        check_bool "error" false (cert_ok (produce ~max_conflicts:0 q)));
     Alcotest.test_case "tampered interval explanation rejected" `Quick
       (fun () ->
         let x = v16 "x" in
@@ -283,14 +307,15 @@ let certificate_tests =
         let a = v16 "ca" and b = v16 "cb" in
         let col = C.create_collector () in
         let q = [ T.ult a b; T.ule b a ] in
-        let first = C.certify_refutation col q in
+        let _, refutation, _ = decide q in
+        let first = C.certify_refutation ?refutation col q in
         check_bool "first ok" true (cert_ok first);
         check_bool "first not cached" true
           (match first with
           | Ok { C.reason = C.R_cached _; _ } -> false
           | Ok _ -> true
           | Error _ -> false);
-        let second = C.certify_refutation col q in
+        let second = C.certify_refutation ?refutation col q in
         check_bool "second ok" true (cert_ok second);
         check_bool "second cached" true
           (match second with
@@ -303,12 +328,12 @@ let certificate_tests =
         check_int "failed" 0 s.C.failed);
   ]
 
-(* {1 Backward trimming and the proof cache} *)
+(* {1 Backward trimming and proofs stored with the query cache} *)
 
 (* Two raw queries that preprocess to the same residual: [q2] adds an
    equality-defined alias that elimination removes, so the raw keys (and
    the collector's provenance memo) differ while the preprocessed key —
-   the proof-cache key — coincides. *)
+   the query-cache key — coincides. *)
 let pcache_q1 () =
   let a = v16 "pa" and b = v16 "pb" and c = v16 "pc" and d = v16 "pd" in
   let k = v16 "pk" in
@@ -318,9 +343,19 @@ let pcache_q2 () =
   let m = v16 "pm" and a = v16 "pa" and b = v16 "pb" in
   pcache_q1 () @ [ T.eq m (T.add b a) ]
 
-let drat_payload_of = function
-  | Ok { C.reason = C.R_drat p; _ } -> Some p
-  | _ -> None
+(* Certify [pcache_q1] on one certifying context, then decide
+   [pcache_q2] on a second one sharing its query cache; returns the
+   collector and the second context's evidence. *)
+let two_contexts () =
+  let cache = Solver.Cache.create () in
+  let col = C.create_collector () in
+  let q1 = pcache_q1 () and q2 = pcache_q2 () in
+  let _, refutation, _ = decide ~cache q1 in
+  check_bool "first certified" true
+    (cert_ok (C.certify_refutation ?refutation col q1));
+  let o, refutation, _ = decide ~cache q2 in
+  check_bool "second unsat" true (o = Solver.Unsat);
+  (col, q2, refutation)
 
 let trimming_tests =
   [
@@ -373,61 +408,59 @@ let trimming_tests =
           check_int "deletion-free" (List.length p.C.steps) adds);
     Alcotest.test_case "proof-cache hit passes the independent checker"
       `Quick (fun () ->
-        let col = C.create_collector () in
-        check_bool "first certified" true
-          (cert_ok (C.certify_refutation col (pcache_q1 ())));
-        let second = C.certify_refutation col (pcache_q2 ()) in
+        (* The second context gets [q2]'s residual from the query cache,
+           with the first context's proof stored beside it. *)
+        let col, q2, refutation = two_contexts () in
+        check_bool "evidence is the stored proof" true
+          (match refutation with
+          | Some (Solver.Drat (_, p)) -> p.Solver.stored
+          | _ -> false);
+        let second = C.certify_refutation ?refutation col q2 in
         check_bool "second certified" true (cert_ok second);
+        Alcotest.(check string) "kind" "drat-ctx" (kind_of second);
         let s = C.summary col in
-        check_int "second came from the proof cache" 1 s.C.pcache_hits;
+        check_int "second came from the stored proof" 1 s.C.pcache_hits;
         check_int "nothing failed" 0 s.C.failed;
         (* The hit is evidence, not trust: its payload must stand alone
            under the independent checker. *)
         match drat_payload_of second with
-        | None -> Alcotest.fail "expected a drat certificate from the cache"
+        | None -> Alcotest.fail "expected a drat certificate"
         | Some p ->
-          check_bool "cached payload re-checks" true
+          check_bool "stored payload re-checks" true
             (is_ok
-               (D.check ~expected_deletions:0 ~nvars:p.C.nvars ~cnf:p.C.cnf
-                  p.C.steps)));
+               (D.check ~expected_deletions:0 ~goal:p.C.goal ~nvars:p.C.nvars
+                  ~cnf:p.C.cnf p.C.steps)));
     Alcotest.test_case "tampered cached proof is rejected, not trusted"
       `Quick (fun () ->
-        let col = C.create_collector () in
-        check_bool "first certified" true
-          (cert_ok (C.certify_refutation col (pcache_q1 ())));
-        (* Gut every cached proof's CNF: with nothing to propagate
-           against, no derivation step is RUP/RAT and an empty trace
-           derives no empty clause — the checker must reject the
-           payload whatever shape the proof had. *)
-        let tampered = Hashtbl.create 4 in
-        Hashtbl.iter
-          (fun id (p : C.drat_payload) ->
-            Hashtbl.replace tampered id { p with C.cnf = [] })
-          col.C.pcache;
-        Hashtbl.reset col.C.pcache;
-        Hashtbl.iter (Hashtbl.replace col.C.pcache) tampered;
-        let second = C.certify_refutation col (pcache_q2 ()) in
-        (* Certification must still succeed — by producing a fresh
-           proof, never by accepting the tampered payload. *)
-        check_bool "second certified" true (cert_ok second);
+        let col, q2, refutation = two_contexts () in
+        (* Gut the stored proof's CNF: with nothing to propagate
+           against, no derivation step is RUP/RAT — the checker must
+           reject the payload whatever shape the proof had. *)
+        let refutation =
+          match refutation with
+          | Some (Solver.Drat (pre, p)) ->
+            Some
+              (Solver.Drat
+                 ( pre,
+                   {
+                     p with
+                     Solver.trimmed = { p.Solver.trimmed with Sat.cnf = [] };
+                   } ))
+          | _ -> Alcotest.fail "expected a stored proof"
+        in
+        let second = C.certify_refutation ?refutation col q2 in
+        check_bool "second rejected" false (cert_ok second);
         let s = C.summary col in
-        check_int "no proof-cache hit on tampered payload" 0 s.C.pcache_hits;
-        match drat_payload_of second with
-        | None -> Alcotest.fail "expected a fresh drat certificate"
-        | Some p ->
-          check_bool "fresh payload has a CNF again" true (p.C.cnf <> []);
-          check_bool "fresh payload re-checks" true
-            (is_ok
-               (D.check ~expected_deletions:0 ~nvars:p.C.nvars ~cnf:p.C.cnf
-                  p.C.steps)));
+        check_int "one failure" 1 s.C.failed;
+        check_int "no proof-cache hit on tampered payload" 0 s.C.pcache_hits);
   ]
 
 (* {1 Randomized differential: certificates vs brute force}
 
    Step-2-shaped random queries over narrow vectors. Solver verdicts
    (preprocessing on and off) must agree with Eval-based enumeration,
-   and every Unsat must yield a checkable certificate both with and
-   without preprocessing. *)
+   and every Unsat must yield a checkable certificate from the evidence
+   a certifying context decided it with. *)
 
 let brute_force terms =
   let key = T.and_ terms in
@@ -503,18 +536,11 @@ let differential_tests =
             Alcotest.failf "query %d: solver disagrees with brute force" i;
           if not expect then begin
             incr unsats;
-            (match produce q with
+            match produce q with
             | Ok cert ->
               if not (is_ok (C.check cert)) then
                 Alcotest.failf "query %d: certificate fails recheck" i
-            | Error e ->
-              Alcotest.failf "query %d: uncertified (preprocess on): %s" i e);
-            match produce_raw q with
-            | Ok cert ->
-              if not (is_ok (C.check cert)) then
-                Alcotest.failf "query %d: raw certificate fails recheck" i
-            | Error e ->
-              Alcotest.failf "query %d: uncertified (preprocess off): %s" i e
+            | Error e -> Alcotest.failf "query %d: uncertified: %s" i e
           end
         done;
         check_bool "a healthy share of queries were unsat" true
@@ -603,10 +629,9 @@ let random_relation st =
       | 2 -> T.eq (term ()) (term ())
       | _ -> T.not_ (T.eq (term ()) (term ())))
 
-(* Certify what [ctx] just refuted, from what the context hands over. *)
-let certify_in ?work ctx =
-  C.produce ?work ?stage:(Solver.last_stage ctx) ?pre:(Solver.last_pre ctx)
-    ?proof:(Solver.last_proof ctx) (Solver.asserted ctx)
+(* Certify what [ctx] just refuted, from the evidence it kept. *)
+let certify_in ctx =
+  C.produce ?refutation:(Solver.last_refutation ctx) (Solver.asserted ctx)
 
 (* One SAT-decided refutation on a fresh context, and its payload. *)
 let ctx_payload () =
@@ -615,7 +640,9 @@ let ctx_payload () =
   Solver.assert_terms ctx q;
   check_bool "unsat" true (Solver.check_ctx ctx = Solver.Unsat);
   check_bool "decided by the SAT core" true
-    (Solver.last_stage ctx = Some Solver.Solved);
+    (match Solver.last_refutation ctx with
+    | Some (Solver.Drat _) -> true
+    | _ -> false);
   match certify_in ctx with
   | Ok ({ C.reason = C.R_drat p; _ } as cert) when C.kind cert = "drat-ctx"
     ->
@@ -644,11 +671,11 @@ let context_tests =
     Alcotest.test_case "200 random checks on one context: in-context DRAT"
       `Quick (fun () ->
         (* No query cache: every check that gets past folding and the
-           interval tiers is decided by the SAT core of this one
+           interval stages is decided by the SAT core of this one
            context, whose learned clauses and gates pile up across
            checks. Checks nest: each group shares a prefix scope. Every
-           refutation is certified from the tier its deciding stage
-           names, without a re-solve. *)
+           refutation is certified as exactly the kind its evidence
+           names. *)
         let st = Random.State.make [| 0x1C7 |] in
         let ctx = Solver.create_ctx ~track_core:true () in
         let checks = ref 0 and in_context = ref 0 in
@@ -669,20 +696,20 @@ let context_tests =
               if expect then
                 Alcotest.failf "check %d: Unsat, brute force found a model"
                   !checks;
-              let work = C.fresh_work () in
-              match certify_in ~work ctx with
+              let named =
+                match Solver.last_refutation ctx with
+                | Some r -> kind_named r
+                | None -> Alcotest.failf "check %d: no evidence" !checks
+              in
+              match certify_in ctx with
               | Error e -> Alcotest.failf "check %d: uncertified: %s" !checks e
               | Ok cert ->
-                if work.C.resolves > 0 then
-                  Alcotest.failf "check %d: certified by a re-solve" !checks;
                 if not (is_ok (C.check cert)) then
                   Alcotest.failf "check %d: certificate fails recheck" !checks;
-                if Solver.last_stage ctx = Some Solver.Solved then begin
-                  if C.kind cert <> "drat-ctx" then
-                    Alcotest.failf "check %d: SAT-decided but certified as %s"
-                      !checks (C.kind cert);
-                  incr in_context
-                end));
+                if C.kind cert <> named then
+                  Alcotest.failf "check %d: evidence is %s but certified as %s"
+                    !checks named (C.kind cert);
+                if named = "drat-ctx" then incr in_context));
             Solver.pop ctx
           done;
           Solver.pop ctx
@@ -720,36 +747,43 @@ let context_tests =
                C.nvars = p.C.nvars + 2;
                cnf = [ g; fresh; fresh + 2 ] :: p.C.cnf;
              }));
-    Alcotest.test_case "query-cache hit without a stored proof re-solves"
+    Alcotest.test_case "query-cache hit without a stored proof is re-decided"
       `Quick (fun () ->
-        (* One context answers and fills the cache; a second, certifying
-           context then gets the same residual from the cache, with no
-           SAT search to read a proof from and an empty proof cache. *)
+        (* A context that keeps no proofs answers and fills the cache; a
+           certifying context then finds an [Unsat] with no evidence,
+           decides the query itself and upgrades the entry, so a third
+           context hits the upgraded entry. *)
         let cache = Solver.Cache.create () in
         let q = pcache_q1 () in
         let first = Solver.create_ctx ~cache () in
         Solver.assert_terms first q;
         check_bool "first unsat" true (Solver.check_ctx first = Solver.Unsat);
-        let ctx = Solver.create_ctx ~cache ~track_core:true () in
-        Solver.assert_terms ctx q;
-        check_bool "second unsat" true (Solver.check_ctx ctx = Solver.Unsat);
-        check_bool "decided by the cache" true
-          (Solver.last_stage ctx = Some Solver.Cached);
-        check_bool "no in-context proof" true (Solver.last_proof ctx = None);
-        let col = C.create_collector () in
-        let r =
-          C.certify_refutation ?stage:(Solver.last_stage ctx)
-            ?pre:(Solver.last_pre ctx) col q
+        check_bool "no evidence kept" true
+          (Solver.last_refutation first = None);
+        let certify_next col =
+          let ctx = Solver.create_ctx ~cache ~track_core:true () in
+          Solver.assert_terms ctx q;
+          check_bool "unsat" true (Solver.check_ctx ctx = Solver.Unsat);
+          ( (Solver.ctx_stats ctx).Solver.cache_hits,
+            C.certify_refutation ?refutation:(Solver.last_refutation ctx) col
+              q )
         in
-        Alcotest.(check string) "kind" "drat" (kind_of r);
+        let hits, r = certify_next (C.create_collector ()) in
+        check_int "evidence-less entry is a miss" 0 hits;
+        Alcotest.(check string) "kind" "drat-ctx" (kind_of r);
+        (* A fresh collector: the same one would answer the repeated raw
+           query by provenance. *)
+        let col = C.create_collector () in
+        let hits, r = certify_next col in
+        check_int "upgraded entry hits" 1 hits;
+        Alcotest.(check string) "kind" "drat-ctx" (kind_of r);
         let s = C.summary col in
-        check_int "certified" 1 s.C.certified;
-        check_int "one fallback re-solve" 1 s.C.fallback;
-        check_int "nothing in context" 0 s.C.drat_ctx);
+        check_int "from the stored proof" 1 s.C.pcache_hits;
+        check_int "nothing failed" 0 s.C.failed);
     Alcotest.test_case "query-cache hit reuses the stored in-context proof"
       `Quick (fun () ->
         (* As above, but the context that filled the cache tracked its
-           proof: the hit carries it, so no re-solve is needed. *)
+           proof: the hit carries it. *)
         let cache = Solver.Cache.create () in
         let q = pcache_q1 () in
         let first = Solver.create_ctx ~cache ~track_core:true () in
@@ -758,12 +792,38 @@ let context_tests =
         let ctx = Solver.create_ctx ~cache ~track_core:true () in
         Solver.assert_terms ctx q;
         check_bool "second unsat" true (Solver.check_ctx ctx = Solver.Unsat);
-        check_bool "decided by the cache" true
-          (Solver.last_stage ctx = Some Solver.Cached);
-        let work = C.fresh_work () in
-        let r = certify_in ~work ctx in
-        Alcotest.(check string) "kind" "drat-ctx" (kind_of r);
-        check_int "no re-solve" 0 work.C.resolves);
+        check_int "decided by the cache" 1
+          (Solver.ctx_stats ctx).Solver.cache_hits;
+        check_bool "evidence is the stored proof" true
+          (match Solver.last_refutation ctx with
+          | Some (Solver.Drat (_, p)) -> p.Solver.stored
+          | _ -> false);
+        Alcotest.(check string) "kind" "drat-ctx" (kind_of (certify_in ctx)));
+    Alcotest.test_case "cached interval-pre refutation keeps its explanation"
+      `Quick (fun () ->
+        (* [y = x] hides the contradiction from the raw interval scan;
+           elimination exposes it in the residual. The second query
+           adds an alias, so its raw key differs but its residual hits
+           the entry the first one stored with its explanation. *)
+        let cache = Solver.Cache.create () in
+        let x = v16 "ix" and y = v16 "iy" and z = v16 "iz" in
+        let q1 = [ T.eq y x; T.ult x (c16 5); T.ult (c16 10) y ] in
+        let q2 = T.eq z (T.add x y) :: q1 in
+        let first = Solver.create_ctx ~cache () in
+        Solver.assert_terms first q1;
+        check_bool "first unsat" true (Solver.check_ctx first = Solver.Unsat);
+        check_bool "decided on the residual" true
+          (match Solver.last_refutation first with
+          | Some (Solver.Interval_pre _) -> true
+          | _ -> false);
+        let ctx = Solver.create_ctx ~cache ~track_core:true () in
+        Solver.assert_terms ctx q2;
+        check_bool "second unsat" true (Solver.check_ctx ctx = Solver.Unsat);
+        check_int "decided by the cache" 1
+          (Solver.ctx_stats ctx).Solver.cache_hits;
+        let r = certify_in ctx in
+        check_bool "certified" true (cert_ok r);
+        Alcotest.(check string) "kind" "interval-pre" (kind_of r));
   ]
 
 let tests =
