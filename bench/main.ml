@@ -31,7 +31,8 @@ let time f =
 (* {1 Machine-readable results}
 
    Each experiment writes BENCH_<exp>.json next to the text report so
-   scripts can track numbers across runs without scraping stdout. The
+   scripts can track numbers across runs without scraping stdout; a
+   smoke run (VDP_<EXP>_SMOKE set) writes BENCH_<exp>.smoke.json. The
    driver supplies the experiment name and wall time; experiments add
    their own fields with [record]. *)
 
@@ -2141,7 +2142,14 @@ let () =
         json_fields := [];
         Solver.reset_stats ();
         let (), dt = time f in
-        let out = Printf.sprintf "BENCH_%s.json" name in
+        (* A smoke run must not replace the committed full-mode record. *)
+        let smoke =
+          Sys.getenv_opt ("VDP_" ^ String.uppercase_ascii name ^ "_SMOKE")
+          <> None
+        in
+        let out =
+          Printf.sprintf "BENCH_%s%s.json" name (if smoke then ".smoke" else "")
+        in
         Json.write out
           (Json.Obj
              (("experiment", Json.Str name)

@@ -45,7 +45,7 @@
    which use [Solver.is_unsat].
 
    Trusted base beyond that: [Term]'s hash-consed smart constructors
-   and [substitute], [Preprocess.split_list]/[resplit], [Eval],
+   and [substitute_vars], [Preprocess.split_list]/[resplit], [Eval],
    [Bitblast] (CNF correspondence), and this library itself. The DRAT
    checker and the interval replay deliberately share no algorithmic
    code with the solver that produced the answers. *)
@@ -128,7 +128,26 @@ let var_named (t : T.t) n =
   | T.Bv_var (m, _) | T.Bool_var m -> String.equal m n
   | _ -> false
 
-let mentions n t = List.exists (fun (m, _) -> String.equal m n) (T.free_vars t)
+(* Free-variable names per term, memoised on the hash-consed id, one
+   table per domain (certificates are checked from pool domains). The
+   traces of one run's certificates walk the same shared query DAG, so
+   each conjunct's variables are computed once per domain, not once per
+   certificate. The memo cannot be poisoned: the checker alone fills
+   it, and an id names one immutable term for the life of the process,
+   so an entry is a pure function of the term it is keyed on. *)
+let names_memo : (int, string list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+
+let names (t : T.t) =
+  let memo = Domain.DLS.get names_memo in
+  match Hashtbl.find_opt memo t.T.id with
+  | Some ns -> ns
+  | None ->
+    let ns = List.map fst (T.free_vars t) in
+    Hashtbl.add memo t.T.id ns;
+    ns
+
+let mentions n t = List.exists (String.equal n) (names t)
 
 (* Remove one occurrence of [c] (by hash-consed identity) from [set]. *)
 let remove_one c set =
@@ -169,21 +188,6 @@ let unconstrained_shape (b : P.binding) (c : T.t) =
 
 let replay_trace (query : T.t list) (trace : P.trace_step list)
     (residual : T.t list) : (unit, string) result =
-  (* Occurs-check memoized across the whole replay (subterms recur from
-     step to step) with early exit — the replay's hot path is deciding
-     which conjuncts a definition touches, and most touch nothing. *)
-  let occ_tbl = Hashtbl.create 512 in
-  let rec occurs n (t : T.t) =
-    match t.T.node with
-    | T.Bool_var s | T.Bv_var (s, _) -> String.equal s n
-    | _ -> (
-      match Hashtbl.find_opt occ_tbl (t.T.id, n) with
-      | Some b -> b
-      | None ->
-        let b = List.exists (occurs n) (T.children t) in
-        Hashtbl.add occ_tbl (t.T.id, n) b;
-        b)
-  in
   let step set = function
     | P.T_def (n, rhs, c) -> (
       match remove_one c set with
@@ -191,7 +195,7 @@ let replay_trace (query : T.t list) (trace : P.trace_step list)
       | Some rest ->
         if not (defines n rhs c) then
           error "conjunct does not define %s as recorded" n
-        else if occurs n rhs then error "definition of %s mentions itself" n
+        else if mentions n rhs then error "definition of %s mentions itself" n
         else
           (* One memo across the conjuncts: they share subterms, and
              conjuncts that never mention [n] are kept as-is rather
@@ -202,14 +206,14 @@ let replay_trace (query : T.t list) (trace : P.trace_step list)
             (P.resplit
                (List.map
                   (fun t ->
-                    if occurs n t then T.substitute_vars ~memo subst t else t)
+                    if mentions n t then T.substitute_vars ~memo subst t else t)
                   rest)))
     | P.T_unconstrained (b, c) -> (
       let n = match b with P.Def (n, _) | P.Diseq (n, _) -> n in
       match remove_one c set with
       | None -> error "unconstrained conjunct for %s is not in the set" n
       | Some rest ->
-        if List.exists (occurs n) rest then
+        if List.exists (mentions n) rest then
           error "%s still occurs elsewhere; elimination unsound" n
         else if not (unconstrained_shape b c) then
           error "unconstrained elimination of %s has an unexpected shape" n
@@ -229,10 +233,8 @@ let replay_trace (query : T.t list) (trace : P.trace_step list)
       let* rest = drop set dropped in
       (* The dropped component must share no variable with what
          remains — otherwise it was not a component. *)
-      let dropped_vars =
-        List.concat_map (fun d -> List.map fst (T.free_vars d)) dropped
-      in
-      if List.exists (fun n -> List.exists (occurs n) rest) dropped_vars then
+      let dropped_vars = List.concat_map names dropped in
+      if List.exists (fun n -> List.exists (mentions n) rest) dropped_vars then
         error "sliced component shares variables with the residual"
       else Ok rest
   in
@@ -483,11 +485,17 @@ let record_cached col ok =
 (* Certify a refuted conjunction from the evidence the answering
    context decided it with ({!Vdp_smt.Solver.last_refutation}). Returns
    the checked certificate — [R_cached] when this exact raw conjunction
-   was certified before — or why it failed. *)
+   was certified before — or why it failed. Every conjunction that folds
+   has the key [false], so a shared key there says nothing about
+   repeats: each is certified as folded and none enters the memo. *)
 let certify_refutation ?refutation col (query : T.t list) :
     (t, string) result =
   let key = T.and_ query in
-  let prior = locked col (fun () -> Hashtbl.find_opt col.memo key.T.id) in
+  let folds = T.is_false key in
+  let prior =
+    if folds then None
+    else locked col (fun () -> Hashtbl.find_opt col.memo key.T.id)
+  in
   match prior with
   | Some ok ->
     locked col (fun () -> record_cached col ok);
@@ -495,6 +503,7 @@ let certify_refutation ?refutation col (query : T.t list) :
     else error "previously failed to certify this conjunction"
   | None ->
     let t0 = now () in
+    let refutation = if folds then Some S.Folded else refutation in
     let outcome = produce ?refutation query in
     let check_s = now () -. t0 in
     let solve_s, stored =
@@ -509,7 +518,7 @@ let certify_refutation ?refutation col (query : T.t list) :
     locked col (fun () ->
         (* A racing domain may have finished the same key first; keep
            the first verdict, but account this (real) work too. *)
-        if not (Hashtbl.mem col.memo key.T.id) then
+        if not (folds || Hashtbl.mem col.memo key.T.id) then
           Hashtbl.replace col.memo key.T.id (Result.is_ok outcome);
         record_fresh col outcome ~solve_s ~check_s ~stored);
     outcome

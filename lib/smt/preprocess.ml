@@ -17,7 +17,9 @@
      with [x] a variable not occurring in [t] is dropped and [t] is
      substituted for [x] everywhere else (one variable at a time —
      simultaneous selection would be unsound for cyclic definition sets
-     like [x = y /\ y = x+1]). When [t] is a constant this is constant
+     like [x = y /\ y = x+1]). Only conjuncts whose (memoised) free
+     variables include [x] are rewritten; the others come through
+     physically unchanged. When [t] is a constant this is constant
      propagation, and the smart constructors fold downstream. The
      rewritten formula is equisatisfiable: any model of it extends to
      the original by setting [x := eval t].
@@ -124,15 +126,19 @@ let resplit conjs = List.fold_left (fun acc t -> split_conjunct t acc) [] conjs
    occurrence bookkeeping below asks for the same conjunct's variables
    several times per round, and the incremental solver re-presents the
    same (shared) conjuncts across thousands of queries. Entries are
-   permanent, like the hash-cons table itself. *)
-let names_memo : (int, string list) Hashtbl.t = Hashtbl.create 4096
+   permanent, like the hash-cons table itself. One table per domain:
+   pool domains preprocess concurrently (Step-2 checks, Step-1 loop
+   proofs), and a [Hashtbl] must not be shared between domains. *)
+let names_memo : (int, string list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
 
 let var_names (t : T.t) =
-  match Hashtbl.find_opt names_memo t.T.id with
+  let memo = Domain.DLS.get names_memo in
+  match Hashtbl.find_opt memo t.T.id with
   | Some ns -> ns
   | None ->
     let ns = List.map fst (T.free_vars t) in
-    Hashtbl.add names_memo t.T.id ns;
+    Hashtbl.add memo t.T.id ns;
     ns
 
 let occurs name t = List.mem name (var_names t)
@@ -273,8 +279,14 @@ let run terms : result =
     in
     (match pick_def [] !conjs with
     | Some (n, rhs, c, rest) ->
-      let subst v = if String.equal v n then Some rhs else None in
-      conjs := resplit (List.map (T.substitute subst) rest);
+      (* Only the conjuncts that mention [n] change; the rest are kept
+         as they are (they are already split, so [resplit] passes them
+         through). One memo serves the whole round: the rewritten
+         conjuncts share subterms. *)
+      let memo = Hashtbl.create 64 in
+      let subst v _ = if String.equal v n then Some rhs else None in
+      let rewrite c = if occurs n c then T.substitute_vars ~memo subst c else c in
+      conjs := resplit (List.map rewrite rest);
       bindings := Def (n, rhs) :: !bindings;
       trace := T_def (n, rhs, c) :: !trace;
       incr eliminated;

@@ -448,35 +448,6 @@ let rebuild map_child t =
   | Zext (w, a) -> zext w (map_child a)
   | Sext (w, a) -> sext w (map_child a)
 
-let substitute lookup t =
-  let memo = Hashtbl.create 64 in
-  let rec go t =
-    match Hashtbl.find_opt memo t.id with
-    | Some t' -> t'
-    | None ->
-      let t' =
-        match t.node with
-        | Bool_var s -> (
-          match lookup s with
-          | Some r ->
-            if not (Sort.equal r.sort Sort.Bool) then
-              invalid_arg "Term.substitute: sort mismatch";
-            r
-          | None -> t)
-        | Bv_var (s, w) -> (
-          match lookup s with
-          | Some r ->
-            if not (Sort.equal r.sort (Sort.Bv w)) then
-              invalid_arg "Term.substitute: sort mismatch";
-            r
-          | None -> t)
-        | _ -> rebuild go t
-      in
-      Hashtbl.add memo t.id t';
-      t'
-  in
-  go t
-
 let substitute_vars ?memo lookup t =
   let memo = match memo with Some m -> m | None -> Hashtbl.create 64 in
   let rec go t =

@@ -112,17 +112,15 @@ val free_vars : t -> (string * Sort.t) list
 val size : t -> int
 (** Number of distinct subterms. *)
 
-val substitute : (string -> t option) -> t -> t
-(** Simultaneous substitution of variables (both bool and bv); the
-    replacement must have the variable's sort. *)
-
 val substitute_vars :
   ?memo:(int, t) Hashtbl.t -> (string -> Sort.t -> t option) -> t -> t
-(** Like {!substitute}, but the callback also receives the variable's
-    sort (so a rename can rebuild the variable without knowing widths
-    a priori), and an optional caller-supplied memo table lets a batch
-    of terms that share structure be rewritten in one DAG walk: pass
-    the same table to every call made with the {e same} callback. *)
+(** Simultaneous substitution of variables (both bool and bv). The
+    callback receives each variable's name and sort (so a rename can
+    rebuild the variable without knowing widths a priori); a
+    replacement must have the variable's sort. An optional
+    caller-supplied memo table lets a batch of terms that share
+    structure be rewritten in one DAG walk: pass the same table to
+    every call made with the {e same} callback. *)
 
 val rename_vars : (string -> string) -> t -> t
 (** Rename every free variable. *)

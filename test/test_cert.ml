@@ -826,6 +826,102 @@ let context_tests =
         Alcotest.(check string) "kind" "interval-pre" (kind_of r));
   ]
 
+(* {1 Elimination-trace replay}
+
+   The checker re-checks each definition it substitutes and memoises
+   free variables per conjunct in one table per domain. Tampered
+   definitions must still be rejected, and a warm memo must change no
+   outcome. *)
+
+module P = Vdp_smt.Preprocess
+
+(* [ctx_payload]'s certificate with the query and trace replaced. *)
+let with_trace q p trace =
+  { C.query = q; key = T.and_ q; reason = C.R_drat { p with C.trace } }
+
+let rejected_with msg = function
+  | Ok () -> false
+  | Error e ->
+    let n = String.length msg in
+    let rec at i = i + n <= String.length e && (String.sub e i n = msg || at (i + 1)) in
+    at 0
+
+(* The same check from a fresh domain, whose memo starts empty. *)
+let check_cold cert = Domain.join (Domain.spawn (fun () -> C.check cert))
+
+let replay_tests =
+  [
+    Alcotest.test_case "tampered definitions are rejected" `Quick (fun () ->
+        let q, p = ctx_payload () in
+        let name, rhs, def =
+          match p.C.trace with
+          | P.T_def (n, rhs, c) :: _ -> (n, rhs, c)
+          | _ -> Alcotest.fail "expected the trace to open with a definition"
+        in
+        let k = T.var name 16 in
+        check_bool "untampered trace checks" true
+          (is_ok (C.check (with_trace q p p.C.trace)));
+        let without_def = List.filter (fun c -> not (T.equal c def)) q in
+        (* The right-hand side mentions the variable it defines, so
+           substituting it would not eliminate the variable. *)
+        let cyclic = T.add rhs k in
+        let cyclic_def = T.eq k cyclic in
+        let trace' =
+          P.T_def (name, cyclic, cyclic_def) :: List.tl p.C.trace
+        in
+        check_bool "self-referential definition rejected" true
+          (rejected_with "mentions itself"
+             (C.check (with_trace (cyclic_def :: without_def) p trace')));
+        check_bool "missing definition conjunct rejected" true
+          (rejected_with "is not in the set"
+             (C.check (with_trace without_def p p.C.trace))));
+    Alcotest.test_case "warm and cold replay memos agree" `Quick (fun () ->
+        let q, p = ctx_payload () in
+        let def =
+          match p.C.trace with
+          | P.T_def (_, _, c) :: _ -> c
+          | _ -> Alcotest.fail "expected the trace to open with a definition"
+        in
+        let certs =
+          [ with_trace q p p.C.trace;
+            with_trace (List.filter (fun c -> not (T.equal c def)) q) p
+              p.C.trace;
+            with_trace q p [] ]
+        in
+        (* Warm this domain's memo with every conjunct first. *)
+        List.iter (fun c -> ignore (C.check c)) certs;
+        let verdicts =
+          List.map (fun c -> (is_ok (C.check c), is_ok (check_cold c))) certs
+        in
+        check_bool "warm = cold" true
+          (List.for_all (fun (warm, cold) -> warm = cold) verdicts);
+        check_bool "valid accepted, tampered rejected" true
+          (List.map fst verdicts = [ true; false; false ]));
+    Alcotest.test_case "folded refutations are certified folded, not cached"
+      `Quick (fun () ->
+        (* Distinct conjunctions that fold all share the key [false];
+           none is a repeat of another. *)
+        let a = v16 "fa" and b = v16 "fb" in
+        let col = C.create_collector () in
+        let queries =
+          [ [ T.ult a a ]; [ T.ult b b ]; [ T.ult a b; T.ult a a ];
+            [ T.ult a a ] ]
+        in
+        List.iter
+          (fun q ->
+            check_bool "key folds" true (T.is_false (T.and_ q));
+            let _, refutation, _ = decide q in
+            match C.certify_refutation ?refutation col q with
+            | Ok cert -> Alcotest.(check string) "kind" "folded" (C.kind cert)
+            | Error e -> Alcotest.failf "uncertified: %s" e)
+          queries;
+        let s = C.summary col in
+        check_int "all folded" 4 s.C.folded;
+        check_int "none by provenance" 0 s.C.cached;
+        check_int "all certified" 4 s.C.certified;
+        check_int "none failed" 0 s.C.failed);
+  ]
+
 let tests =
   drat_hand_tests @ drat_solver_tests @ certificate_tests @ trimming_tests
-  @ differential_tests @ verifier_tests @ context_tests
+  @ differential_tests @ verifier_tests @ context_tests @ replay_tests

@@ -71,18 +71,42 @@ let tests =
     Alcotest.test_case "substitute" `Quick (fun () ->
         let t = T.add x y in
         let t' =
-          T.substitute (fun n -> if n = "x" then Some (c 1) else None) t
+          T.substitute_vars
+            (fun n _ -> if n = "x" then Some (c 1) else None)
+            t
         in
         teq (T.add (c 1) y) t';
         let t'' =
-          T.substitute
-            (fun n ->
+          T.substitute_vars
+            (fun n _ ->
               if n = "x" then Some (c 1)
               else if n = "y" then Some (c 2)
               else None)
             t
         in
-        teq (c 3) t'');
+        teq (c 3) t'';
+        (* The callback sees each variable's sort, and a shared memo
+           gives later terms the rewrites of earlier ones. *)
+        let memo = Hashtbl.create 8 in
+        let sorts = ref [] in
+        let to_one n s =
+          sorts := (n, s) :: !sorts;
+          if n = "x" then Some (c 1) else None
+        in
+        teq (T.add (c 1) y) (T.substitute_vars ~memo to_one t);
+        check_bool "x seen at width 8" true
+          (List.mem ("x", Vdp_smt.Sort.Bv 8) !sorts);
+        let seen = List.length !sorts in
+        teq (T.ult (T.add (c 1) y) y)
+          (T.substitute_vars ~memo to_one (T.ult t y));
+        check_int "memoised: no variable looked up again" seen
+          (List.length !sorts);
+        Alcotest.check_raises "sort mismatch"
+          (Invalid_argument "Term.substitute_vars: sort mismatch") (fun () ->
+            ignore
+              (T.substitute_vars
+                 (fun n _ -> if n = "x" then Some (T.var "w" 16) else None)
+                 t)));
     Alcotest.test_case "rename_vars" `Quick (fun () ->
         let t = T.add x y in
         let t' = T.rename_vars (fun n -> n ^ "!1") t in
