@@ -1150,7 +1150,7 @@ let e10 () =
   (* Verify each pipeline twice — certification off, then on — and
      require (a) identical verdicts/bounds, (b) every refutation behind
      the certified run independently validated. The instruction bound
-     runs on the router only: on the firewall it takes tens of seconds
+     runs on the router only: on the firewall it takes several seconds
      in either mode, nearly all of it Step-2 composition of the
      IPFilter's ~15 k segments rather than solving or certification.
      The regression gate is computed over the two fast pipelines only,

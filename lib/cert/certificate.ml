@@ -9,8 +9,9 @@
    evidence maps to one certificate kind:
 
    - {b folded}: the raw conjunction's smart-constructor normal form is
-     literally [false] (checking is [Term.is_false]), or — [folded-pre]
-     — the residual left by replaying the elimination trace is.
+     literally [false] (checking is [Term.conj_is_false] on the query's
+     conjunct list), or — [folded-pre] — the residual left by replaying
+     the elimination trace is.
    - {b interval}: the solver's interval analysis emptied some
      subject's range. The explanation is replayed by
      {!Interval_check}, which re-derives every bound from the atoms
@@ -41,11 +42,13 @@
    verdict rests on directly. Not covered, and so trusted: Step-1 fork
    pruning ([Engine.plausible]) and Step-2 descent and bound/reach
    pruning ([Compose.plausible]), which drop branches on
-   [Interval.refute] alone; and loop-measure and invariant proofs,
+   [Interval.refute_list] alone; and loop-measure and invariant proofs,
    which use [Solver.is_unsat].
 
-   Trusted base beyond that: [Term]'s hash-consed smart constructors
-   and [substitute_vars], [Preprocess.split_list]/[resplit], [Eval],
+   Trusted base beyond that: [Term]'s hash-consed smart constructors,
+   its list fold test [conj_is_false] (which must agree with
+   [is_false (and_ ts)]) and [substitute_vars],
+   [Preprocess.split_list]/[resplit], [Eval],
    [Bitblast] (CNF correspondence), and this library itself. The DRAT
    checker and the interval replay deliberately share no algorithmic
    code with the solver that produced the answers. *)
@@ -95,7 +98,9 @@ type reason =
 
 type t = {
   query : T.t list;  (** the refuted conjunction, as the caller gave it *)
-  key : T.t;  (** [Term.and_ query] *)
+  key : T.t;
+      (** [Term.and_ query], or [Term.fls] for a query that folds,
+          whose conjunction is never built *)
   reason : reason;
 }
 
@@ -274,7 +279,7 @@ let selector_guarded goal cnf =
 let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
   match cert.reason with
   | R_folded ->
-    if T.is_false cert.key then Ok ()
+    if T.conj_is_false cert.query then Ok ()
     else error "conjunction does not fold to false"
   | R_interval ex -> Interval_check.check cert.query ex
   | R_folded_pre trace -> replay_trace cert.query trace [ T.fls ]
@@ -310,7 +315,7 @@ let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
    One match: the evidence the solver decided with becomes the one
    certificate of its kind. *)
 
-let of_refutation (query : T.t list) (r : S.refutation) : t =
+let of_refutation ~key (query : T.t list) (r : S.refutation) : t =
   let reason =
     match r with
     | S.Folded -> R_folded
@@ -332,14 +337,18 @@ let of_refutation (query : T.t list) (r : S.refutation) : t =
           trace = pre.P.trace;
         }
   in
-  { query; key = T.and_ query; reason }
+  { query; key; reason }
 
-(* The certificate for [refutation], once it has passed {!check}. *)
-let produce ?refutation (query : T.t list) : (t, string) result =
+(* A query's {!t.key}: [Term.fls] when it folds, else its conjunction. *)
+let key_of query = if T.conj_is_false query then T.fls else T.and_ query
+
+(* The certificate for [refutation], once it has passed {!check}; [key]
+   is [key_of query]. *)
+let produce ?refutation ~key (query : T.t list) : (t, string) result =
   match refutation with
   | None -> error "uncertified: the solver kept no evidence for this refutation"
   | Some r ->
-    let cert = of_refutation query r in
+    let cert = of_refutation ~key query r in
     match check cert with
     | Ok () -> Ok cert
     | Error e -> error "%s: %s" (kind cert) e
@@ -490,7 +499,10 @@ let record_cached col ok =
    repeats: each is certified as folded and none enters the memo. *)
 let certify_refutation ?refutation col (query : T.t list) :
     (t, string) result =
-  let key = T.and_ query in
+  let key =
+    (* A folded claim is checked by {!check}; it needs no key of its own. *)
+    match refutation with Some S.Folded -> T.fls | _ -> key_of query
+  in
   let folds = T.is_false key in
   let prior =
     if folds then None
@@ -504,7 +516,7 @@ let certify_refutation ?refutation col (query : T.t list) :
   | None ->
     let t0 = now () in
     let refutation = if folds then Some S.Folded else refutation in
-    let outcome = produce ?refutation query in
+    let outcome = produce ?refutation ~key query in
     let check_s = now () -. t0 in
     let solve_s, stored =
       match refutation with

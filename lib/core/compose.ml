@@ -98,8 +98,6 @@ let meta_term st m =
   | Some t -> t
   | None -> T.var (S.meta_var m) (Ir.meta_width m)
 
-let cond_term st = T.and_ st.cond
-
 (** Rewrite one of the segment's terms into pipeline-input terms, in a
     single walk: internal variables (key/value reads, havoc values) are
     renamed with the position tag so different positions cannot
@@ -133,15 +131,69 @@ let import st ~tag =
   in
   fun term -> T.substitute_vars ~memo lookup term
 
-(** Apply a segment summary at pipeline position [tag]; returns the
-    state {e after} the segment (meaningful when its outcome emits).
-    [deps] is the element's static-state slice list (from its
-    {!Engine.result}), unioned into the composite state. *)
-let apply ?(deps = []) st ~tag (seg : Engine.segment) =
-  let xf = import st ~tag in
+(** One element's position on one path: the state its segments are
+    applied to, and the import they share. The segments of one summary
+    fork from common prefixes, so their constraints share most of their
+    structure, and one memo rewrites each shared subterm once. A site
+    lives only while its node is expanded, on the domain expanding it. *)
+type site = {
+  from : t;
+  tag : string;
+  xf : T.t -> T.t;  (** [import from ~tag] *)
+  deps : (int * B.t) list;
+      (** [from]'s static-state slices plus the element's ({!apply}) *)
+}
+
+let site ?(deps = []) st ~tag =
+  let fresh =
+    List.filter
+      (fun (sid, k) ->
+        not
+          (List.exists
+             (fun (sid', k') -> sid = sid' && B.equal k k')
+             st.static_deps))
+      deps
+  in
+  { from = st; tag; xf = import st ~tag; deps = fresh @ st.static_deps }
+
+(** A segment applied as far as pruning needs ({!guard}): its
+    constraints imported, nothing else. {!finish} builds the rest of
+    the successor through the same import, so a survivor's terms are
+    substituted once and a pruned successor's packet, length, metadata
+    and state events never are. *)
+type guarded = {
+  g_site : site;
+  g_seg : Engine.segment;
+  g_new_cond : T.t list;  (** the successor's [new_cond] *)
+  g_cond : T.t list;  (** the successor's [cond] *)
+}
+
+(** Whether applying [seg] to [st] dips below the remaining headroom
+    budget: the successor's [headroom_short], with no substitution. *)
+let dips st (seg : Engine.segment) =
+  st.headroom + seg.Engine.out_state.Engine.min_delta < 0
+
+(** Apply a segment's constraints at a site. *)
+let guard site (seg : Engine.segment) =
+  let new_cond = List.map site.xf seg.Engine.cond in
+  {
+    g_site = site;
+    g_seg = seg;
+    g_new_cond = new_cond;
+    g_cond = List.rev_append new_cond site.from.cond;
+  }
+
+(** Cheap infeasibility filter for pruning during path enumeration:
+    constant folding and interval refutation of the guarded successor's
+    path condition, decided on its conjunct list. *)
+let plausible g = not (Vdp_smt.Interval.refute_list g.g_cond)
+
+(** The state {e after} a guarded segment (meaningful when its outcome
+    emits). *)
+let finish g =
+  let { from = st; tag; xf; deps } = g.g_site and seg = g.g_seg in
   let out = seg.Engine.out_state in
   let delta = out.Engine.head_delta in
-  let new_cond = List.map xf seg.Engine.cond in
   (* Background and carried-over overrides. *)
   let background, overrides =
     match out.Engine.havoc with
@@ -191,30 +243,22 @@ let apply ?(deps = []) st ~tag (seg : Engine.segment) =
     overrides;
     len = xf out.Engine.len_out;
     meta;
-    cond = List.rev_append new_cond st.cond;
-    new_cond;
+    cond = g.g_cond;
+    new_cond = g.g_new_cond;
     instr_lo = st.instr_lo + seg.Engine.instr_lo;
     instr_hi = st.instr_hi + seg.Engine.instr_hi;
     summarized = st.summarized || seg.Engine.summarized;
     kv_trace = List.rev_append kv_new st.kv_trace;
     trail = tag :: st.trail;
     headroom = st.headroom + delta;
-    headroom_short = st.headroom + out.Engine.min_delta < 0;
-    static_deps =
-      (let fresh =
-         List.filter
-           (fun (sid, k) ->
-             not
-               (List.exists
-                  (fun (sid', k') -> sid = sid' && B.equal k k')
-                  st.static_deps))
-           deps
-       in
-       fresh @ st.static_deps);
+    headroom_short = dips st seg;
+    static_deps = deps;
   }
 
-(** Cheap infeasibility filter for pruning during path enumeration. *)
-let plausible st = not (Vdp_smt.Interval.refute (cond_term st))
+(** Apply a segment summary at pipeline position [tag]. [deps] is the
+    element's static-state slice list (from its {!Engine.result}),
+    unioned into the composite state. *)
+let apply ?deps st ~tag seg = finish (guard (site ?deps st ~tag) seg)
 
 (** Build a concrete input packet from a solver model of the composite
     constraint. Bytes the model leaves free default to zero. *)

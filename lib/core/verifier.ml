@@ -270,13 +270,16 @@ let segment_reads_kv (seg : Engine.segment) =
     (function S.Kv_read _ -> true | S.Kv_write _ -> false)
     seg.Engine.kv_log
 
-(* Run [f apply seg] on every segment of [node]'s summary, in segment
-   order; [apply seg] composes [seg] onto [st]. *)
+(* Run [f guard seg] on every segment of [node]'s summary, in segment
+   order; [guard seg] applies [seg]'s constraints to [st] at [node]'s
+   site ({!Compose.guard}), and {!Compose.finish} builds the successor
+   of a guard that survives pruning. *)
 let iter_segments (summaries : Summaries.entry array) node st f =
   let tag = Printf.sprintf "n%d" node in
   let deps = summaries.(node).Summaries.result.Engine.static_deps in
+  let site = Compose.site ~deps st ~tag in
   List.iter
-    (f (fun seg -> Compose.apply ~deps st ~tag seg))
+    (f (Compose.guard site))
     summaries.(node).Summaries.result.Engine.segments
 
 (* {1:step2 Step 2: one traversal for every property}
@@ -567,8 +570,10 @@ let violation_report summaries stats cert (violations, budget_hit) =
    headroom crash. [danger.(i)] marks nodes where some segment's worst
    push excursion can exceed the least budget any path carries in (a
    static over-approximation): only there do drop/emit segments need
-   the per-path dip check, so headroom-safe pipelines pay nothing.
-   Emit segments are followed only into subtrees that [has_suspect]. *)
+   the per-path dip check, so headroom-safe pipelines pay nothing, and
+   a segment that does not dip is composed only to descend. Emit
+   segments are followed only into subtrees that [has_suspect], and
+   only when plausible. *)
 let crash_expand nodes summaries has_suspect danger node st yield =
   let suspect (seg : Engine.segment) st' outcome =
     yield
@@ -580,32 +585,30 @@ let crash_expand nodes summaries has_suspect danger node st yield =
            st' ))
   in
   let headroom seg st' = suspect seg st' (Engine.O_crash Engine.C_headroom) in
-  iter_segments summaries node st (fun apply seg ->
+  iter_segments summaries node st (fun guard seg ->
+      let dips = Compose.dips st seg in
       match seg.Engine.outcome with
       | Engine.O_crash _ ->
-        let st' = apply seg in
-        if st'.Compose.headroom_short then headroom seg st'
-        else suspect seg st' seg.Engine.outcome
+        let st' = Compose.finish (guard seg) in
+        if dips then headroom seg st' else suspect seg st' seg.Engine.outcome
       | Engine.O_drop ->
-        if danger.(node) then
-          let st' = apply seg in
-          if st'.Compose.headroom_short then headroom seg st'
+        if danger.(node) && dips then headroom seg (Compose.finish (guard seg))
       | Engine.O_emit p -> (
         let dst =
           match nodes.(node).Click.Pipeline.outputs.(p) with
           | Some (dst, _) when has_suspect.(dst) -> Some dst
           | _ -> None
         in
-        if danger.(node) || dst <> None then
-          let st' = apply seg in
-          if st'.Compose.headroom_short then
-            (* The runtime crashes mid-segment; nothing runs behind
-               this element on such a path, so do not descend. *)
-            headroom seg st'
-          else
-            match dst with
-            | Some dst when Compose.plausible st' -> yield (Descend (dst, st'))
-            | _ -> ()))
+        if (danger.(node) || dst <> None) && dips then
+          (* The runtime crashes mid-segment; nothing runs behind
+             this element on such a path, so do not descend. *)
+          headroom seg (Compose.finish (guard seg))
+        else
+          match dst with
+          | Some dst ->
+            let g = guard seg in
+            if Compose.plausible g then yield (Descend (dst, Compose.finish g))
+          | None -> ()))
 
 let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
     report =
@@ -745,9 +748,10 @@ let rec atomic_max a v =
 
 (* Every completed path is suspect. *)
 let bound_expand nodes summaries node st yield =
-  iter_segments summaries node st (fun apply seg ->
-      let st' = apply seg in
-      if Compose.plausible st' then
+  iter_segments summaries node st (fun guard seg ->
+      let g = guard seg in
+      if Compose.plausible g then
+        let st' = Compose.finish g in
         match seg.Engine.outcome with
         | Engine.O_crash _ | Engine.O_drop -> yield (Check ((), st'))
         | Engine.O_emit p -> (
@@ -868,9 +872,10 @@ let reach_expand pl nodes summaries ~bad node st yield =
                s_expect = expect_of_end path_end; s_seg_reads = true },
              st' ))
   in
-  iter_segments summaries node st (fun apply seg ->
-      let st' = apply seg in
-      if Compose.plausible st' then
+  iter_segments summaries node st (fun guard seg ->
+      let g = guard seg in
+      if Compose.plausible g then
+        let st' = Compose.finish g in
         match seg.Engine.outcome with
         | Engine.O_crash _ -> suspect seg st' (End_crash node)
         | Engine.O_drop -> suspect seg st' (End_drop node)

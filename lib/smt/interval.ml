@@ -6,7 +6,9 @@
       (widths up to 30 bits; wider terms fall back to the trivial range);
     - [explain t] — [Some] only if the boolean term is definitely
       unsatisfiable, with the atoms that show it; [refute t] is its
-      yes/no answer (and also accepts a literal [false]). Sound, far
+      yes/no answer (and also accepts a literal [false]).
+      [explain_list]/[refute_list] answer the same for the conjunction
+      of a list without building it. Sound, far
       from complete: it intersects the ranges implied by comparison
       atoms that share a common subject term, which is exactly the shape
       produced by composing pipeline segments (e.g. [in < 0 && 0 < 0]
@@ -128,97 +130,100 @@ type explanation =
   | Ex_diseq_points of Term.t
       (** a disequality atom whose two sides are the same single value *)
 
-let explain (t : Term.t) : explanation option =
-  if Term.is_false t then None
-  else begin
-    (* Conjunctions nest once composite conditions are re-conjoined
-       (e.g. [And [And [...]; atom]]); flatten them all. *)
-    let atoms = ref [] in
-    let rec collect (t : Term.t) =
-      match t.node with
-      | Term.And ts -> Array.iter collect ts
-      | _ -> atoms := t :: !atoms
-    in
-    collect t;
-    (* subject id -> (subject, lo, hi, applied steps newest first) *)
-    let tbl : (int, Term.t * int * int * explain_step list) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let found = ref None in
-    let state_of (subject : Term.t) =
-      match Hashtbl.find_opt tbl subject.id with
-      | Some (_, lo, hi, steps) -> (lo, hi, steps)
-      | None -> (
-        match range subject with
-        | Some (lo, hi) -> (lo, hi, [])
-        | None -> (0, max_int, []))
-    in
-    let emit subject steps =
-      if !found = None then
-        found := Some (Ex_interval { subject; steps = List.rev steps })
-    in
-    let note atom { subject; lo; hi } =
-      let lo0, hi0, steps = state_of subject in
-      let lo' = max lo lo0 and hi' = min hi hi0 in
-      let steps = X_bound (atom, lo, hi) :: steps in
-      if lo' > hi' then emit subject steps
-      else Hashtbl.replace tbl subject.id (subject, lo', hi', steps)
-    in
-    (* Negated equalities cannot be intervals, but they shave the ends
-       off one: collect them and apply after the bounds have settled. *)
-    let diseqs : (Term.t * Term.t * int) list ref = ref [] in
-    let note_diseq atom (a : Term.t) (b : Term.t) =
-      if Term.width a <= max_tracked_width then
-        match (point_value a, point_value b) with
-        | Some n, None -> diseqs := (atom, b, n) :: !diseqs
-        | None, Some n -> diseqs := (atom, a, n) :: !diseqs
-        | Some n, Some m ->
-          if n = m && !found = None then found := Some (Ex_diseq_points atom)
-        | None, None -> ()
-    in
+(* [explain_list ts] explains the conjunction of [ts] without building
+   it: duplicates and [true] operands cost a repeated or void step, and
+   the answer is [Some] exactly when [explain (Term.and_ ts)] is, for
+   every [ts] that does not fold to [false]. *)
+let explain_list (ts : Term.t list) : explanation option =
+  (* subject id -> (subject, lo, hi, applied steps newest first) *)
+  let tbl : (int, Term.t * int * int * explain_step list) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let found = ref None in
+  let state_of (subject : Term.t) =
+    match Hashtbl.find_opt tbl subject.id with
+    | Some (_, lo, hi, steps) -> (lo, hi, steps)
+    | None -> (
+      match range subject with
+      | Some (lo, hi) -> (lo, hi, [])
+      | None -> (0, max_int, []))
+  in
+  let emit subject steps =
+    if !found = None then
+      found := Some (Ex_interval { subject; steps = List.rev steps })
+  in
+  let note atom { subject; lo; hi } =
+    let lo0, hi0, steps = state_of subject in
+    let lo' = max lo lo0 and hi' = min hi hi0 in
+    let steps = X_bound (atom, lo, hi) :: steps in
+    if lo' > hi' then emit subject steps
+    else Hashtbl.replace tbl subject.id (subject, lo', hi', steps)
+  in
+  (* Negated equalities cannot be intervals, but they shave the ends
+     off one: collect them and apply after the bounds have settled. *)
+  let diseqs : (Term.t * Term.t * int) list ref = ref [] in
+  let note_diseq atom (a : Term.t) (b : Term.t) =
+    if Term.width a <= max_tracked_width then
+      match (point_value a, point_value b) with
+      | Some n, None -> diseqs := (atom, b, n) :: !diseqs
+      | None, Some n -> diseqs := (atom, a, n) :: !diseqs
+      | Some n, Some m ->
+        if n = m && !found = None then found := Some (Ex_diseq_points atom)
+      | None, None -> ()
+  in
+  (* Conjunctions nest once composite conditions are re-conjoined
+     (e.g. [And [And [...]; atom]]); flatten them all. *)
+  let rec visit (atom : Term.t) =
+    match atom.node with
+    | Term.And ts -> Array.iter visit ts
+    | _ ->
+      if !found = None then begin
+        let inner, positive =
+          match atom.Term.node with
+          | Term.Not inner -> (inner, false)
+          | _ -> (atom, true)
+        in
+        match (inner.Term.node, positive) with
+        | Term.Eq (a, b), false when not (Sort.is_bool (Term.sort a)) ->
+          note_diseq atom a b
+        | _ -> (
+          match atom_bound inner ~positive with
+          | Some b -> note atom b
+          | None -> ())
+      end
+  in
+  List.iter visit ts;
+  (* Each diseq can tighten an interval endpoint, which can arm other
+     diseqs on the same subject; iterate to a fixpoint (each pass that
+     changes anything shrinks some interval, so this terminates). *)
+  let changed = ref true in
+  while !changed && !found = None do
+    changed := false;
     List.iter
-      (fun atom ->
+      (fun ((atom : Term.t), (subject : Term.t), n) ->
         if !found = None then begin
-          let inner, positive =
-            match atom.Term.node with
-            | Term.Not inner -> (inner, false)
-            | _ -> (atom, true)
-          in
-          match (inner.Term.node, positive) with
-          | Term.Eq (a, b), false when not (Sort.is_bool (Term.sort a)) ->
-            note_diseq atom a b
-          | _ -> (
-            match atom_bound inner ~positive with
-            | Some b -> note atom b
-            | None -> ())
+          let lo, hi, steps = state_of subject in
+          if lo = n && hi = n then
+            emit subject (X_shave (atom, n) :: steps)
+          else if lo = n then begin
+            Hashtbl.replace tbl subject.id
+              (subject, lo + 1, hi, X_shave (atom, n) :: steps);
+            changed := true
+          end
+          else if hi = n then begin
+            Hashtbl.replace tbl subject.id
+              (subject, lo, hi - 1, X_shave (atom, n) :: steps);
+            changed := true
+          end
         end)
-      !atoms;
-    (* Each diseq can tighten an interval endpoint, which can arm other
-       diseqs on the same subject; iterate to a fixpoint (each pass that
-       changes anything shrinks some interval, so this terminates). *)
-    let changed = ref true in
-    while !changed && !found = None do
-      changed := false;
-      List.iter
-        (fun ((atom : Term.t), (subject : Term.t), n) ->
-          if !found = None then begin
-            let lo, hi, steps = state_of subject in
-            if lo = n && hi = n then
-              emit subject (X_shave (atom, n) :: steps)
-            else if lo = n then begin
-              Hashtbl.replace tbl subject.id
-                (subject, lo + 1, hi, X_shave (atom, n) :: steps);
-              changed := true
-            end
-            else if hi = n then begin
-              Hashtbl.replace tbl subject.id
-                (subject, lo, hi - 1, X_shave (atom, n) :: steps);
-              changed := true
-            end
-          end)
-        !diseqs
-    done;
-    !found
-  end
+      !diseqs
+  done;
+  !found
+
+let explain (t : Term.t) : explanation option =
+  if Term.is_false t then None else explain_list [ t ]
 
 let refute (t : Term.t) = Term.is_false t || explain t <> None
+
+(* [refute_list ts = refute (Term.and_ ts)], interning nothing. *)
+let refute_list ts = Term.conj_is_false ts || explain_list ts <> None

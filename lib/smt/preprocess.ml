@@ -11,7 +11,7 @@
    - Conjunct splitting (equivalence-preserving): nested conjunctions
      and negated disjunctions are flattened; [concat hi lo = c] splits
      into per-part equalities. Splitting exposes more work to the later
-     passes and lets [Term.and_]'s set-based dedup merge more conjuncts.
+     passes and lets [Term.and_]'s dedup merge more conjuncts.
 
    - Equality substitution / constant propagation: a conjunct [x = t]
      with [x] a variable not occurring in [t] is dropped and [t] is

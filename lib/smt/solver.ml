@@ -160,8 +160,8 @@ let now () = Unix.gettimeofday ()
 (* {1 Query cache}
 
    Memoizes definite answers keyed on the hash-consed id of the
-   *preprocessed* conjunction. [Term.and_] flattens and deduplicates
-   through a set, so the same multiset of constraints always maps to
+   *preprocessed* conjunction. [Term.and_] flattens, deduplicates and
+   sorts by id, so the same multiset of constraints always maps to
    the same id no matter in which order a caller accumulated them — and
    preprocessing first means queries that differ only in eliminated
    conjuncts (a definition spelled [x = 5] vs the constant 5 already
@@ -326,9 +326,11 @@ type refutation =
 (* The shared front end: raw-level interval refutation, word-level
    preprocessing, constant folding, cache lookup, a second interval
    refutation on the residue, then [blast_and_solve] for the real
-   work. The raw refutation comes first because it is a shallow scan
-   and kills the large majority of Step-2 queries — preprocessing them
-   would be pure overhead. [blast_and_solve] receives the preprocessed
+   work. The raw stage comes first because it is a shallow scan and
+   kills the large majority of Step-2 queries — preprocessing them
+   would be pure overhead. It decides on the conjunct list
+   ([Term.conj_is_false], [Interval.explain_list]), so a query it
+   kills never interns its conjunction. [blast_and_solve] receives the preprocessed
    conjuncts and returns a model of the *preprocessed* formula; the
    front end completes it with the eliminated variables' bindings and
    re-validates against the original conjunction, so neither a
@@ -347,17 +349,18 @@ let check_conj sts ?cache ?(deps = []) ?(certifying = false)
     on_refutation r;
     finish sts Unsat
   in
-  let raw = Term.and_ terms in
-  if Term.is_false raw then begin
+  if Term.conj_is_false terms then begin
     tally sts (fun s -> s.folded <- s.folded + 1);
     refuted Folded
   end
   else
-  match Interval.explain raw with
+  match Interval.explain_list terms with
   | Some ex ->
     tally sts (fun s -> s.interval_refutations <- s.interval_refutations + 1);
     refuted (Interval ex)
   | None ->
+  (* Only a query that survives the raw stage builds its conjunction. *)
+  let raw = Term.and_ terms in
   let t0 = now () in
   let pre = if preprocess then Preprocess.run terms else Preprocess.identity terms in
   tally sts (fun s ->
@@ -367,7 +370,7 @@ let check_conj sts ?cache ?(deps = []) ?(certifying = false)
   let key = pre.Preprocess.key in
   let accept m =
     let m = Preprocess.complete pre m in
-    validate_model (Term.and_ terms) m;
+    validate_model raw m;
     Sat m
   in
   let refuted_by = function

@@ -165,38 +165,114 @@ let not_ t =
   | Not a -> a
   | _ -> mk (Not t) Sort.Bool
 
-(* Flatten, deduplicate, short-circuit. [neutral] is the identity element,
-   [absorbing] annihilates. *)
-let assoc_bool ~neutral ~absorbing ~wrap ts =
-  let module S = Set.Make (struct
-    type nonrec t = t
+(* {2 Flattening}
 
-    let compare = compare
-  end) in
-  let exception Absorbed in
-  let rec collect acc t =
-    if t == neutral then acc
+   [and_]/[or_] and [conj_is_false] share one flatten step. It walks
+   the operands once, opening nested nodes of the same connective, and
+   drops duplicates and the neutral element through a per-domain set of
+   term ids. The set is open addressing, emptied in O(1) by bumping a
+   generation stamp, so a call neither sorts nor interns: on Step-2
+   path conditions (~80 conjuncts, newest first) sorting cost several
+   times the rest of the walk. Only [and_]/[or_] sort, the distinct
+   operands of the node they build. A walk calls nothing that walks
+   again, and each domain has its own set, so one set serves one walk
+   at a time. *)
+
+type idset = {
+  mutable ids : int array;
+  mutable stamps : int array;  (** slot [i] is live iff [stamps.(i) = gen] *)
+  mutable gen : int;
+  mutable live : int;
+}
+
+let idset_key =
+  Domain.DLS.new_key (fun () ->
+      { ids = Array.make 256 0; stamps = Array.make 256 0; gen = 0; live = 0 })
+
+let slot (s : idset) id =
+  ((id * 0x1E3779B97F4A7C15) lsr 20) land (Array.length s.ids - 1)
+
+let rec idset_mem s id i =
+  s.stamps.(i) = s.gen
+  && (s.ids.(i) = id || idset_mem s id ((i + 1) land (Array.length s.ids - 1)))
+
+(* Insert [id] at or after slot [i]; false if it was already there. *)
+let rec idset_add s id i =
+  if s.stamps.(i) <> s.gen then begin
+    s.stamps.(i) <- s.gen;
+    s.ids.(i) <- id;
+    s.live <- s.live + 1;
+    true
+  end
+  else s.ids.(i) <> id && idset_add s id ((i + 1) land (Array.length s.ids - 1))
+
+(* Keep the load at most one half: double and re-insert the live ids. *)
+let idset_grow s =
+  let ids = s.ids and stamps = s.stamps and gen = s.gen in
+  let n = 2 * Array.length ids in
+  s.ids <- Array.make n 0;
+  s.stamps <- Array.make n 0;
+  s.gen <- 1;
+  s.live <- 0;
+  Array.iteri
+    (fun i id -> if stamps.(i) = gen then ignore (idset_add s id (slot s id)))
+    ids
+
+exception Absorbed
+
+(* The distinct operands of [ts] under the connective ([conj] for
+   [And], else [Or]), in no particular order, or [] unless [keep].
+   [neutral] is dropped; [absorbing], or a pair [x], [Not x], raises
+   [Absorbed]. *)
+let flatten ~conj ~neutral ~absorbing ~keep ts =
+  let s = Domain.DLS.get idset_key in
+  s.gen <- s.gen + 1;
+  s.live <- 0;
+  let acc = ref [] and negations = ref false in
+  let rec collect t =
+    if t == neutral then ()
     else if t == absorbing then raise Absorbed
     else
-      match (t.node, wrap [||] = And [||]) with
-      | And inner, true | Or inner, false ->
-        Array.fold_left collect acc inner
-      | _ -> S.add t acc
+      match t.node with
+      | And inner when conj -> Array.iter collect inner
+      | Or inner when not conj -> Array.iter collect inner
+      | node ->
+        if 2 * (s.live + 1) > Array.length s.ids then idset_grow s;
+        if idset_add s t.id (slot s t.id) then begin
+          if keep then acc := t :: !acc;
+          match node with Not _ -> negations := true | _ -> ()
+        end
   in
-  try
-    let set = List.fold_left collect S.empty ts in
-    (* x and (not x) together decide the connective. *)
-    let contradicts = S.exists (fun t -> S.mem (not_ t) set) set in
-    if contradicts then absorbing
-    else
-      match S.elements set with
-      | [] -> neutral
-      | [ t ] -> t
-      | elts -> mk (wrap (Array.of_list elts)) Sort.Bool
-  with Absorbed -> absorbing
+  (* x and (not x) together decide the connective. *)
+  let rec contradict t =
+    match t.node with
+    | And inner when conj -> Array.iter contradict inner
+    | Or inner when not conj -> Array.iter contradict inner
+    | Not x -> if idset_mem s x.id (slot s x.id) then raise Absorbed
+    | _ -> ()
+  in
+  List.iter collect ts;
+  if !negations then List.iter contradict ts;
+  !acc
 
-let and_ ts = assoc_bool ~neutral:tru ~absorbing:fls ~wrap:(fun a -> And a) ts
-let or_ ts = assoc_bool ~neutral:fls ~absorbing:tru ~wrap:(fun a -> Or a) ts
+let assoc_bool ~conj ~neutral ~absorbing ts =
+  match flatten ~conj ~neutral ~absorbing ~keep:true ts with
+  | exception Absorbed -> absorbing
+  | [] -> neutral
+  | [ t ] -> t
+  | ops ->
+    let a = Array.of_list ops in
+    Array.sort compare a;
+    mk (if conj then And a else Or a) Sort.Bool
+
+let and_ ts = assoc_bool ~conj:true ~neutral:tru ~absorbing:fls ts
+let or_ ts = assoc_bool ~conj:false ~neutral:fls ~absorbing:tru ts
+
+let conj_is_false ts =
+  match flatten ~conj:true ~neutral:tru ~absorbing:fls ~keep:false ts with
+  | exception Absorbed -> true
+  | _ -> false
+
 let and2 a b = and_ [ a; b ]
 let or2 a b = or_ [ a; b ]
 let implies a b = or2 (not_ a) b

@@ -51,6 +51,15 @@ val bool_var : string -> t
 val not_ : t -> t
 val and_ : t list -> t
 val or_ : t list -> t
+(** [and_]/[or_] flatten nested nodes of the same connective, drop
+    duplicates and the neutral element, and fold to the absorbing one
+    when it or a pair [x], [not_ x] occurs. The operands of the node
+    they build are sorted by id. *)
+
+val conj_is_false : t list -> bool
+(** [conj_is_false ts = is_false (and_ ts)], decided on the list:
+    nothing is interned. *)
+
 val and2 : t -> t -> t
 val or2 : t -> t -> t
 val implies : t -> t -> t

@@ -151,11 +151,11 @@ let outcome_matches (o : outcome) (ro : Ir.outcome) =
   | O_crash c, Ir.Crashed rc -> crash_matches c rc
   | _ -> false
 
-(* Cheap feasibility filter: constant folding + interval refutation.
+(* Cheap feasibility filter: constant folding + interval refutation,
+   decided on the conjunct list without building the conjunction.
    Sound to keep infeasible paths (Step 2 re-checks with the solver). *)
 let plausible (st : S.t) extra =
-  let conj = T.and_ (extra :: st.S.path) in
-  (not (T.is_false conj)) && not (Interval.refute conj)
+  not (Interval.refute_list (extra :: st.S.path))
 
 let rv_term (st : S.t) = function
   | Ir.Const v -> T.bv v

@@ -208,20 +208,23 @@ type node = int * int * int
     payload its {!fend} — then a [Descend] per continuing successor,
     into the next node of the pipeline or, across a link, into the
     linked pipeline's entry. Successors the interval filter refutes are
-    dropped, and a link beyond {!Fabric.max_crossings} is not
-    followed. *)
+    dropped before they are built ({!Compose.guard}), and a link beyond
+    {!Fabric.max_crossings} is not followed. *)
 let expand rel ((pi, node, crossings) : node) (st : Compose.t) yield =
   let p = rel.fab.Fabric.pipes.(pi) in
   let nodes = Pipeline.nodes p.Fabric.p_pl in
   let tag = Fabric.tag ~pipe:pi ~node in
   let entry = rel.summaries.(pi).(node) in
-  let deps = entry.Summaries.result.Engine.static_deps in
+  let site =
+    Compose.site ~deps:entry.Summaries.result.Engine.static_deps st ~tag
+  in
   let finished = ref [] in
   let goto = ref [] in
   List.iter
     (fun (seg : Engine.segment) ->
-      let st' = Compose.apply ~deps st ~tag seg in
-      if Compose.plausible st' then
+      let g = Compose.guard site seg in
+      if Compose.plausible g then
+        let st' = Compose.finish g in
         if st'.Compose.headroom_short then
           finished := (E_crash (pi, node, Engine.C_headroom), st') :: !finished
         else

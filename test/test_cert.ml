@@ -222,7 +222,7 @@ let decide ?cache ?max_conflicts q =
 (* The certificate of [q], from a fresh certifying context's evidence. *)
 let produce ?max_conflicts q =
   let _, refutation, asserted = decide ?max_conflicts q in
-  C.produce ?refutation asserted
+  C.produce ?refutation ~key:(C.key_of asserted) asserted
 
 let kind_of = function Ok c -> C.kind c | Error _ -> "error"
 
@@ -631,7 +631,8 @@ let random_relation st =
 
 (* Certify what [ctx] just refuted, from the evidence it kept. *)
 let certify_in ctx =
-  C.produce ?refutation:(Solver.last_refutation ctx) (Solver.asserted ctx)
+  let q = Solver.asserted ctx in
+  C.produce ?refutation:(Solver.last_refutation ctx) ~key:(C.key_of q) q
 
 (* One SAT-decided refutation on a fresh context, and its payload. *)
 let ctx_payload () =

@@ -153,6 +153,68 @@ let soundness_wide =
       end
       else true)
 
+(* [explain_list] decides on a conjunct list what [explain] decides on
+   the built conjunction: over atom lists with bounds, disequalities,
+   masks, nested conjunctions, duplicates, [tru] and [x]/[not x] pairs,
+   it answers exactly when [refute (and_ ts)] does, unless the list
+   folds; and every explanation it gives replays against the list. *)
+let explain_list_differential =
+  let gen =
+    QCheck.Gen.(
+      let* w = int_range 4 10 in
+      let x = T.var "x" w and y = T.var "y" w in
+      let atom =
+        let* op = int_bound 5 in
+        (* Small and extreme constants, so that disequalities shave
+           the ends of narrow intervals. *)
+        let* k =
+          oneof
+            [
+              int_bound 3;
+              map (fun d -> (1 lsl w) - 1 - d) (int_bound 2);
+              int_bound ((1 lsl w) - 1);
+            ]
+        in
+        let* flip = bool in
+        let* on_y = bool in
+        let v = if on_y then y else x in
+        let kt = T.bv_int ~width:w k in
+        let t =
+          match op with
+          | 0 -> T.ult v kt
+          | 1 -> T.ule kt v
+          | 2 -> T.eq v kt
+          | 3 -> T.eq (T.band v kt) kt
+          | 4 -> T.bool_var "b"
+          | _ -> T.tru
+        in
+        return (if flip then T.not_ t else t)
+      in
+      let* atoms = list_size (int_range 1 7) atom in
+      let* nest = int_bound (List.length atoms) in
+      let inner = List.filteri (fun i _ -> i < nest) atoms in
+      let outer = List.filteri (fun i _ -> i >= nest) atoms in
+      let* dup = bool in
+      let ts = (if inner = [] then [] else [ T.and_ inner ]) @ outer in
+      return (w, if dup then ts @ atoms else ts))
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"explain_list agrees with refute on the built conjunction"
+    (QCheck.make
+       ~print:(fun (w, ts) ->
+         Printf.sprintf "w=%d %s" w
+           (String.concat " ; " (List.map T.to_string ts)))
+       gen)
+    (fun (_, ts) ->
+      let ex = I.explain_list ts in
+      I.refute_list ts = I.refute (T.and_ ts)
+      && (T.conj_is_false ts || (ex <> None) = I.refute (T.and_ ts))
+      &&
+      match ex with
+      | None -> true
+      | Some ex -> Vdp_cert.Interval_check.check ts ex = Ok ())
+
 let tests =
   unit_tests
-  @ List.map QCheck_alcotest.to_alcotest [ soundness; soundness_wide ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ soundness; soundness_wide; explain_list_differential ]

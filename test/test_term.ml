@@ -120,3 +120,127 @@ let tests =
           (Invalid_argument "Term.binop: sort mismatch") (fun () ->
             ignore (T.add x wide)));
   ]
+
+(* The Set-based [and_]/[or_] this module had before flattening went
+   through a sorted id-set walk: the node they build is kept as its
+   sorted operand list, since only [Term] can build the node itself. *)
+type ref_result = Whole of T.t | Node of T.t list
+
+let ref_assoc ~conj ts =
+  let neutral, absorbing = if conj then (T.tru, T.fls) else (T.fls, T.tru) in
+  let module S = Set.Make (T) in
+  let exception Absorbed in
+  let rec collect acc (t : T.t) =
+    if T.equal t neutral then acc
+    else if T.equal t absorbing then raise Absorbed
+    else
+      match t.T.node with
+      | T.And inner when conj -> Array.fold_left collect acc inner
+      | T.Or inner when not conj -> Array.fold_left collect acc inner
+      | _ -> S.add t acc
+  in
+  match List.fold_left collect S.empty ts with
+  | exception Absorbed -> Whole absorbing
+  | set ->
+    if S.exists (fun t -> S.mem (T.not_ t) set) set then Whole absorbing
+    else (
+      match S.elements set with
+      | [] -> Whole neutral
+      | [ t ] -> Whole t
+      | elts -> Node elts)
+
+let same_as_ref ~conj ts (t : T.t) =
+  match (ref_assoc ~conj ts, t.T.node) with
+  | Whole r, _ -> T.equal r t
+  | Node elts, (T.And ops | T.Or ops) ->
+    (match t.T.node with T.And _ -> conj | _ -> not conj)
+    && List.length elts = Array.length ops
+    && List.for_all2 T.equal elts (Array.to_list ops)
+  | Node _, _ -> false
+
+(* Random boolean operand lists: atoms over two bit vectors and three
+   boolean variables, their negations, nested conjunctions and
+   disjunctions, [tru] and [fls], with duplicates and [x]/[not x]
+   pairs drawn on purpose. *)
+let gen_bool_list =
+  QCheck.Gen.(
+    let atom =
+      let* k = int_bound 6 in
+      let* n = int_bound 3 in
+      let c = T.bv_int ~width:8 n in
+      return
+        (match k with
+        | 0 -> T.bool_var "p"
+        | 1 -> T.bool_var "q"
+        | 2 -> T.bool_var "r"
+        | 3 -> T.ult x c
+        | 4 -> T.eq y c
+        | 5 -> T.ule y x
+        | _ -> T.eq x y)
+    in
+    let lit =
+      let* a = atom in
+      let* neg = bool in
+      return (if neg then T.not_ a else a)
+    in
+    let leaf = frequency [ (8, lit); (1, return T.tru); (1, return T.fls) ] in
+    let operand =
+      frequency
+        [
+          (6, leaf);
+          (2, map T.and_ (list_size (int_range 0 4) leaf));
+          (2, map T.or_ (list_size (int_range 0 4) leaf));
+        ]
+    in
+    let* base = list_size (int_range 0 7) operand in
+    let* extra = int_bound 3 in
+    (* Re-draw existing operands, some negated: duplicates and pairs. *)
+    let* picks =
+      list_repeat extra
+        (let* i = int_bound 100 in
+         let* neg = bool in
+         return (i, neg))
+    in
+    let n = List.length base in
+    let again =
+      if n = 0 then []
+      else
+        List.map
+          (fun (i, neg) ->
+            let t = List.nth base (i mod n) in
+            if neg then T.not_ t else t)
+          picks
+    in
+    shuffle_l (base @ again))
+
+let print_list ts = String.concat " ; " (List.map T.to_string ts)
+
+let flatten_differential =
+  QCheck.Test.make ~count:2000
+    ~name:"and_/or_/conj_is_false agree with the Set-based reference"
+    (QCheck.make ~print:print_list gen_bool_list)
+    (fun ts ->
+      let a = T.and_ ts in
+      T.conj_is_false ts = T.is_false a
+      && same_as_ref ~conj:true ts a
+      && same_as_ref ~conj:false ts (T.or_ ts))
+
+(* Conjunctions wider than the flatten step's initial id set, which
+   must grow mid-walk and still find a pair and drop duplicates. *)
+let wide_conjunction =
+  Alcotest.test_case "wide conjunctions fold and dedup" `Quick (fun () ->
+      let atoms =
+        List.init 600 (fun i ->
+            T.eq (T.var (Printf.sprintf "w%d" i) 16) (T.bv_int ~width:16 i))
+      in
+      check_bool "distinct atoms do not fold" false (T.conj_is_false atoms);
+      check_int "600 operands" 600
+        (match (T.and_ (atoms @ atoms)).T.node with
+        | T.And ops -> Array.length ops
+        | _ -> 0);
+      let last_negated = T.not_ (List.hd atoms) :: List.rev atoms in
+      check_bool "a pair 600 apart folds" true (T.conj_is_false last_negated);
+      teq T.fls (T.and_ last_negated))
+
+let tests =
+  tests @ [ wide_conjunction; QCheck_alcotest.to_alcotest flatten_differential ]

@@ -436,6 +436,51 @@ let headroom_tests =
              (violations r)));
   ]
 
+(* Step 2's counters on the example configs. Pruning decides which
+   successors are built and which suspect paths reach the solver, so a
+   change to how pruning is computed must leave every count here as it
+   is. *)
+let example name =
+  Click.Config.parse_file
+    (List.find Sys.file_exists [ "../examples/" ^ name; "examples/" ^ name ])
+
+let certified = { V.default_config with V.certify = true }
+
+let pin_crash name ~states ~checks ?segments ?folded () =
+  Alcotest.test_case (Printf.sprintf "step-2 counters pinned: %s crash" name)
+    `Slow (fun () ->
+      Summaries.clear ();
+      Vdp_smt.Solver.Cache.clear Vdp_smt.Solver.shared_cache;
+      let r = V.check_crash_freedom ~config:certified (example name) in
+      check_bool "proved" true (proved r);
+      check_int "composite states" states r.V.stats.V.composite_paths;
+      check_int "suspect checks" checks r.V.stats.V.suspect_checks;
+      Option.iter
+        (fun n -> check_int "segments" n r.V.stats.V.segments_total)
+        segments;
+      match r.V.cert with
+      | None -> Alcotest.fail "no certification summary"
+      | Some c ->
+        check_int "none uncertified" 0 c.Vdp_cert.Certificate.failed;
+        Option.iter
+          (fun n -> check_int "certified folded" n c.Vdp_cert.Certificate.folded)
+          folded)
+
+let pinned_counters =
+  [
+    pin_crash "router.click" ~states:283 ~checks:783 ();
+    pin_crash "firewall.click" ~states:34 ~checks:2021 ~segments:15078 ();
+    pin_crash "netflow_nat.click" ~states:783 ~checks:11763 ~folded:10538 ();
+    Alcotest.test_case "step-2 counters pinned: router.click bound" `Slow
+      (fun () ->
+        Summaries.clear ();
+        Vdp_smt.Solver.Cache.clear Vdp_smt.Solver.shared_cache;
+        let r = V.instruction_bound ~config:certified (example "router.click") in
+        check_bool "bound" true (r.V.bound = Some 2668);
+        check_int "composite states" 472 r.V.b_stats.V.composite_paths;
+        check_int "suspect checks" 50 r.V.b_stats.V.suspect_checks);
+  ]
+
 (* Composition soundness oracle: the composite verdicts must agree with
    brute-force concrete execution on random packets. If the verifier
    proved crash-freedom, no packet may crash the runtime. *)
@@ -456,5 +501,5 @@ let no_crash_after_proof =
       !ok)
 
 let tests =
-  tests_unit @ headroom_tests
+  tests_unit @ headroom_tests @ pinned_counters
   @ List.map QCheck_alcotest.to_alcotest [ no_crash_after_proof ]
