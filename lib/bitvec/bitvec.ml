@@ -272,12 +272,6 @@ let of_words ~width:w src off =
   done;
   normalize v
 
-let to_signed_int v =
-  if not (msb v) then to_int v
-  else match to_int (neg v) with
-    | Some n when n > 0 || n = 0 -> Some (-n)
-    | _ -> None
-
 let shift_amount v =
   (* Effective shift for bv-valued shift amounts: anything >= width
      saturates to width (full shift-out). *)

@@ -62,9 +62,6 @@ val of_words : width:int -> int array -> int -> t
 (** [of_words ~width src off] reads [nwords width] words at [src.(off)];
     they must be masked as {!to_words} writes them. *)
 
-val to_signed_int : t -> int option
-(** Two's-complement value if it fits in an OCaml [int]. *)
-
 val testbit : t -> int -> bool
 val msb : t -> bool
 val is_zero : t -> bool

@@ -22,15 +22,16 @@
    - {b drat-ctx}: the SAT core refuted the residual under a selector
      assumption [sel], so what it derives is [~sel]; before retiring
      [sel] the context reads that derivation's trimmed cone out of its
-     clause log. The checker replays the elimination trace — every
-     stage's side conditions re-checked with this module's own pattern
-     matching, and the replayed residual hash-cons-identical to the
-     certified one — then proves [~sel] from the cone's CNF with the
-     forward checker in {!Drat}, and holds [sel] to occurring only as
-     [~sel] in binary root clauses, which makes the CNF with [sel] set
-     a refutation of the core. The query cache keeps the proof (or the
-     interval explanation) with the answer, so a hit in another context
-     is certified from it too.
+     antecedent log, the solver's one proof record. The checker replays
+     the elimination trace — every stage's side conditions re-checked
+     with this module's own pattern matching, and the replayed residual
+     hash-cons-identical to the certified one — then checks that the
+     cone's steps derive [~sel] from its CNF by reverse unit
+     propagation alone, with the forward RUP checker in {!Drat}, and
+     holds [sel] to occurring only as [~sel] in binary root clauses,
+     which makes the CNF with [sel] set a refutation of the core. The
+     query cache keeps the proof (or the interval explanation) with the
+     answer, so a hit in another context is certified from it too.
    - {b cached}: provenance — the same raw conjunction was already
      certified; the reference is to that checked certificate.
 
@@ -49,7 +50,7 @@
    its list fold test [conj_is_false] (which must agree with
    [is_false (and_ ts)]) and [substitute_vars],
    [Preprocess.split_list]/[resplit], [Eval],
-   [Bitblast] (CNF correspondence), and this library itself. The DRAT
+   [Bitblast] (CNF correspondence), and this library itself. The RUP
    checker and the interval replay deliberately share no algorithmic
    code with the solver that produced the answers. *)
 
@@ -64,7 +65,7 @@ module Model = Vdp_smt.Model
 type drat_payload = {
   nvars : int;  (** SAT variables, renumbered densely *)
   cnf : int list list;  (** the refutation cone's asserted clauses *)
-  steps : Drat.step list;  (** its derivation steps, oldest first *)
+  steps : int array list;  (** its derived clauses, oldest first *)
   goal : int array;
       (** the one-literal clause [~sel]: the answering context refuted
           [core] under its selector [sel], and the CNF guards each of
@@ -307,8 +308,7 @@ let check ?(lookup = fun _ -> false) (cert : t) : (unit, string) result =
       else covered p.residual p.core
     in
     let* () = selector_guarded p.goal p.cnf in
-    Drat.check ~expected_deletions:0 ~goal:p.goal ~nvars:p.nvars ~cnf:p.cnf
-      p.steps
+    Drat.check ~goal:p.goal ~nvars:p.nvars ~cnf:p.cnf p.steps
 
 (* {1 Production}
 
@@ -329,7 +329,7 @@ let of_refutation ~key (query : T.t list) (r : S.refutation) : t =
         {
           nvars = tp.Sat.nvars;
           cnf = tp.Sat.cnf;
-          steps = List.map (fun c -> Drat.Add c) tp.Sat.steps;
+          steps = tp.Sat.steps;
           goal = tp.Sat.goal;
           residual = pre.P.conjuncts;
           core = pr.S.core;
@@ -375,7 +375,6 @@ type summary = {
       (** of [drat]: built from a proof stored with a query-cache hit,
           re-checked in full against the hitting query *)
   mutable proof_clauses : int;
-  mutable proof_deletions : int;
   mutable trimmed_clauses : int;
       (** proof additions kept after backward trimming (sums [steps]) *)
   mutable untrimmed_clauses : int;
@@ -397,7 +396,6 @@ let empty_summary () =
     cached = 0;
     pcache_hits = 0;
     proof_clauses = 0;
-    proof_deletions = 0;
     trimmed_clauses = 0;
     untrimmed_clauses = 0;
     solve_seconds = 0.;
@@ -450,13 +448,9 @@ let record_fresh col outcome ~solve_s ~check_s ~stored =
     | R_drat p ->
       s.drat <- s.drat + 1;
       g.S.cert_drat <- g.S.cert_drat + 1;
-      let count f = List.length (List.filter f p.steps) in
-      let adds = count (function Drat.Add _ -> true | Drat.Delete _ -> false) in
-      let dels = List.length p.steps - adds in
+      let adds = List.length p.steps in
       s.proof_clauses <- s.proof_clauses + adds;
-      s.proof_deletions <- s.proof_deletions + dels;
       g.S.cert_proof_clauses <- g.S.cert_proof_clauses + adds;
-      g.S.cert_proof_deletions <- g.S.cert_proof_deletions + dels;
       s.trimmed_clauses <- s.trimmed_clauses + adds;
       s.untrimmed_clauses <- s.untrimmed_clauses + p.untrimmed;
       g.S.cert_trimmed_clauses <- g.S.cert_trimmed_clauses + adds;

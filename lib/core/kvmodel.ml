@@ -13,7 +13,6 @@
     never wrongly refutes, since any value ever present in a store is
     either its default or was produced by some write. *)
 
-module B = Vdp_bitvec.Bitvec
 module T = Vdp_smt.Term
 module Solver = Vdp_smt.Solver
 module S = Vdp_symbex.Sstate
@@ -72,37 +71,3 @@ let check_provenance ?(max_conflicts = 2_000_000) ~(summary : Engine.result)
     in
     try_writes 0 (writes_to ~summary store)
   end
-
-(* The fresh read variables appearing free in the violating
-   constraint. *)
-let constrained_vars violation_cond =
-  List.concat_map
-    (fun c -> List.map fst (T.free_vars c))
-    violation_cond
-
-(** Refine a violation that depends on private state: [true] if it
-    survives (every constrained read value is producible), [false] if
-    it is refuted (some required store value can never exist).
-    [store_default] maps a store name to its declared default. *)
-let violation_survives ?max_conflicts ~(summary : Engine.result)
-    ~(store_default : string -> B.t)
-    ~(kv_trace : (string * S.kv_event) list) violation_cond : bool =
-  let free = constrained_vars violation_cond in
-  List.for_all
-    (fun (_, ev) ->
-      match ev with
-      | S.Kv_write _ -> true
-      | S.Kv_read { store; value; _ } -> (
-        match value.T.node with
-        | T.Bv_var (name, _) ->
-          if not (List.mem name free) then true
-          else begin
-            match
-              check_provenance ?max_conflicts ~summary ~store
-                ~default:(store_default store) ~read_var:value violation_cond
-            with
-            | Default_value | Written _ -> true
-            | Unwritable -> false
-          end
-        | _ -> true))
-    kv_trace

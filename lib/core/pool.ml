@@ -240,9 +240,6 @@ let await pool fut =
   in
   loop ()
 
-(* Legacy fire-and-forget submission (no future). *)
-let submit pool task = ignore (spawn pool task)
-
 let map pool f xs =
   let n = Array.length xs in
   if pool.size <= 1 || n <= 1 then Array.map f xs

@@ -86,8 +86,6 @@ let assign b ~width rhs =
   r
 
 let const v = Const v
-let int_ ~width n = Const (B.of_int ~width n)
-let r_ r = Reg r
 
 let width_of b = function
   | Const v -> B.width v
@@ -167,11 +165,6 @@ let if_ b cond then_branch else_branch =
     | false, _ -> ());
     select b join;
     `Fallthrough
-
-(** [if_crash b cond msg] — assert the negation: crash when [cond] holds. *)
-let crash_if b cond msg =
-  let w1 = assign b ~width:1 (Unop (Not, cond)) in
-  instr b (Assert (Reg w1, msg))
 
 let finish b =
   let blocks =

@@ -41,39 +41,20 @@ type clause = {
          the next time propagation visits them *)
 }
 
-(* {1 DRAT proof logging}
-
-   When enabled, the solver records the problem clauses exactly as
-   asserted plus a step per clause-database mutation: every learned
-   clause (including units enqueued at level 0 and the empty clause on
-   a definitive Unsat) and every deletion performed by [reduce_db] or
-   [simplify]. The log is a standard forward DRAT trace that an
-   independent checker can validate against the recorded CNF; nothing
-   in this module checks it. Logging is off by default and costs one
-   [None] test per site when off. *)
-
-type proof_step = P_add of int array | P_delete of int array
-
-type proof = {
-  mutable steps_rev : proof_step list;
-  mutable orig_rev : int list list;  (* clauses as asserted, newest first *)
-  mutable nadds : int;
-  mutable ndeletes : int;
-}
-
 (* {1 Antecedent tracking}
 
-   When enabled, every clause addition — problem clauses as asserted and
-   every derived clause — receives a monotonically increasing {e serial}
-   and is logged under it, and every derivation records which serials
-   it resolved on: the conflicting clause, each reason clause
-   dereferenced by conflict analysis, and the level-0 literals it
-   silently dropped (encoded as [-1 - var] and resolved lazily against
-   the solver's reason graph — level-0 assignments are never undone, so
-   the reasons survive until the walk). Deletions are never logged: a
-   trimmed proof carries none. On every Unsat exit — including Unsat
-   under assumptions — the solver immediately computes the backward
-   dependency cone from the final conflict.
+   The solver's one proof record. When enabled, every clause addition —
+   problem clauses as asserted and every derived clause — receives a
+   monotonically increasing {e serial} and is logged under it, and every
+   derivation records which serials it resolved on: the conflicting
+   clause, each reason clause dereferenced by conflict analysis, and the
+   level-0 literals it silently dropped (encoded as [-1 - var] and
+   resolved lazily against the solver's reason graph — level-0
+   assignments are never undone, so the reasons survive until the walk).
+   Deletions are never logged: a clause the database drops stays in the
+   log, so a trimmed proof carries no deletions. On every Unsat exit —
+   including Unsat under assumptions — the solver immediately computes
+   the backward dependency cone from the final conflict.
 
    Two consumers: {!last_cone_tags} maps the cone back to caller tags
    attached via [add_clause ~tag] (the incremental front end tags each
@@ -118,8 +99,6 @@ type t = {
   mutable cla_inc : float;
   mutable unsat : bool;
   mutable conflicts : int;
-  mutable decisions : int;
-  mutable propagations : int;
   mutable seen : bool array;       (* scratch for analyze *)
   (* Learned-clause database reduction (MiniSat-style): when the
      conflicts since the last reduction exceed a budget that grows by
@@ -133,8 +112,6 @@ type t = {
   reduce_interval : int;           (* first reduction budget *)
   reduce_grow : int;
   mutable last_reduce : int;       (* [conflicts] at the last reduction *)
-  mutable problem_deleted : int;   (* cumulative, [simplify] only *)
-  mutable proof : proof option;    (* DRAT log, when enabled *)
   mutable track : track option;    (* antecedent tracking, when enabled *)
 }
 
@@ -160,8 +137,6 @@ let create ?(reduce_interval = 2000) () =
     cla_inc = 1.0;
     unsat = false;
     conflicts = 0;
-    decisions = 0;
-    propagations = 0;
     seen = Array.make 32 false;
     nlearned = 0;
     nproblem = 0;
@@ -170,44 +145,8 @@ let create ?(reduce_interval = 2000) () =
     reduce_interval;
     reduce_grow = 300;
     last_reduce = 0;
-    problem_deleted = 0;
-    proof = None;
     track = None;
   }
-
-let enable_proof s =
-  if s.proof = None then
-    s.proof <- Some { steps_rev = []; orig_rev = []; nadds = 0; ndeletes = 0 }
-
-let proof_enabled s = s.proof <> None
-let proof_steps s =
-  match s.proof with None -> [] | Some p -> List.rev p.steps_rev
-
-let proof_cnf s =
-  match s.proof with None -> [] | Some p -> List.rev p.orig_rev
-
-let proof_sizes s =
-  match s.proof with None -> (0, 0) | Some p -> (p.nadds, p.ndeletes)
-
-let log_add s lits =
-  match s.proof with
-  | None -> ()
-  | Some p ->
-    p.steps_rev <- P_add (Array.of_list lits) :: p.steps_rev;
-    p.nadds <- p.nadds + 1
-
-let log_delete s (c : clause) =
-  match s.proof with
-  | None -> ()
-  | Some p ->
-    (* [lits] is reordered in place by the watch scheme; snapshot it. *)
-    p.steps_rev <- P_delete (Array.copy c.lits) :: p.steps_rev;
-    p.ndeletes <- p.ndeletes + 1
-
-let log_orig s lits =
-  match s.proof with
-  | None -> ()
-  | Some p -> p.orig_rev <- lits :: p.orig_rev
 
 let enable_tracking s =
   if s.track = None then
@@ -257,14 +196,8 @@ let num_derived s =
   match s.track with None -> 0 | Some tr -> Hashtbl.length tr.ants
 
 let num_vars s = s.nvars
-let num_clauses s = s.nclauses
-let num_conflicts s = s.conflicts
-let num_decisions s = s.decisions
-let num_propagations s = s.propagations
-let num_learned s = s.nlearned
 let num_problem_clauses s = s.nproblem
 let num_learned_deleted s = s.learned_deleted
-let num_problem_deleted s = s.problem_deleted
 let num_reductions s = s.reductions
 
 let grow_array arr n default =
@@ -506,7 +439,6 @@ and add_clause ?tag s lits =
        decisions from a previous [solve] first. *)
     backtrack s 0;
     let lits = List.sort_uniq Stdlib.compare lits in
-    log_orig s lits;
     let so = track_orig s tag lits in
     let tautology =
       List.exists (fun l -> List.mem (lit_not l) lits) lits
@@ -514,14 +446,11 @@ and add_clause ?tag s lits =
     let satisfied = List.exists (fun l -> lit_value s l = 1) lits in
     if not (tautology || satisfied) then begin
       let kept = List.filter (fun l -> lit_value s l <> 0) lits in
-      (* Literals false at level 0 are dropped before storing; the
-         shortened clause is RUP w.r.t. the recorded CNF (the dropped
-         negations are root-propagated), so it goes into the proof. *)
-      let shortened = List.compare_lengths kept lits <> 0 in
-      if shortened then log_add s kept;
-      (* Serial of the clause as stored: the shortening is itself a
+      (* Literals false at level 0 are dropped before storing. The
+         clause as stored gets its own serial: the shortening is a
          derived step whose antecedents are the original clause plus
          the level-0 sources of every dropped literal. *)
+      let shortened = List.compare_lengths kept lits <> 0 in
       let eff =
         if shortened && s.track <> None then
           track_add s tag
@@ -558,7 +487,6 @@ let propagate s =
   while !conflict = -1 && s.qhead < Vec.len s.trail do
     let l = Vec.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
-    s.propagations <- s.propagations + 1;
     (* [l] just became true; visit clauses watching [not l]. *)
     let ws = s.watches.(l) in
     let n = Vec.len ws in
@@ -646,7 +574,6 @@ let reduce_db s =
   for i = 0 to (Array.length arr / 2) - 1 do
     let c = s.clauses.(arr.(i)) in
     c.deleted <- true;
-    log_delete s c;
     s.nlearned <- s.nlearned - 1;
     s.learned_deleted <- s.learned_deleted + 1
   done;
@@ -756,7 +683,6 @@ let solve ?(max_conflicts = max_int) ?(assumptions = []) s =
             (* A level-0 conflict involves no assumptions: the clause
                database itself is unsatisfiable, permanently. *)
             s.unsat <- true;
-            log_add s [];
             (match s.track with
             | Some tr ->
               (* Empty clause = conflict clause resolved against the
@@ -778,14 +704,12 @@ let solve ?(max_conflicts = max_int) ?(assumptions = []) s =
             backtrack s btlevel;
             (match learned with
             | [ l ] ->
-              log_add s [ l ];
               let sa = track_add s None ants [| l |] in
               enqueue s l (-1);
               (match s.track with
               | Some tr -> tr.vser.(lit_var l) <- sa
               | None -> ())
             | l :: _ ->
-              log_add s learned;
               let arr = Array.of_list learned in
               let sa = track_add s None ants arr in
               let lid = add_clause_internal s arr true in
@@ -794,7 +718,6 @@ let solve ?(max_conflicts = max_int) ?(assumptions = []) s =
               | None -> ());
               enqueue s l lid
             | [] ->
-              log_add s [];
               let sa = track_add s None ants [||] in
               set_cone s [ sa ];
               status := Some Unsat);
@@ -838,7 +761,6 @@ let solve ?(max_conflicts = max_int) ?(assumptions = []) s =
             let v = pick_branch_var s in
             if v = -1 then status := Some Sat
             else begin
-              s.decisions <- s.decisions + 1;
               Vec.push s.trail_lim (Vec.len s.trail);
               enqueue s (lit v s.phase.(v)) (-1)
             end
@@ -867,7 +789,6 @@ let simplify s =
     let cid = propagate s in
     if cid >= 0 then begin
       s.unsat <- true;
-      log_add s [];
       match s.track with
       | Some tr ->
         let deps =
@@ -888,15 +809,11 @@ let simplify s =
           && Array.exists (fun l -> lit_value s l = 1) c.lits
         then begin
           c.deleted <- true;
-          log_delete s c;
           if c.learned then begin
             s.nlearned <- s.nlearned - 1;
             s.learned_deleted <- s.learned_deleted + 1
           end
-          else begin
-            s.nproblem <- s.nproblem - 1;
-            s.problem_deleted <- s.problem_deleted + 1
-          end
+          else s.nproblem <- s.nproblem - 1
         end
       done
   end

@@ -56,80 +56,45 @@ val simplify : t -> unit
     negated selector literals. *)
 
 val num_vars : t -> int
-val num_clauses : t -> int
-(** Clause-arena entries ever created, including learned and deleted. *)
-
-val num_conflicts : t -> int
-val num_decisions : t -> int
-val num_propagations : t -> int
 
 val num_problem_clauses : t -> int
 (** Live non-learned clauses (units absorbed into the level-0 trail are
     not counted). *)
 
-val num_learned : t -> int
-(** Live learned clauses. *)
-
 val num_learned_deleted : t -> int
-(** Cumulative learned clauses deleted by database reduction. *)
-
-val num_problem_deleted : t -> int
-(** Cumulative problem clauses removed by {!simplify}. *)
+(** Cumulative learned clauses deleted by database reduction or
+    {!simplify}. *)
 
 val num_reductions : t -> int
 
-(** {1 DRAT proof logging}
+(** {1 Antecedent tracking: unsat cores and backward proof trimming}
 
-    When enabled (before any clause is added), the solver records the
-    problem clauses exactly as asserted plus one step per clause-database
-    mutation: every learned clause — including units enqueued at level 0
-    and the empty clause when the database is refuted outright — and
-    every deletion performed by database reduction or {!simplify}. The
-    result is a forward DRAT trace over {!proof_cnf} that an independent
-    checker (see [Vdp_cert.Drat]) can validate; this module never checks
-    its own proofs.
+    The solver's only proof log. When enabled (before any clause is
+    added), every asserted clause and every derived clause — learned
+    clauses, units learned at level 0, clauses shortened by level-0
+    literals on assertion, and the empty clause when the database is
+    refuted outright — receives a serial and is logged under it, and
+    each derivation records the serials it resolved on. Deletions by
+    database reduction or {!simplify} are not logged: a deleted clause
+    stays in the log, where later derivations may still cite it. On
+    every [Unsat] exit — including [Unsat] under assumptions — the
+    solver captures the backward dependency {e cone} of the final
+    conflict before undoing any assignment. The cone supports two
+    queries, valid until the next {!solve} or until another clause
+    refutes the database. An [Unknown] answer captures no cone. This
+    module never checks its own proofs; see [Vdp_cert.Drat].
 
     A {!solve} under non-empty [assumptions] that answers [Unsat] does
     {e not} derive the empty clause (the refutation is relative to the
     assumptions); what it derives is the negated assumptions, which is
-    what {!trimmed_proof} hands out as its goal. [Unknown] answers leave
-    the trace without an empty clause, so a budget-starved run can never
-    be mistaken for a refutation. *)
-
-type proof_step =
-  | P_add of int array  (** learned (RUP) clause; [[||]] is the empty clause *)
-  | P_delete of int array  (** clause removed from the database *)
-
-val enable_proof : t -> unit
-val proof_enabled : t -> bool
-
-val proof_steps : t -> proof_step list
-(** Logged steps, oldest first; [[]] when logging is off. *)
-
-val proof_cnf : t -> int list list
-(** Problem clauses as asserted via {!add_clause} (after sort/dedup but
-    before any level-0 simplification), oldest first. *)
-
-val proof_sizes : t -> int * int
-(** [(additions, deletions)] logged so far. *)
-
-(** {1 Antecedent tracking: unsat cores and backward proof trimming}
-
-    When enabled (before any clause is added), every asserted clause and
-    every derived clause receives a serial and is logged under it, and
-    each derivation records the serials it resolved on. Deletions are
-    not logged. On every [Unsat] exit — including [Unsat] under
-    assumptions — the solver captures the backward dependency {e cone}
-    of the final conflict before undoing any assignment. The cone
-    supports two queries, valid until the next {!solve} or until
-    another clause refutes the database. *)
+    what {!trimmed_proof} hands out as its goal. *)
 
 val enable_tracking : t -> unit
 val tracking : t -> bool
 
 val num_derived : t -> int
-(** Derived clauses logged by tracking so far: the forward log a proof
-    would carry without trimming. *)
+(** Derived clauses logged by tracking so far: what a proof would
+    carry without trimming. *)
 
 val last_cone_tags : t -> int list
 (** Tags (from [add_clause ~tag]) of the asserted clauses inside the
@@ -151,6 +116,6 @@ val trimmed_proof : ?assumptions:int list -> t -> trimmed option
     logged clauses inside its dependency cone, variables renumbered
     densely. [assumptions] must be the ones that [solve] was given. Every
     kept derived clause is RUP with respect to the clauses kept before
-    it, and [goal] is RUP after all of them, so the trace checks as
-    forward DRAT with no deletions. [None] unless tracking is on and
-    a cone was captured. *)
+    it, and [goal] is RUP after all of them, so the trace checks as a
+    forward RUP proof. [None] unless tracking is on and a cone was
+    captured. *)

@@ -34,7 +34,6 @@ type stats = {
   mutable cert_interval : int;
   mutable cert_folded : int;
   mutable cert_proof_clauses : int;
-  mutable cert_proof_deletions : int;
   mutable cert_solve_time : float;
   mutable cert_check_time : float;
   mutable cert_pcache_hits : int;
@@ -80,7 +79,6 @@ let fresh_stats () =
     cert_interval = 0;
     cert_folded = 0;
     cert_proof_clauses = 0;
-    cert_proof_deletions = 0;
     cert_solve_time = 0.;
     cert_check_time = 0.;
     cert_pcache_hits = 0;
@@ -139,7 +137,6 @@ let reset_stats_record s =
   s.cert_interval <- 0;
   s.cert_folded <- 0;
   s.cert_proof_clauses <- 0;
-  s.cert_proof_deletions <- 0;
   s.cert_solve_time <- 0.;
   s.cert_check_time <- 0.;
   s.cert_pcache_hits <- 0;
@@ -455,8 +452,6 @@ let check ?(max_conflicts = max_int) ?cache ?deps ?(preprocess = true) terms =
         | Sat.Unsat -> Unsat
         | Sat.Unknown -> Unknown),
         None ))
-
-let check_term ?max_conflicts t = check ?max_conflicts [ t ]
 
 let is_sat ?max_conflicts terms =
   match check ?max_conflicts terms with

@@ -67,8 +67,7 @@ type stats = {
   mutable cert_drat : int;  (** discharged by a checked DRAT proof *)
   mutable cert_interval : int;  (** discharged by interval-explanation replay *)
   mutable cert_folded : int;  (** discharged by constant folding *)
-  mutable cert_proof_clauses : int;  (** DRAT clause additions logged *)
-  mutable cert_proof_deletions : int;  (** DRAT clause deletions logged *)
+  mutable cert_proof_clauses : int;  (** clauses in checked DRAT proofs *)
   mutable cert_solve_time : float;
       (** wall seconds reading proofs out of the answering context *)
   mutable cert_check_time : float;
@@ -79,7 +78,7 @@ type stats = {
   mutable cert_trimmed_clauses : int;
       (** DRAT proof additions kept after backward trimming *)
   mutable cert_untrimmed_clauses : int;
-      (** DRAT proof additions before trimming (the forward log) *)
+      (** derived clauses in the solvers' logs before trimming *)
   mutable cert_drat_ctx : int;
       (** discharged by DRAT read from the context that answered *)
   mutable sched_spawned : int;
@@ -144,8 +143,6 @@ val check :
     supplied; word-level preprocessing is on unless [preprocess:false].
     [deps] tags the cache entry with the static-state slices the
     conjunction was built from (see {!Cache.invalidate_static}). *)
-
-val check_term : ?max_conflicts:int -> Term.t -> outcome
 
 val is_sat : ?max_conflicts:int -> Term.t list -> bool
 (** [Unknown] counts as satisfiable (conservative for provers that must

@@ -45,8 +45,6 @@ type out_state = {
   meta_out : (Ir.meta * T.t) list;
 }
 
-let havoc_var ~epoch abs = T.var (Printf.sprintf "!hv%d_%d" epoch abs) 8
-
 type segment = {
   cond : T.t list;
   out_state : out_state;

@@ -98,7 +98,3 @@ val crash_matches : crash -> Vdp_ir.Types.crash -> bool
 
 val outcome_matches : outcome -> Vdp_ir.Types.outcome -> bool
 (** Lift {!crash_matches} to whole outcomes. *)
-
-val havoc_var : epoch:int -> int -> T.t
-(** The havoc variable for absolute buffer offset [abs] of epoch
-    [epoch] — matches the names {!Sstate.byte_abs} generates. *)

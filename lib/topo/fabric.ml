@@ -68,14 +68,6 @@ let parse_tag s =
 
 (* {1 Resolution} *)
 
-let pipe_index t name =
-  let rec go i =
-    if i >= Array.length t.pipes then fail "unknown pipeline %s" name
-    else if t.pipes.(i).p_name = name then i
-    else go (i + 1)
-  in
-  go 0
-
 let pipe t i = t.pipes.(i)
 
 (* Resolve a Config.port_ref to (pipe index, egress index). *)

@@ -1,4 +1,4 @@
-(* Proof certificates: the independent DRAT checker, the interval
+(* Proof certificates: the independent RUP checker, the interval
    replay, certificate production/checking, and the audits the
    subsystem exists for — a mutated proof must be rejected, an Unknown
    must never certify, and certified answers must agree with brute
@@ -21,7 +21,7 @@ let check_int = Alcotest.(check int)
 let is_ok = function Ok () -> true | Error _ -> false
 let cert_ok = function Ok _ -> true | Error _ -> false
 
-(* {1 Hand-crafted DRAT traces}
+(* {1 Hand-crafted RUP proofs}
 
    Literal encoding: variable [v] is [2v] positive, [2v+1] negative. *)
 
@@ -39,52 +39,53 @@ let cnf2 =
     [ neg 0; neg 1 ];
   ]
 
-let check2 ?expected_deletions steps =
-  D.check ?expected_deletions ~nvars:2 ~cnf:cnf2 steps
+let check2 ?(nvars = 2) steps = D.check ~nvars ~cnf:cnf2 steps
 
 let drat_hand_tests =
   [
     Alcotest.test_case "valid two-step proof accepted" `Quick (fun () ->
-        check_bool "ok" true
-          (is_ok (check2 [ D.Add [| pos 1 |]; D.Add [||] ])));
-    Alcotest.test_case "valid proof with a deletion" `Quick (fun () ->
-        (* The deletion must come after the lemma it supported; deleting
-           [(v0 | v1)] first would make [v1] underivable. *)
-        check_bool "ok" true
-          (is_ok
-             (check2 ~expected_deletions:1
-                [
-                  D.Add [| pos 1 |];
-                  D.Delete [| pos 0; pos 1 |];
-                  D.Add [||];
-                ])));
+        check_bool "ok" true (is_ok (check2 [ [| pos 1 |]; [||] ])));
     Alcotest.test_case "dropped clause rejected" `Quick (fun () ->
         (* Without the intermediate lemma the empty clause is not RUP. *)
-        check_bool "rejected" false (is_ok (check2 [ D.Add [||] ])));
+        check_bool "rejected" false (is_ok (check2 [ [||] ])));
     Alcotest.test_case "permuted steps rejected" `Quick (fun () ->
-        check_bool "rejected" false
-          (is_ok (check2 [ D.Add [||]; D.Add [| pos 1 |] ])));
+        check_bool "rejected" false (is_ok (check2 [ [||]; [| pos 1 |] ])));
     Alcotest.test_case "corrupted literal rejected" `Quick (fun () ->
-        (* [v2] is fresh: the clause is vacuously RAT (blocked), but the
-           derivation it replaced is gone, so the empty clause fails. *)
+        (* [v2] is fresh: the lemma that replaced [v1] is not RUP, and
+           the derivation it replaced is gone. *)
         check_bool "rejected" false
-          (is_ok (check2 [ D.Add [| pos 2 |]; D.Add [||] ])));
-    Alcotest.test_case "omitted deletion rejected by count" `Quick (fun () ->
+          (is_ok (check2 ~nvars:3 [ [| pos 2 |]; [||] ])));
+    Alcotest.test_case "blocked (RAT-only) lemma rejected" `Quick (fun () ->
+        (* [v2] occurs nowhere else, so [(v2)] is blocked — a valid RAT
+           step — and after it [(v1)] and the empty clause are RUP. The
+           producer never derives anything but RUP clauses, so a proof
+           that needs a RAT step is not one of its proofs. *)
         check_bool "rejected" false
-          (is_ok
-             (check2 ~expected_deletions:1
-                [ D.Add [| pos 1 |]; D.Add [||] ])));
-    Alcotest.test_case "deleting an absent clause rejected" `Quick (fun () ->
-        check_bool "rejected" false
-          (is_ok (check2 [ D.Delete [| pos 0; pos 2 |] ])));
+          (is_ok (check2 ~nvars:3 [ [| pos 2 |]; [| pos 1 |]; [||] ])));
+    Alcotest.test_case "literal out of range rejected" `Quick (fun () ->
+        (* The proof above, but over the two variables it declares. *)
+        check_bool "fresh variable" false
+          (is_ok (check2 [ [| pos 2 |]; [| pos 1 |]; [||] ]));
+        check_bool "negative literal" false
+          (is_ok (check2 [ [| -1 |]; [| pos 1 |]; [||] ]));
+        check_bool "in the goal" false
+          (is_ok (D.check ~goal:[| pos 5 |] ~nvars:2 ~cnf:cnf2 [ [| pos 1 |] ])));
+    Alcotest.test_case "root conflict needs no steps" `Quick (fun () ->
+        check_bool "unit-refutable CNF" true
+          (is_ok (D.check ~nvars:1 ~cnf:[ [ pos 0 ]; [ neg 0 ] ] []));
+        check_bool "goal implied by a unit" true
+          (is_ok (D.check ~goal:[| pos 0 |] ~nvars:1 ~cnf:[ [ pos 0 ] ] []));
+        check_bool "satisfiable CNF" false
+          (is_ok (D.check ~nvars:1 ~cnf:[ [ pos 0 ] ] [])));
   ]
 
 (* {1 Solver-produced proofs} *)
 
-(* DIMACS-style helper: positive int [i] is variable [i-1] true. *)
-let solve_logged ?reduce_interval ?max_conflicts nvars clauses =
+(* DIMACS-style helper: positive int [i] is variable [i-1] true. Solves
+   on a tracking solver, whose trimmed cone is the proof. *)
+let solve_tracked ?reduce_interval ?max_conflicts nvars clauses =
   let s = Sat.create ?reduce_interval () in
-  Sat.enable_proof s;
+  Sat.enable_tracking s;
   let vars = Array.init nvars (fun _ -> Sat.new_var s) in
   List.iter
     (fun c ->
@@ -112,11 +113,17 @@ let pigeonhole n =
   in
   ((n + 1) * n, each_pigeon @ no_share)
 
-let proof_of s = (Sat.num_vars s, Sat.proof_cnf s, Sat.proof_steps s)
+(* The trimmed refutation of an unsat pigeonhole instance. *)
+let pigeonhole_proof ?reduce_interval n =
+  let nvars, clauses = pigeonhole n in
+  let r, s = solve_tracked ?reduce_interval nvars clauses in
+  check_bool "unsat" true (r = Sat.Unsat);
+  match Sat.trimmed_proof s with
+  | Some tp -> (s, tp)
+  | None -> Alcotest.fail "expected a trimmed proof"
 
-let to_drat steps =
-  List.map
-    (function Sat.P_add l -> D.Add l | Sat.P_delete l -> D.Delete l)
+let check_trimmed ?(nvars_extra = 0) (tp : Sat.trimmed) steps =
+  D.check ~goal:tp.Sat.goal ~nvars:(tp.Sat.nvars + nvars_extra) ~cnf:tp.Sat.cnf
     steps
 
 let drat_solver_tests =
@@ -124,86 +131,72 @@ let drat_solver_tests =
     Alcotest.test_case "pigeonhole proof with deletions checks" `Quick
       (fun () ->
         (* An aggressive reduction interval forces clause-database
-           reductions mid-proof, so deletion logging (and the checker's
-           root-assignment rebuild) is actually exercised. *)
-        let nvars, clauses = pigeonhole 5 in
-        let r, s = solve_logged ~reduce_interval:20 nvars clauses in
-        check_bool "unsat" true (r = Sat.Unsat);
-        let deletions =
-          Sat.num_learned_deleted s + Sat.num_problem_deleted s
-        in
-        check_bool "deletions happened" true (deletions > 0);
-        let nv, cnf, steps = proof_of s in
-        check_bool "proof checks" true
-          (is_ok
-             (D.check ~expected_deletions:deletions ~nvars:nv ~cnf
-                (to_drat steps))));
+           reductions mid-search. A deleted clause stays in the
+           antecedent log, so the cone may still cite it and the proof
+           needs no deletions to check. *)
+        let s, tp = pigeonhole_proof ~reduce_interval:20 5 in
+        check_bool "deletions happened" true (Sat.num_learned_deleted s > 0);
+        check_bool "proof checks" true (is_ok (check_trimmed tp tp.Sat.steps)));
     Alcotest.test_case "empty clause moved to front rejected" `Quick
       (fun () ->
-        let nvars, clauses = pigeonhole 4 in
-        let r, s = solve_logged nvars clauses in
-        check_bool "unsat" true (r = Sat.Unsat);
-        let nv, cnf, steps = proof_of s in
-        let steps = to_drat steps in
+        let _, tp = pigeonhole_proof 4 in
         let empty, rest =
-          List.partition
-            (function D.Add [||] -> true | _ -> false)
-            steps
+          List.partition (fun c -> c = [||]) tp.Sat.steps
         in
         check_bool "has empty clause" true (empty <> []);
-        check_bool "rejected" false
-          (is_ok (D.check ~nvars:nv ~cnf (empty @ rest))));
-    Alcotest.test_case "unlogged deletions rejected by count" `Quick
-      (fun () ->
-        let nvars, clauses = pigeonhole 5 in
-        let r, s = solve_logged ~reduce_interval:20 nvars clauses in
-        check_bool "unsat" true (r = Sat.Unsat);
-        let deletions =
-          Sat.num_learned_deleted s + Sat.num_problem_deleted s
-        in
-        let nv, cnf, steps = proof_of s in
-        let without_deletes =
-          List.filter
-            (function D.Delete _ -> false | _ -> true)
-            (to_drat steps)
-        in
-        check_bool "rejected" false
-          (is_ok
-             (D.check ~expected_deletions:deletions ~nvars:nv ~cnf
-                without_deletes)));
+        check_bool "rejected" false (is_ok (check_trimmed tp (empty @ rest))));
     Alcotest.test_case "learned clauses weakened by a fresh literal" `Quick
       (fun () ->
-        (* Injecting one fresh literal into every learned clause leaves
-           each individually admissible (blocked on the fresh pivot) but
-           destroys the derivation: once the fresh variable satisfies
-           them all, only the original CNF is left, which is not
-           unit-refutable. *)
-        let nvars, clauses = pigeonhole 4 in
-        let r, s = solve_logged nvars clauses in
-        check_bool "unsat" true (r = Sat.Unsat);
-        let nv, cnf, steps = proof_of s in
-        let fresh = 2 * nv in
+        (* Injecting one fresh literal into every learned clause keeps
+           each one RUP (assuming the fresh literal false turns the
+           weakened clauses before it back into the originals) but
+           destroys the derivation: nothing forces the fresh literal
+           false, so no weakened clause becomes unit at the root, and
+           the empty clause is not RUP over the CNF they leave. *)
+        let _, tp = pigeonhole_proof 4 in
+        let fresh = 2 * tp.Sat.nvars in
         let corrupted =
           List.map
-            (function
-              | D.Add l when Array.length l > 0 ->
-                D.Add (Array.append [| fresh |] l)
-              | st -> st)
-            (to_drat steps)
+            (fun c -> if c = [||] then c else Array.append [| fresh |] c)
+            tp.Sat.steps
         in
         check_bool "rejected" false
-          (is_ok (D.check ~nvars:(nv + 1) ~cnf corrupted)));
+          (is_ok (check_trimmed ~nvars_extra:1 tp corrupted)));
     Alcotest.test_case "unknown leaves no empty clause" `Quick (fun () ->
         let nvars, clauses = pigeonhole 6 in
-        let r, s = solve_logged ~max_conflicts:3 nvars clauses in
+        let r, s = solve_tracked ~max_conflicts:3 nvars clauses in
         check_bool "unknown" true (r = Sat.Unknown);
-        let nv, cnf, steps = proof_of s in
-        check_bool "no empty clause in trace" false
-          (List.exists
-             (function Sat.P_add [||] -> true | _ -> false)
-             steps);
-        check_bool "trace does not certify" false
-          (is_ok (D.check ~nvars:nv ~cnf (to_drat steps))));
+        check_bool "no trimmed proof" true (Sat.trimmed_proof s = None));
+    Alcotest.test_case "refutation under an assumption proves its negation"
+      `Quick (fun () ->
+        (* Every pigeonhole clause guarded by [~sel]: the database is
+           satisfiable, and unsat only under the assumption [sel]. *)
+        let nvars, clauses = pigeonhole 4 in
+        let s = Sat.create () in
+        Sat.enable_tracking s;
+        let vars = Array.init nvars (fun _ -> Sat.new_var s) in
+        let sel = Sat.lit (Sat.new_var s) true in
+        List.iter
+          (fun c ->
+            Sat.add_clause s
+              (Sat.lit_not sel
+              :: List.map (fun l -> Sat.lit vars.(abs l - 1) (l > 0)) c))
+          clauses;
+        check_bool "unsat under sel" true
+          (Sat.solve ~assumptions:[ sel ] s = Sat.Unsat);
+        match Sat.trimmed_proof ~assumptions:[ sel ] s with
+        | None -> Alcotest.fail "expected a trimmed proof"
+        | Some tp ->
+          check_int "goal is one literal" 1 (Array.length tp.Sat.goal);
+          check_bool "goal established" true
+            (is_ok (check_trimmed tp tp.Sat.steps));
+          check_bool "flipped goal rejected" false
+            (is_ok
+               (check_trimmed
+                  { tp with Sat.goal = Array.map (fun l -> l lxor 1) tp.Sat.goal }
+                  tp.Sat.steps));
+          check_bool "no goal: the CNF itself is not refuted" false
+            (is_ok (D.check ~nvars:tp.Sat.nvars ~cnf:tp.Sat.cnf tp.Sat.steps)));
   ]
 
 (* {1 Certificate production and checking} *)
@@ -361,51 +354,23 @@ let trimming_tests =
   [
     Alcotest.test_case "trimmed solver proof: smaller, deletion-free, checks"
       `Quick (fun () ->
-        (* The forward log vs its backward cone on a proof with real
-           conflict activity: the trimmed trace must drop clauses, keep
-           no deletions, and still refute the cone-filtered CNF. *)
-        let nvars, clauses = pigeonhole 5 in
-        let s = Sat.create ~reduce_interval:20 () in
-        Sat.enable_proof s;
-        Sat.enable_tracking s;
-        let vars = Array.init nvars (fun _ -> Sat.new_var s) in
-        List.iter
-          (fun c ->
-            Sat.add_clause s
-              (List.map (fun l -> Sat.lit vars.(abs l - 1) (l > 0)) c))
-          clauses;
-        check_bool "unsat" true (Sat.solve s = Sat.Unsat);
-        let forward_adds =
-          List.length
-            (List.filter
-               (function Sat.P_add _ -> true | _ -> false)
-               (Sat.proof_steps s))
-        in
-        match Sat.trimmed_proof s with
-        | None -> Alcotest.fail "expected a trimmed proof"
-        | Some tp ->
-          check_bool "strictly fewer additions" true
-            (List.length tp.Sat.steps < forward_adds);
-          check_int "logged as many derivations as the forward log"
-            forward_adds (Sat.num_derived s);
-          check_bool "no goal without assumptions" true (tp.Sat.goal = [||]);
-          check_bool "trimmed proof checks" true
-            (is_ok
-               (D.check ~expected_deletions:0 ~nvars:tp.Sat.nvars
-                  ~cnf:tp.Sat.cnf
-                  (List.map (fun c -> D.Add c) tp.Sat.steps))));
+        (* The antecedent log vs its backward cone on a proof with real
+           conflict activity (reductions included): the trimmed proof
+           must drop derived clauses and still refute the cone-filtered
+           CNF. *)
+        let s, tp = pigeonhole_proof ~reduce_interval:20 5 in
+        check_bool "strictly fewer derived clauses than logged" true
+          (List.length tp.Sat.steps < Sat.num_derived s);
+        check_bool "no goal without assumptions" true (tp.Sat.goal = [||]);
+        check_bool "trimmed proof checks" true
+          (is_ok (check_trimmed tp tp.Sat.steps)));
     Alcotest.test_case "certificate proofs are trimmed strictly smaller"
       `Quick (fun () ->
         match drat_payload_of (produce (pcache_q1 ())) with
         | None -> Alcotest.fail "expected a drat certificate"
         | Some p ->
-          let adds =
-            List.length
-              (List.filter (function D.Add _ -> true | _ -> false) p.C.steps)
-          in
-          check_bool "trimmed below the forward log" true
-            (adds < p.C.untrimmed);
-          check_int "deletion-free" (List.length p.C.steps) adds);
+          check_bool "trimmed below the logged derivations" true
+            (List.length p.C.steps < p.C.untrimmed));
     Alcotest.test_case "proof-cache hit passes the independent checker"
       `Quick (fun () ->
         (* The second context gets [q2]'s residual from the query cache,
@@ -428,13 +393,13 @@ let trimming_tests =
         | Some p ->
           check_bool "stored payload re-checks" true
             (is_ok
-               (D.check ~expected_deletions:0 ~goal:p.C.goal ~nvars:p.C.nvars
-                  ~cnf:p.C.cnf p.C.steps)));
+               (D.check ~goal:p.C.goal ~nvars:p.C.nvars ~cnf:p.C.cnf
+                  p.C.steps)));
     Alcotest.test_case "tampered cached proof is rejected, not trusted"
       `Quick (fun () ->
         let col, q2, refutation = two_contexts () in
         (* Gut the stored proof's CNF: with nothing to propagate
-           against, no derivation step is RUP/RAT — the checker must
+           against, no derivation step is RUP — the checker must
            reject the payload whatever shape the proof had. *)
         let refutation =
           match refutation with
@@ -659,7 +624,7 @@ let context_tests =
            through the lemma [~v2 | v1]. *)
         let sel = pos 2 in
         let cnf = List.map (fun c -> neg 2 :: c) cnf2 in
-        let lemma = D.Add [| neg 2; pos 1 |] in
+        let lemma = [| neg 2; pos 1 |] in
         let goal_check ?goal steps = D.check ?goal ~nvars:3 ~cnf steps in
         check_bool "goal ~sel established" true
           (is_ok (goal_check ~goal:[| neg 2 |] [ lemma ]));

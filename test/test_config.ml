@@ -1,9 +1,101 @@
 (* The Click-like configuration language. *)
 
 module Click = Vdp_click
+module F = Vdp_topo.Fabric
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+(* {1 Parser fuzzing}
+
+   Byte-level mutations of the shipped examples. Whatever the parser
+   and the fabric resolver make of a mutant, they either return or
+   raise one of the exceptions [vdpverify] reports as a load error. *)
+
+type mutation =
+  | Delete of int * int  (** at, length *)
+  | Insert of int * string  (** at, bytes *)
+  | Splice of int * int * int * int
+      (** at, source example, from, length: a chunk of an example *)
+
+let examples =
+  lazy
+    (let dir = List.find Sys.file_exists [ "../examples"; "examples" ] in
+     Sys.readdir dir |> Array.to_list
+     |> List.filter (fun f -> Filename.check_suffix f ".click")
+     |> List.sort compare
+     |> List.map (fun f -> Click.Config.read_file (Filename.concat dir f)))
+
+let example i =
+  let exs = Lazy.force examples in
+  List.nth exs (i mod List.length exs)
+
+(* Positions and lengths are drawn unbounded and clamped to the text
+   they apply to. *)
+let mutate src m =
+  let clamp at s = at mod (String.length s + 1) in
+  let insert at chunk =
+    let at = clamp at src in
+    String.sub src 0 at ^ chunk ^ String.sub src at (String.length src - at)
+  in
+  match m with
+  | Delete (at, n) ->
+    let at = clamp at src in
+    let n = min n (String.length src - at) in
+    String.sub src 0 at ^ String.sub src (at + n) (String.length src - at - n)
+  | Insert (at, bytes) -> insert at bytes
+  | Splice (at, i, from, n) ->
+    let d = example i in
+    let from = clamp from d in
+    insert at (String.sub d from (min n (String.length d - from)))
+
+let gen_mutation =
+  let open QCheck.Gen in
+  let pos = int_bound 100_000 in
+  let syntax =
+    oneofl (List.of_seq (String.to_seq "{}()[];:,->=/*#\"\n 0123456789ab"))
+  in
+  frequency
+    [
+      (3, map2 (fun at n -> Delete (at, n)) pos (int_range 1 16));
+      ( 3,
+        map2
+          (fun at b -> Insert (at, b))
+          pos
+          (oneof
+             [ string_size ~gen:syntax (int_range 1 6);
+               string_size ~gen:char (int_range 1 3) ]) );
+      ( 2,
+        map4
+          (fun at s from n -> Splice (at, s, from, n))
+          pos small_nat pos (int_range 1 120) );
+    ]
+
+let gen_mutant =
+  QCheck.Gen.(
+    pair (int_bound 1000) (list_size (int_range 1 4) gen_mutation))
+
+let mutant_source (ex, ms) = List.fold_left mutate (example ex) ms
+
+(* Parse, then resolve a fabric; [true] unless something escapes the
+   load errors. *)
+let loads_or_rejects src =
+  match
+    match Click.Config.parse_source src with
+    | Click.Config.Single _ -> ()
+    | Click.Config.Fabric topo -> ignore (F.of_topo topo)
+  with
+  | () -> true
+  | exception
+      ( Click.Config.Parse_error _ | Click.Registry.Unknown_class _
+      | Click.Registry.Bad_config _ | F.Bad_fabric _ | Invalid_argument _ ) ->
+    true
+
+let fuzz =
+  QCheck.Test.make ~count:1000
+    ~name:"mutated examples parse or raise a load error"
+    (QCheck.make ~print:mutant_source gen_mutant)
+    (fun m -> loads_or_rejects (mutant_source m))
 
 let tests =
   [
@@ -185,4 +277,5 @@ let tests =
         check_int "router has 11 nodes" 11 (Click.Pipeline.length pl);
         let pl2 = Click.Config.parse_file (find "firewall.click") in
         check_bool "firewall parses" true (Click.Pipeline.length pl2 > 5));
+    QCheck_alcotest.to_alcotest ~rand:(Test_batch.qcheck_rand ()) fuzz;
   ]
