@@ -463,8 +463,9 @@ let parallel pool cfg cert prop stats root st0 =
       (prop.empty, counters, true)
     else begin
       (* Spawn once the whole node is expanded: when checks start
-         decides how much the bound's shared [hint] prunes, and this
-         keeps the schedule the per-property drivers had. *)
+         decides how much a shared stop flag (a fabric reach query's
+         first confirmed flow) prunes, and this keeps the schedule the
+         per-property drivers had. *)
       let items = ref [] in
       prop.expand node st (fun item -> items := item :: !items);
       let futs =
@@ -742,11 +743,7 @@ type bound_report = {
   b_cert : Vdp_cert.Certificate.summary option;
 }
 
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
-
-(* Every completed path is suspect. *)
+(* Every completed path is a candidate. *)
 let bound_expand nodes summaries node st yield =
   iter_segments summaries node st (fun guard seg ->
       let g = guard seg in
@@ -759,38 +756,46 @@ let bound_expand nodes summaries node st yield =
           | None -> yield (Check ((), st'))
           | Some (dst, _) -> yield (Descend (dst, st'))))
 
-(* A result is (longest feasible path as (instr_hi, final state, model),
-   longest path that came back Unknown). [hint] is the largest instr_hi
-   proven feasible anywhere so far: a path at or below it cannot raise
-   the maximum and is skipped. Sequentially [hint] is exactly the
-   running best, so only paths that improve on it are checked; in
-   parallel it is shared across tasks, and which equal-length witness
-   is kept (and the check count) may vary, never the bound. Merging
-   keeps the earlier of two equally long paths, so ties resolve to the
-   first in DFS order. *)
-let bound_property cfg nodes summaries =
-  let hint = Atomic.make (-1) in
-  let check env () (st : Compose.t) =
-    let hi = st.Compose.instr_hi in
-    if hi <= Atomic.get hint then (None, -1)
-    else
+(* The bound is decided in two phases, the same at every [-j]. The
+   traversal only collects the completed paths, newest first (merging
+   conses onto the older ones). They are then decided longest first on
+   one context: the first feasible one is the maximum, and the only
+   others decided are the longer paths, which every search must
+   refute. The sort is stable, so ties keep DFS order and the witness
+   is the first longest feasible path in it. A running maximum over
+   the DFS decides shorter paths too, and in parallel which ones
+   depends on the schedule; on checksum arithmetic some of them are
+   SAT-hard (a random five-element pipeline took 5 s at -j 1 and did
+   not finish in four minutes at -j 2). [longest_feasible] returns the
+   longest feasible path with its model and the longest path that came
+   back Unknown. *)
+let candidates_property nodes summaries =
+  {
+    expand = bound_expand nodes summaries;
+    check = (fun _ () st -> [ st ]);
+    empty = [];
+    merge = (fun older newer -> newer @ older);
+  }
+
+let longest_feasible cfg cert stats candidates =
+  let ctx = make_ctx cfg in
+  let env =
+    { ctx; counters = stats; certify = certifier cert ctx ~defer:(fun f -> f ()) }
+  in
+  let rec go unknown_hi = function
+    | [] -> (None, unknown_hi)
+    | (st : Compose.t) :: rest -> (
+      reseed ctx st;
       match decide cfg env ~solve ~deps:st.Compose.static_deps with
-      | Solver.Sat model ->
-        atomic_max hint hi;
-        (Some (hi, st, model), -1)
-      | Solver.Unsat -> (None, -1)
-      | Solver.Unknown -> (None, hi)
+      | Solver.Sat model -> (Some (st, model), unknown_hi)
+      | Solver.Unsat -> go unknown_hi rest
+      | Solver.Unknown -> go (max unknown_hi st.Compose.instr_hi) rest)
   in
-  let merge (b, u) (b', u') =
-    let best =
-      match (b, b') with
-      | None, _ -> b'
-      | Some (x, _, _), Some (y, _, _) when y > x -> b'
-      | Some _, _ -> b
-    in
-    (best, max u u')
-  in
-  { expand = bound_expand nodes summaries; check; empty = (None, -1); merge }
+  go (-1)
+    (List.stable_sort
+       (fun (a : Compose.t) (b : Compose.t) ->
+         compare b.Compose.instr_hi a.Compose.instr_hi)
+       (List.rev candidates))
 
 let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
     bound_report =
@@ -800,23 +805,25 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
   let summaries = step1 ?pool config pl stats in
   let nodes = Click.Pipeline.nodes pl in
   let t0 = now () in
-  let (best, unknown_hi), budget_hit =
+  let candidates, budget_hit =
     traverse ?pool config cert
-      (bound_property config nodes summaries)
+      (candidates_property nodes summaries)
       stats (Click.Pipeline.entry pl) (initial_state config)
   in
+  let best, unknown_hi = longest_feasible config cert stats candidates in
   (* A candidate longer than the bound that came back Unknown means the
      bound may undercount, so it must not be reported exact. *)
   let bound, exact =
     match best with
-    | Some (b, st, _) ->
+    | Some (st, _) ->
+      let b = st.Compose.instr_hi in
       (Some b, (not st.Compose.summarized) && unknown_hi <= b)
     | None -> (None, false)
   in
   let witness, measured, b_replayed =
     match best with
     | None -> (None, None, None)
-    | Some (_, st, model) ->
+    | Some (st, model) ->
       (* Load the private state the longest path assumed, then require
          the runtime's count to land inside the path's interval. *)
       let r =

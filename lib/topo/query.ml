@@ -265,8 +265,8 @@ let decide_cold q env ~ingress_name ~ingress (fp : Relation.fpath) =
 (* The cold (depth-1) stage from ingress [a] to egress [b]: every path
    from [a] ending at [b], in DFS order, each with the flow of a
    feasible answer. With [first], checks stop deciding once some flow
-   has confirmed — a flag shared by every task, like the bound's
-   [hint] — but the paths are still collected. *)
+   has confirmed — a flag shared by every task — but the paths are
+   still collected. *)
 let cold_stage q a b ~first =
   let fab = q.rel.Relation.fab in
   let ingress = Fabric.ingress fab a and target = Fabric.egress fab b in

@@ -478,7 +478,9 @@ let pinned_counters =
         let r = V.instruction_bound ~config:certified (example "router.click") in
         check_bool "bound" true (r.V.bound = Some 2668);
         check_int "composite states" 472 r.V.b_stats.V.composite_paths;
-        check_int "suspect checks" 50 r.V.b_stats.V.suspect_checks);
+        (* Candidates are decided longest first, and the longest one,
+           at 2668, is feasible. *)
+        check_int "suspect checks" 1 r.V.b_stats.V.suspect_checks);
   ]
 
 (* Composition soundness oracle: the composite verdicts must agree with
