@@ -137,7 +137,6 @@ let solver_stats_json () =
             ("proof_clauses", Json.Int s.Solver.cert_proof_clauses);
             ("pcache_hits", Json.Int s.Solver.cert_pcache_hits);
             ("drat_ctx", Json.Int s.Solver.cert_drat_ctx);
-            ("trimmed_clauses", Json.Int s.Solver.cert_trimmed_clauses);
             ("untrimmed_clauses", Json.Int s.Solver.cert_untrimmed_clauses);
             ("solve_seconds", Json.Float s.Solver.cert_solve_time);
             ("check_seconds", Json.Float s.Solver.cert_check_time);
@@ -1245,7 +1244,6 @@ let e10 () =
             ("cached", Json.Int s.C.cached);
             ("proof_clauses", Json.Int s.C.proof_clauses);
             ("pcache_hits", Json.Int s.C.pcache_hits);
-            ("trimmed_clauses", Json.Int s.C.trimmed_clauses);
             ("untrimmed_clauses", Json.Int s.C.untrimmed_clauses);
             ("solve_seconds", Json.Float s.C.solve_seconds);
             ("check_seconds", Json.Float s.C.check_seconds);
@@ -1292,7 +1290,7 @@ let e10 () =
         List.for_all
           (fun (_, (s : C.summary)) ->
             s.C.drat = 0
-            || s.C.trimmed_clauses < s.C.untrimmed_clauses)
+            || s.C.proof_clauses < s.C.untrimmed_clauses)
           summaries
       in
       if not trim_ok then begin

@@ -26,9 +26,10 @@
      the elimination trace — every stage's side conditions re-checked
      with this module's own pattern matching, and the replayed residual
      hash-cons-identical to the certified one — then checks that the
-     cone's steps derive [~sel] from its CNF by reverse unit
-     propagation alone, with the forward RUP checker in {!Drat}, and
-     holds [sel] to occurring only as [~sel] in binary root clauses,
+     cone's steps derive [~sel] from its CNF, each by unit propagation
+     over exactly the clauses its hints name, with the LRAT checker in
+     {!Drat}, and holds [sel] to occurring only as [~sel] in binary
+     root clauses,
      which makes the CNF with [sel] set a refutation of the core. The
      query cache keeps the proof (or the interval explanation) with the
      answer, so a hit in another context is certified from it too.
@@ -50,7 +51,7 @@
    its list fold test [conj_is_false] (which must agree with
    [is_false (and_ ts)]) and [substitute_vars],
    [Preprocess.split_list]/[resplit], [Eval],
-   [Bitblast] (CNF correspondence), and this library itself. The RUP
+   [Bitblast] (CNF correspondence), and this library itself. The LRAT
    checker and the interval replay deliberately share no algorithmic
    code with the solver that produced the answers. *)
 
@@ -65,7 +66,8 @@ module Model = Vdp_smt.Model
 type drat_payload = {
   nvars : int;  (** SAT variables, renumbered densely *)
   cnf : int list list;  (** the refutation cone's asserted clauses *)
-  steps : int array list;  (** its derived clauses, oldest first *)
+  steps : (int array * int array) list;
+      (** its derived clauses, oldest first, each with its hints *)
   goal : int array;
       (** the one-literal clause [~sel]: the answering context refuted
           [core] under its selector [sel], and the CNF guards each of
@@ -375,8 +377,7 @@ type summary = {
       (** of [drat]: built from a proof stored with a query-cache hit,
           re-checked in full against the hitting query *)
   mutable proof_clauses : int;
-  mutable trimmed_clauses : int;
-      (** proof additions kept after backward trimming (sums [steps]) *)
+      (** steps of the checked proofs, kept after backward trimming *)
   mutable untrimmed_clauses : int;
       (** derived clauses in the producing solvers' logs before trimming *)
   mutable solve_seconds : float;  (** in-context proof extraction *)
@@ -396,7 +397,6 @@ let empty_summary () =
     cached = 0;
     pcache_hits = 0;
     proof_clauses = 0;
-    trimmed_clauses = 0;
     untrimmed_clauses = 0;
     solve_seconds = 0.;
     check_seconds = 0.;
@@ -451,9 +451,7 @@ let record_fresh col outcome ~solve_s ~check_s ~stored =
       let adds = List.length p.steps in
       s.proof_clauses <- s.proof_clauses + adds;
       g.S.cert_proof_clauses <- g.S.cert_proof_clauses + adds;
-      s.trimmed_clauses <- s.trimmed_clauses + adds;
       s.untrimmed_clauses <- s.untrimmed_clauses + p.untrimmed;
-      g.S.cert_trimmed_clauses <- g.S.cert_trimmed_clauses + adds;
       g.S.cert_untrimmed_clauses <- g.S.cert_untrimmed_clauses + p.untrimmed;
       if stored then begin
         s.pcache_hits <- s.pcache_hits + 1;

@@ -1,165 +1,115 @@
-(* Independent forward RUP proof checker.
+(* Independent LRAT proof checker.
 
    This module is the trusted base of the certificate subsystem: it
    validates the trimmed proofs read out of the CDCL core's antecedent
-   log without sharing any code with it. Everything is deliberately
-   different from [lib/smt/sat.ml] — each literal keeps the full list
-   of clauses it occurs in (no two-watched-literal scheme, no in-place
-   literal reordering), the assignment is a var-indexed 0/1/2 array
-   rather than the solver's xor-coded literal values, and unit
-   propagation rescans whole clauses instead of juggling watches.
-   Slower, but small enough to audit.
+   log without sharing any code with it. Each step of a proof carries
+   its hints, the ids of the earlier clauses whose unit propagation
+   derives it (the LRAT format: Cruz-Filipe et al., "Efficient
+   Certified RAT Verification", CADE 2017). Checking a step visits
+   exactly those clauses, once each, in order: there is no search, no
+   occurrence list and no watch, so the checker is small enough to
+   audit and its work is linear in the size of the hints.
 
    Literal encoding is shared *data format* (variable [v] is literal
    [2v] positive, [2v+1] negative) so proofs need no translation.
 
-   Checking is the standard forward pass over a clause database that
-   only grows: each step must be RUP (assuming its negation and
-   unit-propagating the current database yields a conflict), and is
-   then added. The proof is accepted once the database is conflicting
-   at the root, i.e. the empty clause is derivable; steps after that
-   point are not needed and are not checked. A proof may instead
-   establish a goal clause: its negation is then added, as unit
-   clauses, before the first step, so the proof refutes the CNF
-   together with the goal's negation. There are no deletions and no
-   RAT steps: the producer never deletes from a trimmed proof, and
-   every clause it derives is RUP, so anything else is rejected. *)
+   Clause ids number the CNF clauses from 0, then the goal's negated
+   literals as unit clauses, then the steps. Each step is checked on its
+   own: its literals are assumed false, and each hint in turn must be
+   unit under the assignment so far (its open literal is then made
+   true) or falsified (the step is accepted). A hint that is satisfied,
+   has two open literals, or names no earlier clause is rejected, and so
+   is a step whose hints run out without a conflict. The proof is
+   accepted at its first empty step; steps after it are not checked.
+   There are no deletions and no RAT steps: the producer never deletes
+   from a trimmed proof, and every clause it derives is RUP. *)
 
 let neg l = l lxor 1
 let var l = l lsr 1
-
-(* Assignment codes. *)
-let unknown = 0
-let v_true = 1
-let v_false = 2
-
-type db = {
-  occ : int array list array;  (* literal -> clauses containing it *)
-  assign : int array;  (* var -> unknown / v_true / v_false *)
-  trail : int array;  (* literals assigned true, in order *)
-  mutable trail_len : int;
-}
-
-let create nvars =
-  {
-    occ = Array.make (2 * nvars) [];
-    assign = Array.make nvars unknown;
-    trail = Array.make nvars 0;
-    trail_len = 0;
-  }
-
-let lit_state db l =
-  let a = db.assign.(var l) in
-  if a = unknown then unknown
-  else if (a = v_true) = (l land 1 = 0) then v_true
-  else v_false
-
-(* Make [l] true; caller guarantees it is currently unknown. *)
-let assign_true db l =
-  db.assign.(var l) <- (if l land 1 = 0 then v_true else v_false);
-  db.trail.(db.trail_len) <- l;
-  db.trail_len <- db.trail_len + 1
-
-let undo_to db mark =
-  for i = db.trail_len - 1 downto mark do
-    db.assign.(var db.trail.(i)) <- unknown
-  done;
-  db.trail_len <- mark
-
-(* Scan one clause under the current assignment. A second unassigned
-   literal settles it as [Open] (or satisfied, which no caller tells
-   apart), so the scan stops there. *)
-type scan = Satisfied | Conflict | Unit of int | Open
-
-let scan_clause db lits =
-  let unassigned = ref 0 and the_lit = ref 0 and sat = ref false in
-  let i = ref 0 and len = Array.length lits in
-  while (not !sat) && !unassigned < 2 && !i < len do
-    (match lit_state db lits.(!i) with
-    | s when s = v_true -> sat := true
-    | s when s = unknown ->
-      incr unassigned;
-      the_lit := lits.(!i)
-    | _ -> ());
-    incr i
-  done;
-  if !sat then Satisfied
-  else if !unassigned = 0 then Conflict
-  else if !unassigned = 1 then Unit !the_lit
-  else Open
-
-(* Propagate from trail position [q]; [true] on conflict. Visits, for
-   each newly-true literal, every clause containing its negation. *)
-let rec propagate db q =
-  q < db.trail_len
-  && (List.exists
-        (fun c ->
-          match scan_clause db c with
-          | Conflict -> true
-          | Unit u ->
-            assign_true db u;
-            false
-          | Satisfied | Open -> false)
-        db.occ.(neg db.trail.(q))
-     || propagate db (q + 1))
-
-(* RUP test: assume the negation of every literal of [lits] on top of
-   the root assignment and propagate; [true] iff that conflicts. The
-   trail is restored before returning. *)
-let rup db lits =
-  let mark = db.trail_len in
-  let conflict =
-    Array.exists
-      (fun l ->
-        let s = lit_state db l in
-        if s = unknown then assign_true db (neg l);
-        s = v_true)
-      lits
-    || propagate db mark
-  in
-  undo_to db mark;
-  conflict
-
-(* Add [lits] to the database and extend the root assignment with what
-   it implies; [true] iff the database is now conflicting at the root. *)
-let add db lits =
-  Array.iter (fun l -> db.occ.(l) <- lits :: db.occ.(l)) lits;
-  match scan_clause db lits with
-  | Conflict -> true
-  | Unit u ->
-    assign_true db u;
-    propagate db (db.trail_len - 1)
-  | Satisfied | Open -> false
 
 type outcome = (unit, string) result
 
 let error fmt = Printf.ksprintf (fun s -> Error s) fmt
 
-(* [check ~nvars ~cnf steps] validates a forward RUP proof over [cnf],
-   whose literals, like those of [goal] and [steps], must lie in
-   [0, 2 * nvars). [goal] is what the proof establishes: the CNF
-   implies it. Its default, the empty clause, makes the proof a
-   refutation of the CNF; a refutation under assumptions [a1..ak]
-   establishes [~a1 \/ .. \/ ~ak] instead. *)
-let check ?(goal = [||]) ~nvars ~cnf (steps : int array list) : outcome =
+(* [check ~nvars ~cnf steps] validates an LRAT proof over [cnf], whose
+   literals, like those of [goal] and of the steps, must lie in
+   [0, 2 * nvars). Each step is its literals and its hints. [goal] is
+   what the proof establishes: the CNF implies it. Its default, the
+   empty clause, makes the proof a refutation of the CNF; a refutation
+   under assumptions [a1..ak] establishes [~a1 \/ .. \/ ~ak] instead. *)
+let check ?(goal = [||]) ~nvars ~cnf (steps : (int array * int array) list)
+    : outcome =
   let in_range l = l >= 0 && var l < nvars in
   if
     not
       (List.for_all (List.for_all in_range) cnf
       && Array.for_all in_range goal
-      && List.for_all (Array.for_all in_range) steps)
+      && List.for_all (fun (lits, _) -> Array.for_all in_range lits) steps)
   then error "literal out of range for %d variables" nvars
   else
-    let db = create nvars in
-    let rec go i = function
-      | [] -> error "no empty clause derived"
-      | lits :: rest ->
-        if not (rup db lits) then error "step %d: clause is not RUP" i
-        else if add db lits then Ok ()
-        else go (i + 1) rest
+    let db =
+      Array.concat
+        [
+          Array.of_list (List.map Array.of_list cnf);
+          Array.map (fun l -> [| neg l |]) goal;
+          Array.of_list (List.map fst steps);
+        ]
     in
-    if
-      List.exists (fun c -> add db (Array.of_list c)) cnf
-      || Array.exists (fun l -> add db [| neg l |]) goal
-    then Ok ()
-    else go 0 steps
+    let first_step = Array.length db - List.length steps in
+    (* [truth.(l)]: literal [l] is assigned true. *)
+    let truth = Array.make (2 * nvars) false in
+    let trail = Array.make nvars 0 and assigned = ref 0 in
+    let make_true l =
+      truth.(l) <- true;
+      trail.(!assigned) <- l;
+      incr assigned
+    in
+    (* Visit [hints] from [i] on for the step with id [id]. *)
+    let rec visit id hints i =
+      if i = Array.length hints then error "hints reach no conflict"
+      else
+        let h = hints.(i) in
+        if h < 0 || h >= Array.length db then error "hint %d out of range" h
+        else if h >= id then
+          error "hint %d %s" h
+            (if h = id then "names the step itself" else "points forward")
+        else
+          let c = db.(h) in
+          let satisfied = ref false and opened = ref 0 and last = ref 0 in
+          for j = 0 to Array.length c - 1 do
+            let l = c.(j) in
+            if truth.(l) then satisfied := true
+            else if not truth.(neg l) then begin
+              incr opened;
+              last := l
+            end
+          done;
+          if !satisfied then error "hint %d is satisfied" h
+          else if !opened = 0 then Ok ()
+          else if !opened > 1 then error "hint %d is not unit" h
+          else begin
+            make_true !last;
+            visit id hints (i + 1)
+          end
+    in
+    let rec go k = function
+      | [] -> error "no empty clause derived"
+      | (lits, hints) :: rest -> (
+        (* A clause holding both [l] and [~l] needs no hints. *)
+        let tautology =
+          Array.exists
+            (fun l ->
+              if not (truth.(l) || truth.(neg l)) then make_true (neg l);
+              truth.(l))
+            lits
+        in
+        let r = if tautology then Ok () else visit (first_step + k) hints 0 in
+        for i = 0 to !assigned - 1 do
+          truth.(trail.(i)) <- false
+        done;
+        assigned := 0;
+        match r with
+        | Error e -> error "step %d: %s" k e
+        | Ok () -> if lits = [||] then Ok () else go (k + 1) rest)
+    in
+    go 0 steps

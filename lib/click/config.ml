@@ -208,6 +208,43 @@ let expect cur t what =
 let ident cur what =
   match advance cur with Ident s -> s | _ -> fail "expected %s" what
 
+(* Reject a connection [(src, port, dst, dport)] from an output port
+   its element lacks, from an output already connected, or that closes
+   a cycle, naming the connection. *)
+let check_connections elements edges =
+  let name i = elements.(i).Element.name in
+  let conn (src, port, dst, dport) =
+    Printf.sprintf "%s[%d] -> [%d]%s" (name src) port dport (name dst)
+  in
+  let outs = Array.map (fun e -> Array.make (Element.nports e) None) elements in
+  List.iter
+    (fun ((src, port, _, _) as c) ->
+      if port < 0 || port >= Array.length outs.(src) then
+        fail "connection %s: %s has no output port %d" (conn c) (name src) port;
+      if outs.(src).(port) <> None then
+        fail "connection %s: output %s[%d] is already connected" (conn c)
+          (name src) port;
+      outs.(src).(port) <- Some c)
+    edges;
+  (* Depth first: a connection into an element still being visited
+     closes a cycle. *)
+  let state = Array.make (Array.length elements) `Fresh in
+  let rec visit i =
+    if state.(i) = `Fresh then begin
+      state.(i) <- `Open;
+      Array.iter
+        (function
+          | Some ((_, _, dst, _) as c) ->
+            if state.(dst) = `Open then
+              fail "connection %s closes a cycle" (conn c);
+            visit dst
+          | None -> ())
+        outs.(i);
+      state.(i) <- `Done
+    end
+  in
+  Array.iteri (fun i _ -> visit i) elements
+
 (* Parse element declarations and connection chains until [stop] (EOF
    for a whole file, the closing brace of a sub-section) and build the
    pipeline. Sub-sections [name { ... }] recurse with [name.] prefixed
@@ -360,7 +397,9 @@ let parse_pipeline_body cur ~stop =
   let entry =
     match Hashtbl.find_opt decls "input" with Some i -> i | None -> 0
   in
-  Pipeline.validate (Pipeline.create ~entry elements (List.rev !edges))
+  let edges = List.rev !edges in
+  check_connections (Array.of_list elements) edges;
+  Pipeline.validate (Pipeline.create ~entry elements edges)
 
 (* {2 Topology sections} *)
 

@@ -56,9 +56,9 @@ type t = {
 }
 
 (** Parse at offset [off] (relative to head); no validity checks beyond
-    having 20 readable bytes. *)
+    having 20 readable bytes there. [None] for a negative offset too. *)
 let parse ?(off = 0) (p : Packet.t) =
-  if Packet.length p < off + min_header_len then None
+  if off < 0 || Packet.length p - off < min_header_len then None
   else
     let b0 = Packet.get_u8 p off in
     Some

@@ -61,7 +61,8 @@ type clause = {
    asserted conjunct, turning the cone into an unsat core over the
    query's conjuncts), and {!trimmed_proof} reads the cone's clauses
    back out of the log in serial order (backward proof trimming: only
-   clauses reachable from the refutation are kept). Serials are
+   clauses reachable from the refutation are kept), each derived
+   clause with its antecedents as LRAT hints. Serials are
    chronological, so that order puts every derived clause after its
    antecedents. Tracking costs one [match] per site when off. *)
 
@@ -77,6 +78,15 @@ type track = {
                                          keys are the derived serials *)
   tags : (int, int) Hashtbl.t;  (* serial -> caller tag *)
   mutable cone : (int, unit) Hashtbl.t option;  (* last Unsat's cone *)
+  mutable root_hints : int array;
+      (* when the cone's root is not a derived empty clause, the hints
+         of the empty step {!trimmed_proof} synthesizes for it: serials,
+         and [-1 - j] for the goal unit of assumption [j] *)
+  mutable tpos : int array;  (* var -> trail index; filled lazily for
+                                level 0 up to [tfilled] *)
+  mutable tfilled : int;
+  mutable vmap : int array;  (* var -> its number in the proof being
+                                read out, -1 *)
 }
 
 type t = {
@@ -160,6 +170,10 @@ let enable_tracking s =
           ants = Hashtbl.create 256;
           tags = Hashtbl.create 64;
           cone = None;
+          root_hints = [||];
+          tpos = Array.make (max 32 s.nvars) (-1);
+          tfilled = 0;
+          vmap = Array.make (max 32 s.nvars) (-1);
         }
 
 let tracking s = s.track <> None
@@ -277,7 +291,10 @@ let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
   (match s.track with
-  | Some tr -> tr.vser <- grow_array tr.vser s.nvars (-1)
+  | Some tr ->
+    tr.vser <- grow_array tr.vser s.nvars (-1);
+    tr.tpos <- grow_array tr.tpos s.nvars (-1);
+    tr.vmap <- grow_array tr.vmap s.nvars (-1)
   | None -> ());
   s.assigns <- grow_array s.assigns s.nvars (-1);
   s.levels <- grow_array s.levels s.nvars 0;
@@ -413,10 +430,115 @@ let close s roots =
     go ();
     cone
 
-let set_cone s roots =
+let set_cone ?(root_hints = [||]) s roots =
   match s.track with
   | None -> ()
-  | Some tr -> tr.cone <- Some (close s roots)
+  | Some tr ->
+    tr.cone <- Some (close s roots);
+    tr.root_hints <- root_hints
+
+(* {1 Proof hints}
+
+   A derived clause's hints are the ids of the clauses a checker visits,
+   in order, to propagate the clause's negation to a conflict (LRAT).
+   They are read off its antecedents: first the sources of the level-0
+   variables it dropped, in trail order, then the clauses conflict
+   analysis resolved on, which [analyze] records in trail order with
+   the conflicting clause last. *)
+
+(* The serial that assigned [v], its unit step at level 0 or else its
+   reason clause, or -1 for a decision. *)
+let source s tr v =
+  if tr.vser.(v) >= 0 then tr.vser.(v)
+  else
+    let cid = s.reasons.(v) in
+    if cid >= 0 then tr.cser.(cid) else -1
+
+(* Trail positions of every assigned variable. Level 0 only ever grows,
+   so its positions are filled once, lazily; those above it are written
+   too, and rewritten once their variables reach level 0. *)
+let fill_positions s tr =
+  for i = tr.tfilled to Vec.len s.trail - 1 do
+    tr.tpos.(lit_var (Vec.get s.trail i)) <- i
+  done;
+  tr.tfilled <-
+    (if decision_level s = 0 then Vec.len s.trail else Vec.get s.trail_lim 0)
+
+(* The variables [vs] rest on, in trail order: each of them and,
+   transitively, the other variables of its reason clause, stopping at
+   unit steps and decisions. Needs [fill_positions] first. *)
+let reason_closure s tr vs =
+  let found = ref [] in
+  let rec go = function
+    | [] -> ()
+    | v :: rest when s.seen.(v) -> go rest
+    | v :: rest ->
+      s.seen.(v) <- true;
+      found := tr.tpos.(v) :: !found;
+      let cid = if tr.vser.(v) >= 0 then -1 else s.reasons.(v) in
+      go
+        (if cid < 0 then rest
+         else
+           Array.fold_left
+             (fun acc l -> lit_var l :: acc)
+             rest s.clauses.(cid).lits)
+  in
+  go vs;
+  let ps = Array.of_list !found in
+  Array.sort Int.compare ps;
+  Array.map
+    (fun p ->
+      let v = lit_var (Vec.get s.trail p) in
+      s.seen.(v) <- false;
+      v)
+    ps
+
+(* Hints of a derived clause with antecedents [ants], each serial
+   turned into a clause id by [id]. Most clauses drop no level-0
+   variable, so the serials are copied without an intermediate list. *)
+let step_hints s tr ants id =
+  let level0 =
+    Array.fold_left
+      (fun acc d -> if d < 0 then (-1 - d) :: acc else acc)
+      [] ants
+  in
+  let sources =
+    if level0 = [] then [||]
+    else Array.map (source s tr) (reason_closure s tr level0)
+  in
+  let k = ref (Array.length sources) in
+  let nser = Array.fold_left (fun n d -> if d >= 0 then n + 1 else n) 0 ants in
+  let hints = Array.make (!k + nser) 0 in
+  Array.iteri (fun i ser -> hints.(i) <- id ser) sources;
+  Array.iter
+    (fun d ->
+      if d >= 0 then begin
+        hints.(!k) <- id d;
+        incr k
+      end)
+    ants;
+  hints
+
+(* Assumption [dl], [al], is implied false. The cone is the dependency
+   closure of that assignment, and the empty step synthesized for it
+   visits the source of each assignment in the closure in trail order,
+   then [al]'s goal unit, which they falsify. A decision at level [k] is
+   assumption [k - 1], so its source is that assumption's goal unit.
+   Taken now, while the trail above level 0 is still in place. *)
+let refute_assumption s dl al =
+  match s.track with
+  | None -> ()
+  | Some tr ->
+    fill_positions s tr;
+    let hint v =
+      let src = source s tr v in
+      if src >= 0 then src else -1 - (s.levels.(v) - 1)
+    in
+    set_cone s [ -1 - lit_var al ]
+      ~root_hints:
+        (Array.append
+           (Array.map hint (reason_closure s tr [ lit_var al ]))
+           [| -1 - dl |])
 
 let rec backtrack s level =
   if decision_level s > level then begin
@@ -465,7 +587,10 @@ and add_clause ?tag s lits =
       match kept with
       | [] ->
         s.unsat <- true;
+        (* The empty clause as asserted is not a derived step: a proof
+           needs one that cites it. *)
         set_cone s [ eff ]
+          ~root_hints:(if shortened then [||] else [| eff |])
       | [ l ] ->
         enqueue s l (-1);
         (match s.track with
@@ -744,10 +869,8 @@ let solve ?(max_conflicts = max_int) ?(assumptions = []) s =
             match lit_value s al with
             | 0 ->
               (* Implied false by the clauses + earlier assumptions:
-                 unsat under these assumptions only. The cone is the
-                 dependency closure of the implied assignment, taken
-                 now while the reason graph is still in place. *)
-              set_cone s [ -1 - lit_var al ];
+                 unsat under these assumptions only. *)
+              refute_assumption s dl al;
               status := Some Unsat
             | 1 ->
               (* Already implied true; keep the level/index alignment
@@ -836,46 +959,73 @@ let last_cone_tags s =
 type trimmed = {
   nvars : int;
   cnf : int list list;
-  steps : int array list;
+  steps : (int array * int array) list;
   goal : int array;
 }
 
 let trimmed_proof ?(assumptions = []) s =
   match s.track with
   | Some ({ cone = Some cone; _ } as tr) ->
-    let sers = Array.of_seq (Hashtbl.to_seq_keys cone) in
+    fill_positions s tr;
+    let sers = Array.make (Hashtbl.length cone) 0 and n = ref 0 in
+    Hashtbl.iter
+      (fun ser () ->
+        sers.(!n) <- ser;
+        incr n)
+      cone;
     Array.sort Int.compare sers;
+    let ants = Array.map (Hashtbl.find_opt tr.ants) sers in
+    (* Clause ids: the CNF in serial order, then the goal units, then
+       the steps in serial order. *)
+    let ncnf =
+      Array.fold_left (fun n a -> if Option.is_none a then n + 1 else n) 0 ants
+    in
+    let next_cnf = ref 0 and next_step = ref (ncnf + List.length assumptions) in
+    let ids =
+      Array.map
+        (fun a ->
+          let r = if Option.is_none a then next_cnf else next_step in
+          incr r;
+          !r - 1)
+        ants
+    in
+    let rec id_of ser lo hi =
+      let mid = (lo + hi) / 2 in
+      if lo > hi then invalid_arg "Sat.trimmed_proof: hint outside the cone"
+      else if sers.(mid) < ser then id_of ser (mid + 1) hi
+      else if sers.(mid) > ser then id_of ser lo (mid - 1)
+      else ids.(mid)
+    in
+    let id ser = id_of ser 0 (Array.length sers - 1) in
     (* Renumber the cone's variables densely, in order of first
        occurrence: a long-lived context numbers every gate it ever
        encoded, a proof only needs the ones it mentions. *)
-    let map = Hashtbl.create 256 in
+    let renamed = ref [] and nvars = ref 0 in
     let mlit l =
       let v = lit_var l in
-      let v' =
-        match Hashtbl.find_opt map v with
-        | Some v' -> v'
-        | None ->
-          let v' = Hashtbl.length map in
-          Hashtbl.add map v v';
-          v'
-      in
-      (2 * v') lor (l land 1)
+      if tr.vmap.(v) < 0 then begin
+        tr.vmap.(v) <- !nvars;
+        incr nvars;
+        renamed := v :: !renamed
+      end;
+      (2 * tr.vmap.(v)) lor (l land 1)
     in
     let cnf = ref [] and steps = ref [] in
-    Array.iter
-      (fun ser ->
+    Array.iteri
+      (fun i ser ->
         let c = Array.map mlit tr.log.(ser) in
-        if Hashtbl.mem tr.ants ser then steps := c :: !steps
-        else cnf := Array.to_list c :: !cnf)
+        match ants.(i) with
+        | Some a -> steps := (c, step_hints s tr a id) :: !steps
+        | None -> cnf := Array.to_list c :: !cnf)
       sers;
+    if tr.root_hints <> [||] then begin
+      (* [-1 - j] is the goal unit of assumption [j], id [ncnf + j]. *)
+      let hint r = if r >= 0 then id r else ncnf - 1 - r in
+      steps := ([||], Array.map hint tr.root_hints) :: !steps
+    end;
     let goal =
       Array.of_list (List.map (fun a -> mlit (lit_not a)) assumptions)
     in
-    Some
-      {
-        nvars = Hashtbl.length map;
-        cnf = List.rev !cnf;
-        steps = List.rev !steps;
-        goal;
-      }
+    List.iter (fun v -> tr.vmap.(v) <- -1) !renamed;
+    Some { nvars = !nvars; cnf = List.rev !cnf; steps = List.rev !steps; goal }
   | _ -> None

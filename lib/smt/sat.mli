@@ -105,17 +105,23 @@ val last_cone_tags : t -> int list
 type trimmed = {
   nvars : int;  (** variables after dense renumbering *)
   cnf : int list list;  (** asserted clauses in the cone, oldest first *)
-  steps : int array list;  (** derived clauses in the cone, oldest first *)
+  steps : (int array * int array) list;
+      (** derived clauses in the cone, oldest first, each with its
+          hints; the last is the empty clause *)
   goal : int array;
       (** the negated assumptions (renumbered); [[||]] without
-          assumptions, where the last step is the empty clause *)
+          assumptions *)
 }
 
 val trimmed_proof : ?assumptions:int list -> t -> trimmed option
 (** Backward-trimmed refutation of the last [Unsat], in O(cone): the
     logged clauses inside its dependency cone, variables renumbered
-    densely. [assumptions] must be the ones that [solve] was given. Every
-    kept derived clause is RUP with respect to the clauses kept before
-    it, and [goal] is RUP after all of them, so the trace checks as a
-    forward RUP proof. [None] unless tracking is on and a cone was
-    captured. *)
+    densely, as an LRAT proof. Clause ids number [cnf] from 0, then the
+    goal's negated literals as unit clauses, then [steps]. A step's
+    hints are ids of earlier clauses that, visited in order, each
+    become unit or falsified once the step's literals are assumed
+    false: unit propagation over exactly them reaches a conflict. A
+    refutation under an assumption the clauses imply false ends in a
+    synthesized empty step that cites the assumption's goal unit.
+    [assumptions] must be the ones that [solve] was given. [None]
+    unless tracking is on and a cone was captured. *)

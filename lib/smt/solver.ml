@@ -37,7 +37,6 @@ type stats = {
   mutable cert_solve_time : float;
   mutable cert_check_time : float;
   mutable cert_pcache_hits : int;
-  mutable cert_trimmed_clauses : int;  (* proof adds kept after trimming *)
   mutable cert_untrimmed_clauses : int;  (* proof adds before trimming *)
   mutable cert_drat_ctx : int;  (* DRAT read from the answering context *)
   (* Scheduler counters, copied from [Vdp_core.Pool] after a parallel
@@ -82,7 +81,6 @@ let fresh_stats () =
     cert_solve_time = 0.;
     cert_check_time = 0.;
     cert_pcache_hits = 0;
-    cert_trimmed_clauses = 0;
     cert_untrimmed_clauses = 0;
     cert_drat_ctx = 0;
     sched_spawned = 0;
@@ -140,7 +138,6 @@ let reset_stats_record s =
   s.cert_solve_time <- 0.;
   s.cert_check_time <- 0.;
   s.cert_pcache_hits <- 0;
-  s.cert_trimmed_clauses <- 0;
   s.cert_untrimmed_clauses <- 0;
   s.cert_drat_ctx <- 0;
   s.sched_spawned <- 0;

@@ -67,7 +67,8 @@ type stats = {
   mutable cert_drat : int;  (** discharged by a checked DRAT proof *)
   mutable cert_interval : int;  (** discharged by interval-explanation replay *)
   mutable cert_folded : int;  (** discharged by constant folding *)
-  mutable cert_proof_clauses : int;  (** clauses in checked DRAT proofs *)
+  mutable cert_proof_clauses : int;
+      (** steps in checked DRAT proofs, after backward trimming *)
   mutable cert_solve_time : float;
       (** wall seconds reading proofs out of the answering context *)
   mutable cert_check_time : float;
@@ -75,8 +76,6 @@ type stats = {
   mutable cert_pcache_hits : int;
       (** DRAT certificates built from a proof stored with a query-cache
           hit (re-checked in full against this query) *)
-  mutable cert_trimmed_clauses : int;
-      (** DRAT proof additions kept after backward trimming *)
   mutable cert_untrimmed_clauses : int;
       (** derived clauses in the solvers' logs before trimming *)
   mutable cert_drat_ctx : int;

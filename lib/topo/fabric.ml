@@ -70,17 +70,18 @@ let parse_tag s =
 
 let pipe t i = t.pipes.(i)
 
+(* The index of the pipeline called [name]. *)
+let pipe_named pipes name =
+  let rec go i =
+    if i >= Array.length pipes then fail "unknown pipeline %s" name
+    else if pipes.(i).p_name = name then i
+    else go (i + 1)
+  in
+  go 0
+
 (* Resolve a Config.port_ref to (pipe index, egress index). *)
 let resolve_egress pipes (r : Config.port_ref) =
-  let pi =
-    let rec go i =
-      if i >= Array.length pipes then
-        fail "unknown pipeline %s" r.Config.ref_pipeline
-      else if pipes.(i).p_name = r.Config.ref_pipeline then i
-      else go (i + 1)
-    in
-    go 0
-  in
+  let pi = pipe_named pipes r.Config.ref_pipeline in
   let p = pipes.(pi) in
   match r.Config.ref_element with
   | None ->
@@ -121,14 +122,7 @@ let of_topo (topo : Config.topo) : t =
   List.iter
     (fun (src, dst, dport) ->
       let spi, se = resolve_egress pipes src in
-      let dpi =
-        let rec go i =
-          if i >= Array.length pipes then fail "unknown pipeline %s" dst
-          else if pipes.(i).p_name = dst then i
-          else go (i + 1)
-        in
-        go 0
-      in
+      let dpi = pipe_named pipes dst in
       if Hashtbl.mem links (spi, se) then
         fail "egress %d of pipeline %s is linked twice" se pipes.(spi).p_name;
       Hashtbl.replace links (spi, se) (dpi, dport))
@@ -139,16 +133,7 @@ let of_topo (topo : Config.topo) : t =
       links;
       ingresses =
         List.map
-          (fun (name, pl, port) ->
-            let pi =
-              let rec go i =
-                if i >= Array.length pipes then fail "unknown pipeline %s" pl
-                else if pipes.(i).p_name = pl then i
-                else go (i + 1)
-              in
-              go 0
-            in
-            (name, (pi, port)))
+          (fun (name, pl, port) -> (name, (pipe_named pipes pl, port)))
           topo.Config.topo_ingresses;
       egresses =
         List.map

@@ -1,4 +1,4 @@
-(* Proof certificates: the independent RUP checker, the interval
+(* Proof certificates: the independent LRAT checker, the interval
    replay, certificate production/checking, and the audits the
    subsystem exists for — a mutated proof must be rejected, an Unknown
    must never certify, and certified answers must agree with brute
@@ -21,16 +21,17 @@ let check_int = Alcotest.(check int)
 let is_ok = function Ok () -> true | Error _ -> false
 let cert_ok = function Ok _ -> true | Error _ -> false
 
-(* {1 Hand-crafted RUP proofs}
+(* {1 Hand-crafted LRAT proofs}
 
-   Literal encoding: variable [v] is [2v] positive, [2v+1] negative. *)
+   Literal encoding: variable [v] is [2v] positive, [2v+1] negative. A
+   step is its literals and its hints: clause ids, numbering the CNF
+   from 0, then the goal units, then the steps. *)
 
 let pos v = 2 * v
 let neg v = (2 * v) + 1
 
-(* (v0 | v1)(~v0 | v1)(v0 | ~v1)(~v0 | ~v1) — unsat, but not by unit
-   propagation alone, so the empty clause is never RUP over the CNF by
-   itself. *)
+(* (v0 | v1)(~v0 | v1)(v0 | ~v1)(~v0 | ~v1), ids 0-3 — unsat, but not by
+   unit propagation alone, so the empty clause needs a lemma. *)
 let cnf2 =
   [
     [ pos 0; pos 1 ];
@@ -41,42 +42,63 @@ let cnf2 =
 
 let check2 ?(nvars = 2) steps = D.check ~nvars ~cnf:cnf2 steps
 
+(* The lemma (v1), id 4: assuming ~v1, clause 0 gives v0 and clause 1
+   is falsified. *)
+let lemma = ([| pos 1 |], [| 0; 1 |])
+
+(* The empty clause, id 5: the lemma gives v1, clause 2 then gives v0
+   and clause 3 is falsified. *)
+let empty_hints = [| 4; 2; 3 |]
+let valid2 = [ lemma; ([||], empty_hints) ]
+
+(* [valid2] after a blocked lemma [(v2)], which no hint derives. *)
+let with_blocked =
+  [ ([| pos 2 |], [||]); ([| pos 1 |], [| 0; 1 |]); ([||], [| 5; 2; 3 |]) ]
+
 let drat_hand_tests =
   [
     Alcotest.test_case "valid two-step proof accepted" `Quick (fun () ->
-        check_bool "ok" true (is_ok (check2 [ [| pos 1 |]; [||] ])));
+        check_bool "ok" true (is_ok (check2 valid2)));
     Alcotest.test_case "dropped clause rejected" `Quick (fun () ->
-        (* Without the intermediate lemma the empty clause is not RUP. *)
-        check_bool "rejected" false (is_ok (check2 [ [||] ])));
+        (* Without the lemma, clause 2 is not unit at the root. *)
+        check_bool "rejected" false (is_ok (check2 [ ([||], [| 2; 3 |]) ])));
     Alcotest.test_case "permuted steps rejected" `Quick (fun () ->
-        check_bool "rejected" false (is_ok (check2 [ [||]; [| pos 1 |] ])));
-    Alcotest.test_case "corrupted literal rejected" `Quick (fun () ->
-        (* [v2] is fresh: the lemma that replaced [v1] is not RUP, and
-           the derivation it replaced is gone. *)
         check_bool "rejected" false
-          (is_ok (check2 ~nvars:3 [ [| pos 2 |]; [||] ])));
+          (is_ok (check2 [ ([||], empty_hints); lemma ])));
+    Alcotest.test_case "corrupted literal rejected" `Quick (fun () ->
+        (* [v2] is fresh: assuming it false leaves clause 0 with two
+           open literals, and the derivation it replaced is gone. *)
+        check_bool "rejected" false
+          (is_ok
+             (check2 ~nvars:3
+                [ ([| pos 2 |], snd lemma); ([||], empty_hints) ])));
     Alcotest.test_case "blocked (RAT-only) lemma rejected" `Quick (fun () ->
         (* [v2] occurs nowhere else, so [(v2)] is blocked — a valid RAT
-           step — and after it [(v1)] and the empty clause are RUP. The
-           producer never derives anything but RUP clauses, so a proof
-           that needs a RAT step is not one of its proofs. *)
-        check_bool "rejected" false
-          (is_ok (check2 ~nvars:3 [ [| pos 2 |]; [| pos 1 |]; [||] ])));
+           step — but no hint propagates its negation to a conflict.
+           The producer never derives anything but RUP clauses, so a
+           proof that needs a RAT step is not one of its proofs. *)
+        check_bool "rejected" false (is_ok (check2 ~nvars:3 with_blocked)));
     Alcotest.test_case "literal out of range rejected" `Quick (fun () ->
         (* The proof above, but over the two variables it declares. *)
-        check_bool "fresh variable" false
-          (is_ok (check2 [ [| pos 2 |]; [| pos 1 |]; [||] ]));
+        check_bool "fresh variable" false (is_ok (check2 with_blocked));
         check_bool "negative literal" false
-          (is_ok (check2 [ [| -1 |]; [| pos 1 |]; [||] ]));
+          (is_ok (check2 [ ([| -1 |], [||]); lemma; ([||], [| 5; 2; 3 |]) ]));
         check_bool "in the goal" false
-          (is_ok (D.check ~goal:[| pos 5 |] ~nvars:2 ~cnf:cnf2 [ [| pos 1 |] ])));
+          (is_ok (D.check ~goal:[| pos 5 |] ~nvars:2 ~cnf:cnf2 valid2)));
     Alcotest.test_case "root conflict needs no steps" `Quick (fun () ->
+        (* No lemma: the empty step alone cites the clauses that
+           conflict at the root. A proof with no empty step proves
+           nothing, even when the CNF refutes itself. *)
+        let refute_units = D.check ~nvars:1 ~cnf:[ [ pos 0 ]; [ neg 0 ] ] in
         check_bool "unit-refutable CNF" true
-          (is_ok (D.check ~nvars:1 ~cnf:[ [ pos 0 ]; [ neg 0 ] ] []));
+          (is_ok (refute_units [ ([||], [| 0; 1 |]) ]));
+        check_bool "no empty step" false (is_ok (refute_units []));
         check_bool "goal implied by a unit" true
-          (is_ok (D.check ~goal:[| pos 0 |] ~nvars:1 ~cnf:[ [ pos 0 ] ] []));
+          (is_ok
+             (D.check ~goal:[| pos 0 |] ~nvars:1 ~cnf:[ [ pos 0 ] ]
+                [ ([||], [| 0; 1 |]) ]));
         check_bool "satisfiable CNF" false
-          (is_ok (D.check ~nvars:1 ~cnf:[ [ pos 0 ] ] [])));
+          (is_ok (D.check ~nvars:1 ~cnf:[ [ pos 0 ] ] [ ([||], [| 0 |]) ])));
   ]
 
 (* {1 Solver-produced proofs} *)
@@ -141,7 +163,7 @@ let drat_solver_tests =
       (fun () ->
         let _, tp = pigeonhole_proof 4 in
         let empty, rest =
-          List.partition (fun c -> c = [||]) tp.Sat.steps
+          List.partition (fun (c, _) -> c = [||]) tp.Sat.steps
         in
         check_bool "has empty clause" true (empty <> []);
         check_bool "rejected" false (is_ok (check_trimmed tp (empty @ rest))));
@@ -151,13 +173,14 @@ let drat_solver_tests =
            each one RUP (assuming the fresh literal false turns the
            weakened clauses before it back into the originals) but
            destroys the derivation: nothing forces the fresh literal
-           false, so no weakened clause becomes unit at the root, and
-           the empty clause is not RUP over the CNF they leave. *)
+           false, so a weakened clause cited by the empty step has it
+           open and is not unit. *)
         let _, tp = pigeonhole_proof 4 in
         let fresh = 2 * tp.Sat.nvars in
         let corrupted =
           List.map
-            (fun c -> if c = [||] then c else Array.append [| fresh |] c)
+            (fun (c, h) ->
+              if c = [||] then (c, h) else (Array.append [| fresh |] c, h))
             tp.Sat.steps
         in
         check_bool "rejected" false
@@ -398,9 +421,9 @@ let trimming_tests =
     Alcotest.test_case "tampered cached proof is rejected, not trusted"
       `Quick (fun () ->
         let col, q2, refutation = two_contexts () in
-        (* Gut the stored proof's CNF: with nothing to propagate
-           against, no derivation step is RUP — the checker must
-           reject the payload whatever shape the proof had. *)
+        (* Gut the stored proof's CNF: every hint id now names the
+           wrong clause or none — the checker must reject the payload
+           whatever shape the proof had. *)
         let refutation =
           match refutation with
           | Some (Solver.Drat (pre, p)) ->
@@ -620,20 +643,22 @@ let context_tests =
   [
     Alcotest.test_case "goal clause: established by the steps, or rejected"
       `Quick (fun () ->
-        (* [cnf2] guarded by a selector [v2]: it implies [~v2], but only
-           through the lemma [~v2 | v1]. *)
+        (* [cnf2] guarded by a selector [v2], ids 0-3: it implies [~v2],
+           but only through the lemma [~v2 | v1], id 5. The goal's unit
+           [v2] is id 4; the empty step cites it, then the lemma. *)
         let sel = pos 2 in
         let cnf = List.map (fun c -> neg 2 :: c) cnf2 in
-        let lemma = [| neg 2; pos 1 |] in
+        let lemma = ([| neg 2; pos 1 |], [| 0; 1 |]) in
+        let refute = ([||], [| 4; 5; 2; 3 |]) in
         let goal_check ?goal steps = D.check ?goal ~nvars:3 ~cnf steps in
         check_bool "goal ~sel established" true
-          (is_ok (goal_check ~goal:[| neg 2 |] [ lemma ]));
+          (is_ok (goal_check ~goal:[| neg 2 |] [ lemma; refute ]));
         check_bool "goal needs the lemma" false
-          (is_ok (goal_check ~goal:[| neg 2 |] []));
+          (is_ok (goal_check ~goal:[| neg 2 |] [ ([||], [| 4; 2; 3 |]) ]));
         check_bool "flipped goal rejected" false
-          (is_ok (goal_check ~goal:[| sel |] [ lemma ]));
+          (is_ok (goal_check ~goal:[| sel |] [ lemma; refute ]));
         check_bool "no goal: the CNF itself is not refuted" false
-          (is_ok (goal_check [ lemma ])));
+          (is_ok (goal_check [ lemma; refute ])));
     Alcotest.test_case "200 random checks on one context: in-context DRAT"
       `Quick (fun () ->
         (* No query cache: every check that gets past folding and the
@@ -888,6 +913,78 @@ let replay_tests =
         check_int "none failed" 0 s.C.failed);
   ]
 
+(* {1 Tampered hints}
+
+   [valid2] with one hint changed at a time: each check must fail. *)
+let hint_tests =
+  [
+    Alcotest.test_case "tampered hints rejected" `Quick (fun () ->
+        let with_empty hints = check2 [ lemma; ([||], hints) ] in
+        check_bool "dropped hint in the lemma" false
+          (is_ok (check2 [ ([| pos 1 |], [| 0 |]); ([||], empty_hints) ]));
+        check_bool "dropped hint in the empty step" false
+          (is_ok (with_empty [| 4; 3 |]));
+        check_bool "reordered: clause 2 is not unit first" false
+          (is_ok (with_empty [| 2; 4; 3 |]));
+        check_bool "forward hint" false
+          (is_ok (check2 [ ([| pos 1 |], [| 5; 1 |]); ([||], empty_hints) ]));
+        check_bool "hint to the step itself" false
+          (is_ok (with_empty [| 5; 4; 2; 3 |]));
+        check_bool "hint to a satisfied clause" false
+          (is_ok (with_empty [| 4; 0; 2; 3 |]));
+        check_bool "hint id past the last clause" false
+          (is_ok (with_empty [| 4; 2; 99 |]));
+        check_bool "negative hint id" false
+          (is_ok (with_empty [| -1; 4; 2; 3 |])));
+    Alcotest.test_case "solver proofs need their hints" `Quick (fun () ->
+        let _, tp = pigeonhole_proof 4 in
+        check_bool "as produced" true (is_ok (check_trimmed tp tp.Sat.steps));
+        check_bool "hints stripped" false
+          (is_ok
+             (check_trimmed tp
+                (List.map (fun (c, _) -> (c, [||])) tp.Sat.steps))));
+    Alcotest.test_case "incremental refutations under assumptions check"
+      `Quick (fun () ->
+        (* Random 3-CNFs grown between solves under up to three
+           assumptions, with the odd unit, empty clause and
+           [simplify]: refutations end in a learned empty clause, a
+           level-0 conflict, an asserted empty clause, or an assumption
+           implied false at level 0 or above it. Every one must check. *)
+        let st = Random.State.make [| 0x1A7 |] in
+        let refuted = ref 0 in
+        for _ = 1 to 300 do
+          let s = Sat.create () in
+          Sat.enable_tracking s;
+          let nvars = 3 + Random.State.int st 10 in
+          let vars = Array.init nvars (fun _ -> Sat.new_var s) in
+          let rlit () =
+            Sat.lit vars.(Random.State.int st nvars) (Random.State.bool st)
+          in
+          for _ = 1 to 4 do
+            for _ = 1 to nvars do
+              Sat.add_clause s
+                (List.init (1 + Random.State.int st 3) (fun _ -> rlit ()))
+            done;
+            if Random.State.int st 40 = 0 then Sat.add_clause s [];
+            if Random.State.int st 4 = 0 then Sat.simplify s;
+            let assumptions =
+              List.init (Random.State.int st 4) (fun _ -> rlit ())
+            in
+            if Sat.solve ~assumptions s = Sat.Unsat then begin
+              incr refuted;
+              match Sat.trimmed_proof ~assumptions s with
+              | None -> Alcotest.fail "no trimmed proof"
+              | Some tp -> (
+                match check_trimmed tp tp.Sat.steps with
+                | Ok () -> ()
+                | Error e -> Alcotest.failf "refutation rejected: %s" e)
+            end
+          done
+        done;
+        check_bool "a healthy share were refuted" true (!refuted > 100));
+  ]
+
 let tests =
   drat_hand_tests @ drat_solver_tests @ certificate_tests @ trimming_tests
   @ differential_tests @ verifier_tests @ context_tests @ replay_tests
+  @ hint_tests

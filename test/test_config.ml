@@ -88,7 +88,7 @@ let loads_or_rejects src =
   | () -> true
   | exception
       ( Click.Config.Parse_error _ | Click.Registry.Unknown_class _
-      | Click.Registry.Bad_config _ | F.Bad_fabric _ | Invalid_argument _ ) ->
+      | Click.Registry.Bad_config _ | F.Bad_fabric _ ) ->
     true
 
 let fuzz =
@@ -96,6 +96,17 @@ let fuzz =
     ~name:"mutated examples parse or raise a load error"
     (QCheck.make ~print:mutant_source gen_mutant)
     (fun m -> loads_or_rejects (mutant_source m))
+
+(* [src] fails to load with a parse error whose message holds [text]. *)
+let load_error_names text src =
+  match Click.Config.parse src with
+  | _ -> false
+  | exception Click.Config.Parse_error m ->
+    let n = String.length text in
+    let rec at i =
+      i + n <= String.length m && (String.sub m i n = text || at (i + 1))
+    in
+    at 0
 
 let tests =
   [
@@ -190,13 +201,17 @@ let tests =
         rejected ~names:"300.0.0.1" "r :: StaticIPLookup(300.0.0.1/32 1);";
         rejected ~names:"70000" "f :: IPFilter(allow dport 70000, deny all);");
     Alcotest.test_case "double connection rejected" `Quick (fun () ->
-        check_bool "raises" true
-          (try
-             ignore
-               (Click.Config.parse
-                  "a :: Counter; a -> Discard; a -> Discard;");
-             false
-           with Invalid_argument _ -> true));
+        check_bool "names the connection" true
+          (load_error_names "a[0] -> [0]Discard@2"
+             "a :: Counter; a -> Discard; a -> Discard;"));
+    Alcotest.test_case "missing output port rejected" `Quick (fun () ->
+        check_bool "names the connection" true
+          (load_error_names "a[3] -> [0]Discard@1"
+             "a :: Counter; a[3] -> Discard;"));
+    Alcotest.test_case "cycle rejected" `Quick (fun () ->
+        check_bool "names the connection" true
+          (load_error_names "b[0] -> [0]a"
+             "a :: Counter; b :: Counter; a -> b; b -> a;"));
     Alcotest.test_case "comments survive inside config parens" `Quick
       (fun () ->
         let pl =

@@ -167,5 +167,65 @@ let props =
         P.get_u8 p 0 = Char.code s.[0]);
   ]
 
+(* {1 Parser fuzzing}
+
+   Random bytes, or a well-formed IPv4 header and payload, after a
+   random prefix, with an offset that is the header's, anywhere near
+   the frame, negative, or past the end. The parsers must answer, never
+   raise. *)
+
+let gen_frame =
+  QCheck.Gen.(
+    let* prefix = string_size (int_range 0 24) in
+    let* well_formed = bool in
+    let* body =
+      if well_formed then
+        let* src = int_bound 0xffffff and* dst = int_bound 0xffffff in
+        let* payload = string_size (int_range 0 32) in
+        return
+          (Ipv4.header ~tos:0 ~total_len:(20 + String.length payload)
+             ~ident:0 ~ttl:64 ~proto:Ipv4.proto_udp ~src ~dst ()
+          ^ payload)
+      else string_size (int_range 0 64)
+    in
+    let* off =
+      oneof
+        [
+          return (String.length prefix);
+          int_range (-40) 120;
+          oneofl [ min_int; max_int; -1 ];
+        ]
+    in
+    return (well_formed && off = String.length prefix, prefix ^ body, off))
+
+let arb_frame =
+  QCheck.make
+    ~print:(fun (_, s, off) -> Printf.sprintf "%S at offset %d" s off)
+    gen_frame
+
+(* [n] bytes fit at [off] in a frame of [len]. *)
+let fits ~len off n = off >= 0 && off <= len - n
+
+let parser_props =
+  [
+    QCheck.Test.make ~count:2000 ~name:"Ipv4.parse answers at any offset"
+      arb_frame (fun (_, s, off) ->
+        Option.is_some (Ipv4.parse ~off (P.create s))
+        = fits ~len:(String.length s) off Ipv4.min_header_len);
+    QCheck.Test.make ~count:2000 ~name:"Ipv4.header_ok answers at any offset"
+      arb_frame (fun (at_header, s, off) ->
+        let ok = Ipv4.header_ok ~off (P.create s) in
+        (ok || not at_header)
+        && ((not ok) || fits ~len:(String.length s) off Ipv4.min_header_len));
+    QCheck.Test.make ~count:2000 ~name:"Ethernet.parse answers on any frame"
+      arb_frame (fun (_, s, _) ->
+        Option.is_some (Eth.parse (P.create s))
+        = (String.length s >= Eth.header_len));
+  ]
+
 let tests =
-  unit_tests @ alloc_tests @ List.map QCheck_alcotest.to_alcotest props
+  unit_tests @ alloc_tests
+  @ List.map QCheck_alcotest.to_alcotest props
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~rand:(Test_batch.qcheck_rand ()))
+      parser_props
