@@ -15,6 +15,7 @@ bench:
 
 ci: build
 	dune runtest
+	QCHECK_SEED=2 dune exec test/test_main.exe -- test parallel 18
 	dune exec bin/vdpverify.exe -- crash examples/router.click
 	dune exec bin/vdpverify.exe -- crash test/malformed.click; test $$? -eq 1
 	dune exec bin/vdpverify.exe -- crash -j 4 --certify examples/router.click

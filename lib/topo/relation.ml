@@ -46,19 +46,24 @@ module Staleness = Vdp_verif.Staleness
 type t = {
   fab : Fabric.t;
   summaries : Summaries.entry array array;  (** per pipe, per node *)
+  merged : Engine.segment list option Atomic.t array array;
+      (** per pipe, per node: the summary's segments merged by effect
+          ({!merged}), built on first use *)
   config : Engine.config;
 }
 
 (** Summarize every pipeline of the fabric (Step 1, shared cache). *)
 let build ?pool ?(config = Engine.default_config) (fab : Fabric.t) =
   Staleness.install ();
+  let summaries =
+    Array.map
+      (fun (p : Fabric.pipe) -> Summaries.of_pipeline ?pool ~config p.Fabric.p_pl)
+      fab.Fabric.pipes
+  in
   {
     fab;
-    summaries =
-      Array.map
-        (fun (p : Fabric.pipe) ->
-          Summaries.of_pipeline ?pool ~config p.Fabric.p_pl)
-        fab.Fabric.pipes;
+    summaries;
+    merged = Array.map (Array.map (fun _ -> Atomic.make None)) summaries;
     config;
   }
 
@@ -92,153 +97,158 @@ let set_port st port =
       :: List.remove_assoc Ir.Port st.Compose.meta;
   }
 
-(* {2 Disjunctive sibling merging}
+(* {2 Disjunctive sibling merging, once per summary}
 
    Per-element segment summaries are {e parse-variant} heavy: an
-   IPFilter expands to thousands of segments, almost all of which are
-   pure filters — same (empty) byte effects, same outcome port,
-   different path condition. Composing such elements across a fabric
-   segment-by-segment multiplies those variants into an intractable
-   path product (the repository already skips the instruction bound on
-   the firewall example for exactly this reason). The fabric
-   enumeration therefore merges, after every element application, the
-   sibling successor states that differ {e only} in their path
-   condition: one successor per (destination, effect shape), its
-   condition the disjunction of the siblings'. Effect-shape equality
-   is detected by physical sharing — a pure segment's successor reuses
-   the parent's override table entries, length term, metadata and kv
-   trace, so the pointer checks below are exact for the states worth
-   merging and merely conservative for the rest (an unmerged sibling
-   is never wrong, only slower). Instruction intervals widen to the
-   group's envelope, which keeps hop/instruction bounds sound. *)
+   IPFilter expands to thousands of pure-filter segments — same effects,
+   same outcome, different path condition — and composing them
+   segment-by-segment multiplies the variants into an intractable path
+   product. Segments with the same effects ({!effect_key}) and no state
+   events (those are what {!ground_boot} grounds) are therefore merged
+   into one, at the first member's position: its condition is the
+   members' disjunction, factored on their shared prefixes, and its
+   instruction interval their envelope, which keeps bounds sound. This
+   depends on the summary alone, so it is built once per relation and
+   node, by the first expand that reaches it ({!merged}). *)
 
-let rec phys_list_equal a b =
-  match (a, b) with
-  | [], [] -> true
-  | x :: a', y :: b' -> x == y && phys_list_equal a' b'
-  | _ -> false
+(** What a segment does to the packet, its metadata and its outcome:
+    segments with equal keys build successors that differ only in
+    condition and instruction count. *)
+let effect_key (seg : Engine.segment) =
+  let o = seg.Engine.out_state in
+  let ids l = List.map (fun (k, (t : T.t)) -> (k, t.T.id)) l in
+  ( seg.Engine.outcome,
+    o.Engine.head_delta,
+    o.Engine.min_delta,
+    o.Engine.len_out.T.id,
+    ids o.Engine.writes,
+    ids o.Engine.meta_out,
+    o.Engine.havoc,
+    seg.Engine.summarized )
 
-let overrides_shared a b =
-  Hashtbl.length a = Hashtbl.length b
-  && (try
-        Hashtbl.iter
-          (fun j t ->
-            match Hashtbl.find_opt b j with
-            | Some t' when t' == t -> ()
-            | _ -> raise Exit)
-          a;
-        true
-      with Exit -> false)
+(** [Or_i (And l_i)] over conjunct lists, built as a trie on their
+    shared prefixes: [true] if some list is empty, else the [Or] over
+    the lists' distinct heads [h], in first-seen order, of
+    [And \[h; factor tails_h\]]. A conjunct every list starts with
+    thus stays a top-level conjunct the interval filter sees. *)
+let factor (ls : T.t list list) =
+  (* [And (rev pre) ∧ factor ls]: a run of heads all lists share is
+     carried in [pre] and conjoined once, not re-flattened per level. *)
+  let rec under pre ls =
+    match ls with
+    | [ l ] -> T.and_ (List.rev_append pre l)
+    | _ when List.mem [] ls -> T.and_ (List.rev pre)
+    | _ -> (
+      let tails = Hashtbl.create 8 and heads = ref [] in
+      List.iter
+        (fun l ->
+          let h = List.hd l in
+          match Hashtbl.find_opt tails h.T.id with
+          | Some r -> r := List.tl l :: !r
+          | None ->
+            Hashtbl.add tails h.T.id (ref [ List.tl l ]);
+            heads := h :: !heads)
+        ls;
+      let tails_of (h : T.t) = List.rev !(Hashtbl.find tails h.T.id) in
+      match !heads with
+      | [ h ] -> under (h :: pre) (tails_of h)
+      | hs ->
+        let branch h = under [ h ] (tails_of h) in
+        T.and_ (List.rev_append pre [ T.or_ (List.rev_map branch hs) ]))
+  in
+  under [] ls
 
-let same_shape (a : Compose.t) (b : Compose.t) =
-  a.Compose.background = b.Compose.background
-  && a.Compose.len == b.Compose.len
-  && phys_list_equal a.Compose.meta b.Compose.meta
-  && a.Compose.kv_trace == b.Compose.kv_trace
-  && a.Compose.summarized = b.Compose.summarized
-  && a.Compose.headroom = b.Compose.headroom
-  && a.Compose.headroom_short = b.Compose.headroom_short
-  && phys_list_equal a.Compose.static_deps b.Compose.static_deps
-  && overrides_shared a.Compose.overrides b.Compose.overrides
+(** A summary's segments grouped by effect, in order of their first
+    member: each segment with state events is a group of its own. *)
+let premerge (segs : Engine.segment list) =
+  let groups = Hashtbl.create 16 in
+  let pure (seg : Engine.segment) = seg.Engine.kv_log = [] in
+  List.fold_left
+    (fun order seg ->
+      let key = effect_key seg in
+      match Hashtbl.find_opt groups key with
+      | Some r when pure seg ->
+        r := seg :: !r;
+        order
+      | _ ->
+        let r = ref [ seg ] in
+        if pure seg then Hashtbl.replace groups key r;
+        r :: order)
+    [] segs
+  |> List.rev_map (fun r -> List.rev !r)
 
-let rec drop_exactly n l =
-  if n = 0 then l else drop_exactly (n - 1) (List.tl l)
-
-let merge_group (group : Compose.t list) =
-  match group with
-  | [ st ] -> st
-  | [] -> assert false
-  | st0 :: _ ->
-    let disj =
-      T.or_
-        (List.map (fun (s : Compose.t) -> T.and_ s.Compose.new_cond) group)
-    in
-    (* Siblings share the pre-apply condition suffix; peel this
-       sibling's contribution off to recover it. *)
-    let parent_cond =
-      drop_exactly (List.length st0.Compose.new_cond) st0.Compose.cond
-    in
+(** One group's segment: its members' disjunction, factored. *)
+let merge_members = function
+  | [ seg ] -> seg
+  | seg0 :: _ as group ->
     {
-      st0 with
-      Compose.cond = disj :: parent_cond;
-      new_cond = [ disj ];
+      seg0 with
+      Engine.cond =
+        [ factor (List.map (fun (s : Engine.segment) -> s.Engine.cond) group) ];
       instr_lo =
-        List.fold_left
-          (fun a (s : Compose.t) -> min a s.Compose.instr_lo)
+        List.fold_left (fun a (s : Engine.segment) -> min a s.Engine.instr_lo)
           max_int group;
       instr_hi =
-        List.fold_left
-          (fun a (s : Compose.t) -> max a s.Compose.instr_hi)
+        List.fold_left (fun a (s : Engine.segment) -> max a s.Engine.instr_hi)
           0 group;
     }
+  | [] -> assert false
 
-(* Group [(key, st)] pairs by key (with [=]) preserving first-seen
-   order, then merge each key's states into shape classes. *)
-let merge_by_key pairs =
-  let keys = ref [] in
-  List.iter
-    (fun (key, _) -> if not (List.mem key !keys) then keys := key :: !keys)
-    pairs;
-  List.rev_map
-    (fun key ->
-      let sts =
-        List.rev
-          (List.filter_map
-             (fun (k, st) -> if k = key then Some st else None)
-             pairs)
-      in
-      let groups = ref [] in
-      List.iter
-        (fun st ->
-          match
-            List.find_opt (fun (rep, _) -> same_shape rep st) !groups
-          with
-          | Some (_, members) -> members := st :: !members
-          | None -> groups := (st, ref [ st ]) :: !groups)
-        sts;
-      (key, List.rev_map (fun (_, members) -> merge_group !members) !groups))
-    !keys
+(** The merged view of [(pipe, node)]'s summary, built by the first
+    expand that needs it. Domains racing on a node may each build it;
+    they build equal lists, and all of them use the one that lands. *)
+let merged rel ~pipe ~node =
+  let cell = rel.merged.(pipe).(node) in
+  match Atomic.get cell with
+  | Some segs -> segs
+  | None ->
+    let segs =
+      List.map merge_members
+        (premerge rel.summaries.(pipe).(node).Summaries.result.Engine.segments)
+    in
+    ignore (Atomic.compare_and_set cell None (Some segs));
+    Option.get (Atomic.get cell)
 
 (** A fabric hop: (pipe, node, link crossings so far). *)
 type node = int * int * int
 
 (** The fabric's Step-2 expand step: apply every segment of the hop's
-    summary, merge sibling successors that differ only in path
-    condition (see above), and yield a [Check] per completed path —
-    payload its {!fend} — then a [Descend] per continuing successor,
-    into the next node of the pipeline or, across a link, into the
-    linked pipeline's entry. Successors the interval filter refutes are
-    dropped before they are built ({!Compose.guard}), and a link beyond
-    {!Fabric.max_crossings} is not followed. *)
+    merged summary ({!merged}) and yield, in segment order, a [Check]
+    per completed path — payload its {!fend} — and a [Descend] per
+    continuing successor, into the next node of the pipeline or, across
+    a link, into the linked pipeline's entry. Successors the interval
+    filter refutes are dropped before they are built
+    ({!Compose.guard}), and a link beyond {!Fabric.max_crossings} is not
+    followed. *)
 let expand rel ((pi, node, crossings) : node) (st : Compose.t) yield =
   let p = rel.fab.Fabric.pipes.(pi) in
   let nodes = Pipeline.nodes p.Fabric.p_pl in
-  let tag = Fabric.tag ~pipe:pi ~node in
-  let entry = rel.summaries.(pi).(node) in
   let site =
-    Compose.site ~deps:entry.Summaries.result.Engine.static_deps st ~tag
+    Compose.site
+      ~deps:rel.summaries.(pi).(node).Summaries.result.Engine.static_deps st
+      ~tag:(Fabric.tag ~pipe:pi ~node)
   in
-  let finished = ref [] in
-  let goto = ref [] in
+  let finished fe st' = yield (Vdp_verif.Verifier.Check (fe, st')) in
+  (* The runtime rewrites the port annotation on every edge; track it
+     so elements branching on the input port (the NAT gateway) compose
+     exactly. *)
+  let goto hop dport st' =
+    yield (Vdp_verif.Verifier.Descend (hop, set_port st' dport))
+  in
   List.iter
     (fun (seg : Engine.segment) ->
       let g = Compose.guard site seg in
       if Compose.plausible g then
         let st' = Compose.finish g in
         if st'.Compose.headroom_short then
-          finished := (E_crash (pi, node, Engine.C_headroom), st') :: !finished
+          finished (E_crash (pi, node, Engine.C_headroom)) st'
         else
           match seg.Engine.outcome with
-          | Engine.O_crash c ->
-            finished := (E_crash (pi, node, c), st') :: !finished
-          | Engine.O_drop -> finished := (E_drop (pi, node), st') :: !finished
+          | Engine.O_crash c -> finished (E_crash (pi, node, c)) st'
+          | Engine.O_drop -> finished (E_drop (pi, node)) st'
           | Engine.O_emit port -> (
             match nodes.(node).Pipeline.outputs.(port) with
-            | Some (dst, dport) ->
-              (* The runtime rewrites the port annotation on every
-                 edge; track it so elements branching on the input
-                 port (the NAT gateway) compose exactly. *)
-              goto := ((pi, dst, dport, crossings), st') :: !goto
+            | Some (dst, dport) -> goto (pi, dst, crossings) dport st'
             | None -> (
               match Pipeline.egress_index p.Fabric.p_pl ~node ~port with
               | None -> ()  (* unreachable: unwired => egress *)
@@ -246,27 +256,13 @@ let expand rel ((pi, node, crossings) : node) (st : Compose.t) yield =
                 match Hashtbl.find_opt rel.fab.Fabric.links (pi, e) with
                 | Some (dpi, dport) ->
                   if crossings < Fabric.max_crossings then
-                    goto :=
-                      ( ( dpi,
-                          Pipeline.entry rel.fab.Fabric.pipes.(dpi).Fabric.p_pl,
-                          dport,
-                          crossings + 1 ),
-                        st' )
-                      :: !goto
-                | None -> finished := (E_egress (pi, e), st') :: !finished))))
-    entry.Summaries.result.Engine.segments;
-  List.iter
-    (fun (fe, sts) ->
-      List.iter (fun st' -> yield (Vdp_verif.Verifier.Check (fe, st'))) sts)
-    (merge_by_key (List.rev !finished));
-  List.iter
-    (fun ((dpi, dnode, dport, cr), sts) ->
-      List.iter
-        (fun st' ->
-          yield
-            (Vdp_verif.Verifier.Descend ((dpi, dnode, cr), set_port st' dport)))
-        sts)
-    (merge_by_key (List.rev !goto))
+                    goto
+                      ( dpi,
+                        Pipeline.entry rel.fab.Fabric.pipes.(dpi).Fabric.p_pl,
+                        crossings + 1 )
+                      dport st'
+                | None -> finished (E_egress (pi, e)) st'))))
+    (merged rel ~pipe:pi ~node)
 
 (** Where a traversal from [ingress = (pipe, in_port)] starts: the
     pipe's entry hop and the boot-time composite state, its port

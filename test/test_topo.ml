@@ -1,9 +1,12 @@
 (* The topology fabric: parsing + resolution, concrete cross-pipeline
-   pushes with per-pipeline step labels, relational enumeration, the
-   reach/isolate/temporal queries with mandatory witness replay, and
-   the adversarial scenario generator's ground truth. *)
+   pushes with per-pipeline step labels, relational enumeration over
+   summaries merged once per node (the merged view against its members,
+   also when two domains force it at once), the reach/isolate/temporal
+   queries with mandatory witness replay, the fabric's pinned counters,
+   and the adversarial scenario generator's ground truth. *)
 
 module B = Vdp_bitvec.Bitvec
+module T = Vdp_smt.Term
 module Ir = Vdp_ir.Types
 module Bld = Vdp_ir.Builder
 module E = Vdp_symbex.Engine
@@ -29,6 +32,11 @@ let fabric_of src =
   match Click.Config.parse_source src with
   | Click.Config.Fabric topo -> F.of_topo topo
   | Click.Config.Single _ -> Alcotest.fail "expected a topology"
+
+let example_fabric name =
+  fabric_of
+    (Click.Config.read_file
+       (List.find Sys.file_exists [ "../examples/" ^ name; "examples/" ^ name ]))
 
 (* {1 Parsing and resolution} *)
 
@@ -290,7 +298,156 @@ let enum_tests =
         (* Disjunctive sibling merging keeps the state count far below
            the raw parse-variant product (30+ CheckIPHeader variants
            alone). *)
-        check_bool "merged state count is small" true (!states <= 40));
+        check_int "merged state count" 8 !states);
+  ]
+
+(* {1 Per-summary merging}
+
+   A node's pure-filter segments with equal effects become one segment
+   whose condition is their disjunction, factored on shared prefixes.
+   On every node of the example and of generated fabrics, the factored
+   condition must be equivalent to the flat [Or_i (And cond_i)], every
+   member must carry the merged segment's effect key, and no segment
+   with state events may be merged. *)
+
+let check_merges rel =
+  let module Solver = Vdp_smt.Solver in
+  (* One context, so the atoms the groups share are encoded once. *)
+  let ctx = Solver.create_ctx () in
+  Array.iter
+    (Array.iter (fun (e : Summaries.entry) ->
+         List.iter
+           (function
+             | [ _ ] -> ()
+             | members ->
+               let m = R.merge_members members in
+               let factored = T.and_ m.E.cond in
+               let flat =
+                 T.or_
+                   (List.map (fun (s : E.segment) -> T.and_ s.E.cond) members)
+               in
+               let unsat ts =
+                 Solver.push ctx;
+                 Solver.assert_terms ctx ts;
+                 let r = Solver.check_ctx ctx in
+                 Solver.pop ctx;
+                 r = Solver.Unsat
+               in
+               check_bool "factored implies flat" true
+                 (unsat [ factored; T.not_ flat ]);
+               check_bool "flat implies factored" true
+                 (unsat [ T.not_ factored; flat ]);
+               List.iter
+                 (fun (s : E.segment) ->
+                   check_bool "member has the merged effect key" true
+                     (R.effect_key s = R.effect_key m);
+                   check_bool "no state events merged" true (s.E.kv_log = []))
+                 members)
+           (R.premerge e.Summaries.result.E.segments)))
+    rel.R.summaries
+
+let merge_tests =
+  let v = T.bool_var in
+  let a = v "a" and b = v "b" and c = v "c" and d = v "d" in
+  let seg ?(kv_log = []) ~port cond : E.segment =
+    {
+      E.cond;
+      out_state =
+        {
+          E.head_delta = 0;
+          min_delta = 0;
+          len_out = T.var Vdp_symbex.Sstate.len_var 16;
+          writes = [];
+          havoc = None;
+          meta_out = [];
+        };
+      outcome = E.O_emit port;
+      instr_lo = List.length cond;
+      instr_hi = 10 * List.length cond;
+      kv_log;
+      summarized = false;
+    }
+  in
+  [
+    Alcotest.test_case "factor: empty member, shared prefix, pairing" `Quick
+      (fun () ->
+        check_bool "an empty member makes it true" true
+          (T.is_true (R.factor [ [ a; b ]; [] ]));
+        let f = R.factor [ [ a; b ]; [ a; c ] ] in
+        check_bool "shared prefix hoisted" true
+          (T.equal f (T.and_ [ a; T.or_ [ b; c ] ]));
+        check_bool "prefix is a top-level conjunct" true
+          (match f.T.node with
+          | T.And ops -> Array.exists (T.equal a) ops
+          | _ -> false);
+        (* Each head keeps exactly its own lists' tails. *)
+        check_bool "tails stay with their heads" true
+          (T.equal
+             (R.factor [ [ a; b; c ]; [ d; c ]; [ a; d ] ])
+             (T.or_
+                [ T.and_ [ a; T.or_ [ T.and_ [ b; c ]; d ] ]; T.and_ [ d; c ] ]));
+        check_bool "one list is its conjunction" true
+          (T.equal (R.factor [ [ c; a ] ]) (T.and_ [ c; a ])));
+    Alcotest.test_case "premerge: segment order, state events, envelope"
+      `Quick (fun () ->
+        let kv_log =
+          [
+            Vdp_symbex.Sstate.Kv_read
+              { store = "m"; key = T.var "k" 8; value = T.var "x" 8; cond = T.tru };
+          ]
+        in
+        let s1 = seg ~port:0 [ a ] and s2 = seg ~port:1 [ b ]
+        and s3 = seg ~port:0 [ c; d ] and s4 = seg ~kv_log ~port:0 [ d ]
+        and s5 = seg ~port:0 [ a; c ] in
+        let groups = R.premerge [ s1; s2; s3; s4; s5 ] in
+        check_bool "grouped in first-member order" true
+          (List.equal (List.equal ( == )) groups
+             [ [ s1; s3; s5 ]; [ s2 ]; [ s4 ] ]);
+        let m = R.merge_members [ s1; s3; s5 ] in
+        check_bool "disjunction of the members" true
+          (m.E.cond = [ T.or_ [ a; T.and_ [ c; d ] ] ]);
+        check_int "envelope low" 1 m.E.instr_lo;
+        check_int "envelope high" 20 m.E.instr_hi;
+        check_bool "a singleton is itself" true (R.merge_members [ s2 ] == s2));
+    Alcotest.test_case "merged segments equal their members" `Slow (fun () ->
+        Summaries.clear ();
+        check_merges
+          (R.build ~config:fast_config.Q.engine
+             (example_fabric "multi_tenant.click"));
+        List.iter
+          (fun seed ->
+            List.iter
+              (fun leak ->
+                let sc = Sc.generate ~seed ~leak () in
+                check_merges
+                  (R.build ~config:fast_config.Q.engine sc.Sc.sc_fab))
+              [ `None; `Dropped_deny; `Misordered ])
+          [ 1; 2; 3 ]);
+    Alcotest.test_case "two domains force one merged view" `Slow (fun () ->
+        Summaries.clear ();
+        let rel =
+          R.build ~config:fast_config.Q.engine
+            (example_fabric "multi_tenant.click")
+        in
+        let force () =
+          let views =
+            Array.mapi
+              (fun pipe per_pipe ->
+                Array.mapi (fun node _ -> R.merged rel ~pipe ~node) per_pipe)
+              rel.R.summaries
+          in
+          let r =
+            Q.run ~config:fast_config rel (Click.Config.Isolate ("a", "lan_b"))
+          in
+          (views, Q.verdict_to_string r.Q.verdict, r.Q.paths)
+        in
+        let other = Domain.spawn force in
+        let v1, verdict1, paths1 = force () in
+        let v2, verdict2, paths2 = Domain.join other in
+        check_bool "the same segment lists" true
+          (Array.for_all2 (Array.for_all2 ( == )) v1 v2);
+        check_string "the same verdict" verdict1 verdict2;
+        check_int "the same paths" paths1 paths2);
   ]
 
 (* {1 Queries with replay} *)
@@ -559,6 +716,43 @@ let scenario_tests =
         check_int "no unknowns" 0 score.Sc.unknowns);
   ]
 
+(* {1 Pinned fabric counters}
+
+   The paths each walk enumerates and the checks a query decides, at
+   the default configuration, as the Step-2 counters are pinned in
+   [Test_verif]: a change to how the fabric merges or prunes must move
+   these on purpose. *)
+
+let pinned_tests =
+  [
+    Alcotest.test_case "fabric counters pinned" `Slow (fun () ->
+        Summaries.clear ();
+        Vdp_smt.Solver.Cache.clear Vdp_smt.Solver.shared_cache;
+        let cfg = Q.default_config in
+        let rel = R.build (example_fabric "multi_tenant.click") in
+        let from rel name =
+          List.length
+            (Q.paths_from (Q.make_qctx rel cfg) (F.ingress rel.R.fab name))
+        in
+        List.iter
+          (fun (name, n) -> check_int ("paths from " ^ name) n (from rel name))
+          [ ("a", 192); ("b", 192); ("wan", 313) ];
+        let r = Q.run ~config:cfg rel (Click.Config.Reach ("a", "wan_out")) in
+        check_int "reach checks" 2 r.Q.checks;
+        List.iter
+          (fun lan ->
+            let r =
+              Q.run ~config:cfg rel (Click.Config.Temporal ("wan", lan))
+            in
+            check_int ("temporal paths to " ^ lan) 152 r.Q.paths)
+          [ "lan_a"; "lan_b" ];
+        let c = Q.verify_crash ~config:cfg rel in
+        check_int "crash paths" 697 c.Q.c_paths;
+        check_int "crash bound" 319 c.Q.c_max_instrs;
+        let sc = Sc.generate ~tenants:2 ~seed:5 ~leak:`Dropped_deny () in
+        check_int "scenario paths from t1" 16 (from (R.build sc.Sc.sc_fab) "t1"));
+  ]
+
 let tests =
-  parse_tests @ push_tests @ enum_tests @ query_tests @ scenario_tests
-  @ one_pipe_tests
+  parse_tests @ push_tests @ enum_tests @ merge_tests @ query_tests
+  @ scenario_tests @ one_pipe_tests @ pinned_tests
