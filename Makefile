@@ -18,6 +18,9 @@ ci: build
 	QCHECK_SEED=2 dune exec test/test_main.exe -- test parallel 18
 	dune exec bin/vdpverify.exe -- crash examples/router.click
 	dune exec bin/vdpverify.exe -- crash test/malformed.click; test $$? -eq 1
+	out=$$(dune exec bin/vdpverify.exe -- crash test/buggy_quota.click); test $$? -eq 2 \
+	  && echo "$$out" | grep -q 'VIOLATED (11 counterexamples)' \
+	  && test $$(echo "$$out" | grep -c 'reproduced on the runtime') -eq 11
 	dune exec bin/vdpverify.exe -- crash -j 4 --certify examples/router.click
 	dune exec bin/vdpverify.exe -- bound -j 4 examples/router.click
 	dune exec bin/vdpverify.exe -- verify --certify examples/router.click

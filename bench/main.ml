@@ -116,6 +116,7 @@ let solver_stats_json () =
       ("interval_refuted", Json.Int s.Solver.interval_refutations);
       ("eliminated_conjuncts", Json.Int s.Solver.eliminated_conjuncts);
       ("sliced_conjuncts", Json.Int s.Solver.sliced_conjuncts);
+      ("solved_words", Json.Int s.Solver.solved_words);
       ("sat_vars", Json.Int s.Solver.sat_vars);
       ("sat_clauses", Json.Int s.Solver.sat_clauses);
       ("gate_hits", Json.Int s.Solver.gate_hits);

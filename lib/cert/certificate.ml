@@ -62,6 +62,7 @@ module Sat = Vdp_smt.Sat
 module I = Vdp_smt.Interval
 module Eval = Vdp_smt.Eval
 module Model = Vdp_smt.Model
+module B = Vdp_bitvec.Bitvec
 
 type drat_payload = {
   nvars : int;  (** SAT variables, renumbered densely *)
@@ -129,7 +130,10 @@ let now () = Unix.gettimeofday ()
    some conjunct really forces [x = rhs]); dropping conjuncts —
    unconstrained elimination, slicing — can only relax a formula, so
    those checks are an audit of the producer rather than a soundness
-   requirement. We check everything anyway. *)
+   requirement. A checksum-word relaxation replaces a conjunct by a
+   weaker one, which is sound only if the replacement really is the
+   conjunct with positive atoms set to [true]; that is re-derived here.
+   We check everything anyway. *)
 
 let var_named (t : T.t) n =
   match t.T.node with
@@ -194,6 +198,99 @@ let unconstrained_shape (b : P.binding) (c : T.t) =
     || (var_named y n && (not (mentions n x)) && T.equal rhs x)
   | _ -> false
 
+(* {2 Checksum-word relaxation}
+
+   Setting atoms that occur at positive positions alone (under [And]
+   and [Or], nowhere else) to [true] can only weaken a conjunct, so a
+   refutation of the relaxed set refutes the original: that is the
+   load-bearing check. The atoms' shape and the word's single
+   occurrence are an audit of the producer, as for unconstrained
+   elimination. *)
+
+(* [c] with [atoms] set to [true] wherever they occur under [And]/[Or]
+   alone, and whether each atom was met there. *)
+let relax_positive atoms (c : T.t) =
+  let met = Hashtbl.create 8 in
+  let rec go (t : T.t) =
+    if List.memq t atoms then begin
+      Hashtbl.replace met t.T.id ();
+      T.tru
+    end
+    else
+      match t.T.node with
+      | T.And ts -> T.and_ (List.map go (Array.to_list ts))
+      | T.Or ts -> T.or_ (List.map go (Array.to_list ts))
+      | _ -> t
+  in
+  let c' = go c in
+  (c', List.for_all (fun (a : T.t) -> Hashtbl.mem met a.T.id) atoms)
+
+(* Is [atom] [k = (fold (fold s))[15:0]] for a nonzero 16-bit [k],
+   [fold u = (u & 0xffff) + (u >> 16)], and [s] a non-wrapping 32-bit
+   sum of constants and zero-extended terms at most 16 bits wide, in
+   which [hi] and [lo] occur once: as the addend [zext32 (concat hi lo)]?
+   Mirrors [Preprocess.checksum_atom] and [Preprocess.free_words]. *)
+let checksum_shape_of hi lo (atom : T.t) =
+  let const (t : T.t) = match t.T.node with T.Bv_const v -> B.to_int v | _ -> None in
+  let fold_of (t : T.t) =
+    match t.T.node with
+    | T.Bv_bin (T.Badd, { T.node = T.Bv_bin (T.Band, u, m); _ },
+                { T.node = T.Bv_bin (T.Blshr, u', sh); _ })
+      when u == u' && T.width u = 32 && const m = Some 0xffff && const sh = Some 16 ->
+      Some u
+    | _ -> None
+  in
+  let rec leaves acc (t : T.t) =
+    match t.T.node with
+    | T.Bv_bin (T.Badd, a, b) -> leaves (leaves acc b) a
+    | _ -> t :: acc
+  in
+  let bound (t : T.t) =
+    match t.T.node with
+    | T.Bv_const _ -> const t
+    | T.Zext (32, x) when T.width x <= 16 -> Some ((1 lsl T.width x) - 1)
+    | _ -> None
+  in
+  let word (t : T.t) =
+    match t.T.node with
+    | T.Zext (32, { T.node = T.Concat (a, b); _ }) ->
+      T.width a = 8 && T.width b = 8 && var_named a hi && var_named b lo
+    | _ -> false
+  in
+  let sum_ok s =
+    let ls = leaves [] s in
+    let bounds = List.map bound ls in
+    List.for_all Option.is_some bounds
+    && List.fold_left (fun n b -> n + Option.get b) 0 bounds < 1 lsl 32
+    && (match List.filter (fun l -> mentions hi l || mentions lo l) ls with
+       | [ l ] -> word l
+       | _ -> false)
+  in
+  match atom.T.node with
+  | T.Eq (a, b) -> (
+    let k, e = if const a <> None then (a, b) else (b, a) in
+    match (const k, e.T.node) with
+    | Some kv, T.Extract (15, 0, f) when T.width k = 16 && kv <> 0 -> (
+      match Option.bind (fold_of f) fold_of with
+      | Some s -> sum_ok s
+      | None -> false)
+    | _ -> false)
+  | _ -> false
+
+(* The certificates of one run relax the same few atoms, so verdicts are
+   memoised per domain, like [names_memo] and just as unpoisonable. *)
+let shape_memo : (int * string * string, bool) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let checksum_shape hi lo (atom : T.t) =
+  let memo = Domain.DLS.get shape_memo in
+  match Hashtbl.find_opt memo (atom.T.id, hi, lo) with
+  | Some ok -> ok
+  | None ->
+    let ok = checksum_shape_of hi lo atom in
+    Hashtbl.add memo (atom.T.id, hi, lo) ok;
+    ok
+
 let replay_trace (query : T.t list) (trace : P.trace_step list)
     (residual : T.t list) : (unit, string) result =
   let step set = function
@@ -217,7 +314,7 @@ let replay_trace (query : T.t list) (trace : P.trace_step list)
                     if mentions n t then T.substitute_vars ~memo subst t else t)
                   rest)))
     | P.T_unconstrained (b, c) -> (
-      let n = match b with P.Def (n, _) | P.Diseq (n, _) -> n in
+      let n = match b with P.Def (n, _) | P.Diseq (n, _) -> n | P.Word r -> r.P.hi in
       match remove_one c set with
       | None -> error "unconstrained conjunct for %s is not in the set" n
       | Some rest ->
@@ -226,6 +323,25 @@ let replay_trace (query : T.t list) (trace : P.trace_step list)
         else if not (unconstrained_shape b c) then
           error "unconstrained elimination of %s has an unexpected shape" n
         else Ok rest)
+    | P.T_relax r -> (
+      match remove_one r.P.conj set with
+      | None -> error "relaxed conjunct is not in the set"
+      | Some rest ->
+        let relaxed, all_met = relax_positive r.P.atoms r.P.conj in
+        if not (T.equal relaxed r.P.relaxed) then
+          error "relaxed conjunct does not match the recorded relaxation"
+        else if T.fold_subterms (fun hit t -> hit || List.memq t r.P.atoms) false relaxed
+        then
+          error "a relaxed atom also occurs under a non-And/Or connective"
+        else if not all_met then error "a relaxed atom does not occur in the conjunct"
+        else if not (List.for_all (checksum_shape r.P.hi r.P.lo) r.P.atoms) then
+          error "relaxed atom is not a checksum equation over %s:%s" r.P.hi r.P.lo
+        else if
+          List.exists
+            (fun t -> List.exists (fun n -> n = r.P.hi || n = r.P.lo) (names t))
+            (relaxed :: rest)
+        then error "word %s:%s still occurs after relaxation" r.P.hi r.P.lo
+        else Ok (P.resplit [ relaxed ] @ rest))
     | P.T_slice dropped ->
       let defaults = Model.create () in
       let rec drop set = function

@@ -66,11 +66,13 @@ let pp_solver_stats fmt (s : Vdp_smt.Solver.stats) =
   let gate_total = s.SS.gate_hits + s.SS.gate_misses in
   Format.fprintf fmt
     "solver: %d queries (%d folded by preprocessing, %d cache hits, %d \
-     interval-refuted); %d conjuncts eliminated, %d sliced; %d SAT vars, %d \
+     interval-refuted); %d conjuncts eliminated, %d sliced, %d checksum \
+     words solved; %d SAT vars, %d \
      clauses, gate cache %d/%d hits (%.0f%%), %d learned clauses reduced; \
      preprocess %.2fs, bit-blast %.2fs, SAT %.2fs"
     s.SS.calls s.SS.folded s.SS.cache_hits s.SS.interval_refutations
-    s.SS.eliminated_conjuncts s.SS.sliced_conjuncts s.SS.sat_vars
+    s.SS.eliminated_conjuncts s.SS.sliced_conjuncts s.SS.solved_words
+    s.SS.sat_vars
     s.SS.sat_clauses s.SS.gate_hits gate_total
     (if gate_total = 0 then 0.
      else 100. *. float_of_int s.SS.gate_hits /. float_of_int gate_total)

@@ -30,6 +30,22 @@
      any width since t+1 <> t mod 2^w), [x <= t] (pick [x := 0]) and
      [t <= x] (pick [x := t]).
 
+   - Checksum-word elimination: an atom [k = fold (fold s)] (16 bits,
+     [k] a nonzero constant, [fold u = (u & 0xffff) + (u >> 16)], [s] a
+     32-bit add tree of constants and zero-extended terms at most 16
+     bits wide that cannot wrap) holds for some value of any word
+     [concat a b] that is one addend of [s]: over the 65 536 values of
+     the word, [s] covers every residue mod 0xffff, and two folds of a
+     non-wrapping sum give its ones'-complement value. So when [a] and
+     [b] occur in no other conjunct, and in this one only as that
+     addend of atoms at positive positions (under [And]/[Or] alone, at
+     most one of them on any [And] path), every such atom is set to
+     [true]. Unsat: the conjunct only got weaker, so the step is a
+     relaxation. Sat: the completion solves the word for each atom in
+     turn, and keeps the first value under which the original conjunct
+     holds; the conjunct's true path holds at most one of the atoms,
+     and nothing else on it mentions the word.
+
    - Slicing: the residual conjuncts split into connected components by
      shared variables. A component all of whose conjuncts already hold
      under the all-defaults model (every variable zero / false) is
@@ -43,10 +59,24 @@
 module B = Vdp_bitvec.Bitvec
 module T = Term
 
+(* A checksum-word elimination. *)
+type relax = {
+  conj : Term.t;  (** the conjunct as it stood *)
+  relaxed : Term.t;  (** [conj] with every atom set to [true] *)
+  atoms : Term.t list;
+      (** the checksum equations over the word, each at a positive
+          position of [conj], no two on one [And] path *)
+  hi : string;  (** the word is [concat hi lo], two 8-bit variables *)
+  lo : string;
+}
+
 type binding =
   | Def of string * Term.t  (** the variable takes [t]'s value *)
   | Diseq of string * Term.t
       (** the variable takes [t]'s value + 1 (bv) / negation (bool) *)
+  | Word of relax
+      (** the word takes the first value, among those solving each atom,
+          under which the original conjunct holds *)
 
 (* One entry per elimination, oldest first, carrying enough context for
    an independent replay: the certificate checker ([Vdp_cert]) re-runs
@@ -65,6 +95,9 @@ type trace_step =
   | T_slice of Term.t list
       (** connected components, already satisfied by the all-defaults
           model, dropped wholesale *)
+  | T_relax of relax
+      (** the conjunct was replaced by its relaxation; the word occurs
+          nowhere else *)
 
 type result = {
   conjuncts : Term.t list;  (** residual conjuncts, preprocessed *)
@@ -73,6 +106,7 @@ type result = {
   trace : trace_step list;  (** elimination replay script, oldest first *)
   eliminated : int;  (** equality + unconstrained eliminations *)
   sliced : int;  (** conjuncts dropped by component slicing *)
+  solved : int;  (** checksum words eliminated *)
 }
 
 let split_list terms =
@@ -84,7 +118,8 @@ let split_list terms =
 let identity terms =
   let key = T.and_ terms in
   let conjuncts = split_list terms in
-  { conjuncts; key; bindings = []; trace = []; eliminated = 0; sliced = 0 }
+  { conjuncts; key; bindings = []; trace = []; eliminated = 0; sliced = 0;
+    solved = 0 }
 
 (* {1 Conjunct splitting} *)
 
@@ -200,6 +235,247 @@ let as_unconstrained counts (c : T.t) =
       | _ -> None))
   | _ -> None
 
+(* The all-defaults value of a sort: zero / false. *)
+let default_of sort =
+  if Sort.is_bool sort then T.fls else T.bv (B.zero (Sort.width sort))
+
+(* {1 Checksum-word elimination} *)
+
+let const_is n (t : T.t) =
+  match t.T.node with T.Bv_const v -> B.to_int v = Some n | _ -> false
+
+(* [Some u] if [t] is [fold u = (u & 0xffff) + (u >> 16)] over 32 bits. *)
+let unfold (t : T.t) =
+  match t.T.node with
+  | T.Bv_bin (T.Badd, l, h) -> (
+    match (l.T.node, h.T.node) with
+    | T.Bv_bin (T.Band, u, m), T.Bv_bin (T.Blshr, u', sh)
+      when u == u' && T.width u = 32 && const_is 0xffff m && const_is 16 sh ->
+      Some u
+    | _ -> None)
+  | _ -> None
+
+(* The addends of a 32-bit add tree of constants and zero-extensions of
+   terms at most 16 bits wide, if its sum cannot wrap. *)
+let addends (s : T.t) =
+  let rec go (t : T.t) (acc, top) =
+    match t.T.node with
+    | T.Bv_bin (T.Badd, l, r) -> Option.bind (go l (acc, top)) (go r)
+    | T.Bv_const v -> Option.map (fun n -> (t :: acc, top + n)) (B.to_int v)
+    | T.Zext (32, x) when T.width x <= 16 ->
+      Some (t :: acc, top + (1 lsl T.width x) - 1)
+    | _ -> None
+  in
+  match go s ([], 0) with
+  | Some (ts, top) when top < 1 lsl 32 -> Some ts
+  | _ -> None
+
+(* [Some (k, addends)] if [atom] is [k = fold (fold s)] over 16 bits,
+   with [k] a nonzero constant and [s] a sum {!addends} accepts. *)
+let checksum_atom (atom : T.t) =
+  match atom.T.node with
+  | T.Eq (a, b) -> (
+    let k, e = if is_const a then (a, b) else (b, a) in
+    match (k.T.node, e.T.node) with
+    | T.Bv_const kv, T.Extract (15, 0, f)
+      when T.width k = 16 && not (B.is_zero kv) ->
+      Option.bind (Option.bind (unfold f) unfold) addends
+      |> Option.map (fun ts -> (B.to_int_exn kv, ts))
+    | _ -> None)
+  | _ -> None
+
+(* The words [concat a b] ([a], [b] distinct 8-bit variables) that are
+   one of the addends [ts] and whose bytes occur in no other. *)
+let free_words ts =
+  let count = occurrence_counts ts in
+  let once n = Hashtbl.find_opt count n = Some 1 in
+  List.filter_map
+    (fun (t : T.t) ->
+      match t.T.node with
+      | T.Zext (_, w) -> (
+        match w.T.node with
+        | T.Concat ({ T.node = T.Bv_var (a, 8); _ }, { T.node = T.Bv_var (b, 8); _ })
+          when (not (String.equal a b)) && once a && once b ->
+          Some (a, b)
+        | _ -> None)
+      | _ -> None)
+    ts
+
+(* The most atoms of [set] on one [And] path of [c]'s skeleton. *)
+let path_weight set (c : T.t) =
+  let memo = Hashtbl.create 16 in
+  let rec go (t : T.t) =
+    match Hashtbl.find_opt memo t.T.id with
+    | Some n -> n
+    | None ->
+      let n =
+        match t.T.node with
+        | T.And ts -> Array.fold_left (fun n t -> n + go t) 0 ts
+        | T.Or ts -> Array.fold_left (fun n t -> max n (go t)) 0 ts
+        | _ -> if List.memq t set then 1 else 0
+      in
+      Hashtbl.add memo t.T.id n;
+      n
+  in
+  go c
+
+(* [c] with every atom of [set] at a positive position set to [true]. *)
+let set_true set (c : T.t) =
+  let memo = Hashtbl.create 16 in
+  let rec go (t : T.t) =
+    if List.memq t set then T.tru
+    else
+      match Hashtbl.find_opt memo t.T.id with
+      | Some t' -> t'
+      | None ->
+        let t' =
+          match t.T.node with
+          | T.And ts -> T.and_ (List.map go (Array.to_list ts))
+          | T.Or ts -> T.or_ (List.map go (Array.to_list ts))
+          | _ -> t
+        in
+        Hashtbl.add memo t.T.id t';
+        t'
+  in
+  go c
+
+(* Typed free variables of an addend, memoised per id and per domain
+   like [names_memo]: the atoms of one header share their addends. *)
+let vars_memo : (int, (string * Sort.t) list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+
+let addend_vars (t : T.t) =
+  let memo = Domain.DLS.get vars_memo in
+  match Hashtbl.find_opt memo t.T.id with
+  | Some vs -> vs
+  | None ->
+    let vs = T.free_vars t in
+    Hashtbl.add memo t.T.id vs;
+    vs
+
+(* A word [c] could be relaxed on, whatever the other conjuncts, and the
+   atoms it relaxes. The relaxed conjunct and the atoms' variables are
+   built only for the candidate that is taken. *)
+type candidate = {
+  word : string * string;
+  set : T.t list;
+  built : (T.t * (string * Sort.t) list) Lazy.t;
+      (** the relaxed conjunct, and the atoms' variables in name order *)
+}
+
+(* Every candidate of [c]: the word's bytes occur in [c] only as a free
+   word of checksum atoms on its [And]/[Or] skeleton, at most one of
+   them per [And] path. Words shared by more atoms come first. *)
+let relaxations (c : T.t) =
+  let seen = Hashtbl.create 16 in
+  let atoms = ref [] and others = ref [] in
+  let rec walk (t : T.t) =
+    if not (Hashtbl.mem seen t.T.id) then begin
+      Hashtbl.add seen t.T.id ();
+      match t.T.node with
+      | T.And ts | T.Or ts -> Array.iter walk ts
+      | _ -> (
+        match checksum_atom t with
+        | Some (_, ts) -> atoms := (t, ts, free_words ts) :: !atoms
+        | None -> others := t :: !others)
+    end
+  in
+  walk c;
+  if !atoms = [] then []
+  else
+    let atoms = List.rev !atoms in
+    let other_names = Hashtbl.create 16 in
+    List.iter
+      (fun t -> List.iter (fun n -> Hashtbl.replace other_names n ()) (var_names t))
+      !others;
+    let words =
+      List.fold_left
+        (fun acc (_, _, ws) ->
+          List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) acc ws)
+        [] atoms
+    in
+    let by_set = Hashtbl.create 4 in
+    let candidate (hi, lo) =
+      let over = List.filter (fun (t, _, _) -> occurs hi t || occurs lo t) atoms in
+      if
+        Hashtbl.mem other_names hi || Hashtbl.mem other_names lo
+        || not (List.for_all (fun (_, _, ws) -> List.mem (hi, lo) ws) over)
+      then None
+      else
+        let set = List.map (fun (t, _, _) -> t) over in
+        let ids = List.map (fun (t : T.t) -> t.T.id) set in
+        let shared =
+          match Hashtbl.find_opt by_set ids with
+          | Some r -> r
+          | None ->
+            let r =
+              if path_weight set c > 1 then None
+              else
+                Some
+                  (lazy
+                    ( set_true set c,
+                      List.sort_uniq compare
+                        (List.concat_map
+                           (fun (_, ts, _) -> List.concat_map addend_vars ts)
+                           over) ))
+            in
+            Hashtbl.add by_set ids r;
+            r
+        in
+        Option.map (fun built -> { word = (hi, lo); set; built }) shared
+    in
+    List.filter_map candidate (List.rev words)
+    |> List.stable_sort (fun r r' -> compare (List.length r'.set) (List.length r.set))
+
+(* {!relaxations} per conjunct id, one table per domain like
+   [names_memo]. Only conjuncts that could hold a checksum atom reach
+   it: an [Eq] must already have the atom's outer shape. *)
+let relax_memo : (int, candidate list) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+
+let may_hold_atom (c : T.t) =
+  match c.T.node with
+  | T.And _ | T.Or _ -> true
+  | T.Eq (a, b) -> (
+    match (a.T.node, b.T.node) with
+    | T.Bv_const _, T.Extract (15, 0, _) | T.Extract (15, 0, _), T.Bv_const _ ->
+      T.width a = 16
+    | _ -> false)
+  | _ -> false
+
+(* [Some (r, pins)] if [c] can be relaxed on a word whose bytes occur in
+   no other conjunct; [pins] bind to zero the atoms' other variables that
+   the relaxation leaves in no conjunct at all, in name order. *)
+let as_relaxation counts (c : T.t) =
+  if not (may_hold_atom c) then None
+  else
+    let memo = Domain.DLS.get relax_memo in
+    let cs =
+      match Hashtbl.find_opt memo c.T.id with
+      | Some cs -> cs
+      | None ->
+        let cs = relaxations c in
+        Hashtbl.add memo c.T.id cs;
+        cs
+    in
+    let single n = Hashtbl.find_opt counts n = Some 1 in
+    match List.find_opt (fun { word = hi, lo; _ } -> single hi && single lo) cs with
+    | None -> None
+    | Some { word = hi, lo; set; built } ->
+      let relaxed, vars = Lazy.force built in
+      let pins =
+        List.filter_map
+          (fun (n, sort) ->
+            if
+              single n
+              && (not (String.equal n hi || String.equal n lo))
+              && not (occurs n relaxed)
+            then Some (Def (n, default_of sort))
+            else None)
+          vars
+      in
+      Some ({ conj = c; relaxed; atoms = set; hi; lo }, pins)
+
 (* {1 Component slicing} *)
 
 let slice conjs =
@@ -240,12 +516,7 @@ let slice conjs =
       if Hashtbl.find droppable (find i) then begin
         dropped := c :: !dropped;
         List.iter
-          (fun (name, sort) ->
-            let dflt =
-              if Sort.is_bool sort then T.fls
-              else T.bv (B.zero (Sort.width sort))
-            in
-            bindings := Def (name, dflt) :: !bindings)
+          (fun (name, sort) -> bindings := Def (name, default_of sort) :: !bindings)
           (T.free_vars c)
       end
       else kept := c :: !kept)
@@ -260,7 +531,7 @@ let run terms : result =
   let conjs = ref (resplit (split_list terms)) in
   let bindings = ref [] in
   let trace = ref [] in
-  let eliminated = ref 0 in
+  let eliminated = ref 0 and solved = ref 0 in
   let contradiction () = List.exists T.is_false !conjs in
   (* Eliminate one definition at a time until none (or a contradiction)
      remains. *)
@@ -292,30 +563,43 @@ let run terms : result =
       incr eliminated;
       changed := true
     | None ->
-      (* Unconstrained elimination: no definitions left, so occurrence
-         counts are stable within this round. *)
+      (* Unconstrained and checksum-word elimination: no definitions
+         left, so occurrence counts are stable within this round. A
+         dropped or relaxed conjunct's variables are invalidated, so
+         two conjuncts sharing a variable cannot both be eliminated in
+         one sweep on a stale count. *)
       let counts = occurrence_counts !conjs in
+      let invalidate c =
+        List.iter (fun v -> Hashtbl.replace counts v max_int) (var_names c);
+        changed := true
+      in
       let rec drop_unconstrained = function
         | [] -> []
         | c :: rest -> (
           match as_unconstrained counts c with
           | Some b ->
-            (* Invalidate the dropped conjunct's variables so two
-               conjuncts sharing a variable cannot both be dropped in
-               one sweep on a stale count. *)
-            List.iter (fun v -> Hashtbl.replace counts v max_int) (var_names c);
+            invalidate c;
             bindings := b :: !bindings;
             trace := T_unconstrained (b, c) :: !trace;
             incr eliminated;
-            changed := true;
             drop_unconstrained rest
-          | None -> c :: drop_unconstrained rest)
+          | None -> (
+            match as_relaxation counts c with
+            | Some (r, pins) ->
+              invalidate c;
+              (* The pins are newer, so completion sets them first. *)
+              bindings := pins @ (Word r :: !bindings);
+              trace := T_relax r :: !trace;
+              incr solved;
+              resplit [ r.relaxed ] @ drop_unconstrained rest
+            | None -> c :: drop_unconstrained rest))
       in
       conjs := drop_unconstrained !conjs)
   done;
   if contradiction () then
     { conjuncts = [ T.fls ]; key = T.fls; bindings = !bindings;
-      trace = List.rev !trace; eliminated = !eliminated; sliced = 0 }
+      trace = List.rev !trace; eliminated = !eliminated; sliced = 0;
+      solved = !solved }
   else begin
     let kept, dropped, slice_bindings = slice !conjs in
     bindings := slice_bindings @ !bindings;
@@ -328,7 +612,8 @@ let run terms : result =
       | _ -> [ key ]
     in
     { conjuncts; key; bindings = !bindings; trace = List.rev !trace;
-      eliminated = !eliminated; sliced = List.length dropped }
+      eliminated = !eliminated; sliced = List.length dropped;
+      solved = !solved }
   end
 
 (* {1 Model completion}
@@ -338,6 +623,33 @@ let run terms : result =
    it was recorded — i.e. variables eliminated *later* (earlier in the
    list) or surviving into the residual formula. Evaluating newest
    first therefore sees every dependency already pinned. *)
+
+(* Over the word [w], [fold (fold (s0 + w)) = k] for the ones'-complement
+   difference [w = k -1 fold (fold s0)], written 0xffff rather than 0:
+   the sum is then nonzero and congruent to [k] mod 0xffff, and two
+   folds of a non-wrapping nonzero sum give the member of 1..0xffff in
+   its class. [s0] is the sum with the word at 0. *)
+let complete_word m r =
+  let set w =
+    Model.set_bv m r.hi (B.of_int ~width:8 (w lsr 8));
+    Model.set_bv m r.lo (B.of_int ~width:8 (w land 0xff))
+  in
+  let solve atom =
+    match checksum_atom atom with
+    | Some (k, ts) ->
+      set 0;
+      let s0 =
+        List.fold_left (fun n t -> n + B.to_int_exn (Eval.eval_bv m t)) 0 ts
+      in
+      let d = (((k - s0) mod 0xffff) + 0xffff) mod 0xffff in
+      if d = 0 then 0xffff else d
+    | None -> 0
+  in
+  let ws = List.map solve r.atoms in
+  set
+    (match List.find_opt (fun w -> set w; Eval.eval_bool m r.conj) ws with
+    | Some w -> w
+    | None -> List.hd ws)
 
 let complete res (m : Model.t) : Model.t =
   let m = Model.copy m in
@@ -353,6 +665,7 @@ let complete res (m : Model.t) : Model.t =
           Model.set_bool m name (not (Eval.eval_bool m t))
         else
           let v = Eval.eval_bv m t in
-          Model.set_bv m name (B.add v (B.one (B.width v))))
+          Model.set_bv m name (B.add v (B.one (B.width v)))
+      | Word r -> complete_word m r)
     res.bindings;
   m

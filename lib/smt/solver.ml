@@ -15,6 +15,7 @@ type stats = {
   mutable cache_evictions : int;
   mutable eliminated_conjuncts : int;
   mutable sliced_conjuncts : int;
+  mutable solved_words : int;
   mutable gate_hits : int;
   mutable gate_misses : int;
   mutable sat_vars : int;
@@ -62,6 +63,7 @@ let fresh_stats () =
     cache_evictions = 0;
     eliminated_conjuncts = 0;
     sliced_conjuncts = 0;
+    solved_words = 0;
     gate_hits = 0;
     gate_misses = 0;
     sat_vars = 0;
@@ -119,6 +121,7 @@ let reset_stats_record s =
   s.cache_evictions <- 0;
   s.eliminated_conjuncts <- 0;
   s.sliced_conjuncts <- 0;
+  s.solved_words <- 0;
   s.gate_hits <- 0;
   s.gate_misses <- 0;
   s.sat_vars <- 0;
@@ -360,7 +363,8 @@ let check_conj sts ?cache ?(deps = []) ?(certifying = false)
   tally sts (fun s ->
       s.preprocess_time <- s.preprocess_time +. (now () -. t0);
       s.eliminated_conjuncts <- s.eliminated_conjuncts + pre.Preprocess.eliminated;
-      s.sliced_conjuncts <- s.sliced_conjuncts + pre.Preprocess.sliced);
+      s.sliced_conjuncts <- s.sliced_conjuncts + pre.Preprocess.sliced;
+      s.solved_words <- s.solved_words + pre.Preprocess.solved);
   let key = pre.Preprocess.key in
   let accept m =
     let m = Preprocess.complete pre m in

@@ -3,7 +3,7 @@
     The pipeline is: smart-constructor folding (already applied by
     {!Term}), word-level preprocessing ({!Preprocess}: equality
     substitution, constant propagation, unconstrained-variable
-    elimination and component slicing), a memoizing query cache keyed
+    elimination, checksum-word elimination and component slicing), a memoizing query cache keyed
     on the preprocessed conjunction, a cheap interval refutation, then
     bit-blasting (with AIG-style gate sharing) onto the CDCL SAT core.
     Every [Sat] answer is completed with the eliminated variables'
@@ -50,6 +50,9 @@ type stats = {
   mutable eliminated_conjuncts : int;
       (** equality-substituted + unconstrained conjuncts dropped *)
   mutable sliced_conjuncts : int;  (** dropped by component slicing *)
+  mutable solved_words : int;
+      (** checksum words left to model completion, their equations
+          relaxed away *)
   mutable gate_hits : int;  (** structural gate-cache hits while blasting *)
   mutable gate_misses : int;  (** distinct gates actually encoded *)
   mutable sat_vars : int;  (** SAT variables created while solving *)

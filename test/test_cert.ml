@@ -913,6 +913,121 @@ let replay_tests =
         check_int "none failed" 0 s.C.failed);
   ]
 
+(* {1 Checksum-word relaxation}
+
+   A refutation whose preprocessing set a checksum equation to [true]:
+   the replay re-derives the relaxed conjunct itself, so a relax step
+   that drops an atom under negation, records another relaxation, or
+   names a conjunct the set does not hold is rejected. *)
+
+let cksum_atom () =
+  let c32 = T.bv_int ~width:32 in
+  let fold u = T.add (T.band u (c32 0xffff)) (T.lshr u (c32 16)) in
+  let byte i = T.var (Printf.sprintf "tk%d" i) 8 in
+  let sum =
+    List.fold_left
+      (fun acc i -> T.add acc (T.zext 32 (T.concat (byte (2 * i)) (byte ((2 * i) + 1)))))
+      (c32 0) (List.init 10 Fun.id)
+  in
+  T.eq (T.extract ~hi:15 ~lo:0 (fold (fold sum))) (c16 0xffff)
+
+(* [pcache_q1] beside a checksum over free bytes, refuted in context,
+   and its relax step. *)
+let relaxed_payload () =
+  let atom = cksum_atom () in
+  let q = atom :: pcache_q1 () in
+  let ctx = Solver.create_ctx ~track_core:true () in
+  Solver.assert_terms ctx q;
+  check_bool "unsat" true (Solver.check_ctx ctx = Solver.Unsat);
+  match certify_in ctx with
+  | Ok { C.reason = C.R_drat p; _ } -> (
+    match List.find_opt (function P.T_relax _ -> true | _ -> false) p.C.trace with
+    | Some (P.T_relax r) -> (atom, q, p, r)
+    | _ -> Alcotest.fail "expected a relax step in the trace")
+  | Ok cert -> Alcotest.failf "expected drat-ctx, got %s" (C.kind cert)
+  | Error e -> Alcotest.failf "uncertified: %s" e
+
+let with_relax q p (r : P.relax) r' =
+  with_trace q p
+    (List.map
+       (function P.T_relax x when x == r -> P.T_relax r' | st -> st)
+       p.C.trace)
+
+let relax_tests =
+  [
+    Alcotest.test_case "tampered relax steps are rejected" `Quick (fun () ->
+        let atom, q, p, r = relaxed_payload () in
+        check_bool "untampered relax step checks" true
+          (is_ok (C.check (with_trace q p p.C.trace)));
+        check_bool "the atom was the conjunct" true
+          (T.equal r.P.conj atom && T.is_true r.P.relaxed);
+        let rest = List.filter (fun c -> not (T.equal c atom)) q in
+        (* The atom also sits under a negation: setting it true there
+           would strengthen the conjunct, not relax it. *)
+        let flag = T.bool_var "tkflag" in
+        let mixed = T.or_ [ T.and_ [ atom; flag ]; T.not_ atom ] in
+        let dropped_everywhere = T.or_ [ flag; T.fls ] in
+        let kept_negation = T.or_ [ flag; T.not_ atom ] in
+        check_bool "relaxing under negation rejected" true
+          (rejected_with "does not match"
+             (C.check
+                (with_relax (mixed :: rest) p r
+                   { r with P.conj = mixed; relaxed = dropped_everywhere })));
+        check_bool "an atom left under negation rejected" true
+          (rejected_with "non-And/Or"
+             (C.check
+                (with_relax (mixed :: rest) p r
+                   { r with P.conj = mixed; relaxed = kept_negation })));
+        check_bool "a relaxation other than the replacement rejected" true
+          (rejected_with "does not match"
+             (C.check (with_relax q p r { r with P.relaxed = T.fls })));
+        check_bool "a conjunct missing from the set rejected" true
+          (rejected_with "is not in the set" (C.check (with_trace rest p p.C.trace))));
+    Alcotest.test_case "certified runs keep their per-kind counts" `Slow
+      (fun () ->
+        (* Relaxing checksum equations must move no refutation from one
+           certificate kind to another. *)
+        let kinds (c : C.summary) =
+          [ c.C.certified; c.C.attempted; c.C.folded; c.C.interval; c.C.drat;
+            c.C.drat_ctx; c.C.pcache_hits; c.C.cached ]
+        in
+        let config = { V.default_config with V.certify = true } in
+        List.iter
+          (fun (name, expect) ->
+            Vdp_verif.Summaries.clear ();
+            Solver.Cache.clear Solver.shared_cache;
+            let r = V.check_crash_freedom ~config (load_example name) in
+            match r.V.cert with
+            | Some c -> Alcotest.(check (list int)) name expect (kinds c)
+            | None -> Alcotest.fail "no certification summary")
+          [ ("router.click", [ 783; 783; 120; 37; 626; 626; 0; 0 ]);
+            ("firewall.click", [ 2021; 2021; 101; 1771; 149; 149; 0; 0 ]);
+            ("netflow_nat.click", [ 11763; 11763; 10538; 1; 1224; 844; 380; 0 ]) ];
+        Vdp_verif.Summaries.clear ();
+        Solver.Cache.clear Solver.shared_cache;
+        let module Q = Vdp_topo.Query in
+        let fab = Vdp_topo.Fabric.of_source (find_example "multi_tenant.click") in
+        let rel = Vdp_topo.Relation.build fab in
+        let config = { Q.default_config with Q.certify = true } in
+        let counts =
+          List.map
+            (fun prop ->
+              match (Q.run ~config rel prop).Q.cert with
+              | Some c -> (Q.prop_to_string prop, kinds c)
+              | None -> Alcotest.fail "no certification summary")
+            fab.Vdp_topo.Fabric.props
+        in
+        List.iter
+          (fun (name, expect) ->
+            Alcotest.(check (list int)) name expect (List.assoc name counts))
+          [ ("reach a -> wan_out", [ 1; 1; 0; 0; 1; 1; 0; 0 ]);
+            ("reach b -> wan_out", [ 1; 1; 0; 0; 1; 1; 0; 0 ]);
+            ("isolate a -> lan_b", [ 0; 0; 0; 0; 0; 0; 0; 0 ]);
+            ("isolate b -> lan_a", [ 0; 0; 0; 0; 0; 0; 0; 0 ]);
+            ("temporal wan -> lan_a", [ 61; 61; 0; 0; 61; 61; 0; 0 ]);
+            ("temporal wan -> lan_b", [ 72; 72; 0; 0; 72; 72; 0; 0 ]) ]);
+  ]
+
 (* {1 Tampered hints}
 
    [valid2] with one hint changed at a time: each check must fail. *)
@@ -987,4 +1102,4 @@ let hint_tests =
 let tests =
   drat_hand_tests @ drat_solver_tests @ certificate_tests @ trimming_tests
   @ differential_tests @ verifier_tests @ context_tests @ replay_tests
-  @ hint_tests
+  @ relax_tests @ hint_tests

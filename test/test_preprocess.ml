@@ -171,6 +171,7 @@ module P = Preprocess
 let reference_run terms : P.result =
   let conjs = ref (P.resplit (P.split_list terms)) in
   let bindings = ref [] and trace = ref [] and eliminated = ref 0 in
+  let solved = ref 0 in
   let contradiction () = List.exists T.is_false !conjs in
   let rounds = ref 0 and changed = ref true in
   while !changed && (not (contradiction ())) && !rounds < P.max_rounds do
@@ -193,26 +194,36 @@ let reference_run terms : P.result =
       changed := true
     | None ->
       let counts = P.occurrence_counts !conjs in
+      let invalidate c =
+        List.iter (fun v -> Hashtbl.replace counts v max_int) (P.var_names c);
+        changed := true
+      in
       let rec drop = function
         | [] -> []
         | c :: rest -> (
           match P.as_unconstrained counts c with
           | Some b ->
-            List.iter
-              (fun v -> Hashtbl.replace counts v max_int)
-              (P.var_names c);
+            invalidate c;
             bindings := b :: !bindings;
             trace := P.T_unconstrained (b, c) :: !trace;
             incr eliminated;
-            changed := true;
             drop rest
-          | None -> c :: drop rest)
+          | None -> (
+            match P.as_relaxation counts c with
+            | Some (r, pins) ->
+              invalidate c;
+              bindings := pins @ (P.Word r :: !bindings);
+              trace := P.T_relax r :: !trace;
+              incr solved;
+              P.resplit [ r.P.relaxed ] @ drop rest
+            | None -> c :: drop rest))
       in
       conjs := drop !conjs
   done;
   if contradiction () then
     { P.conjuncts = [ T.fls ]; key = T.fls; bindings = !bindings;
-      trace = List.rev !trace; eliminated = !eliminated; sliced = 0 }
+      trace = List.rev !trace; eliminated = !eliminated; sliced = 0;
+      solved = !solved }
   else
     let kept, dropped, slice_bindings = P.slice !conjs in
     let trace = if dropped = [] then !trace else P.T_slice dropped :: !trace in
@@ -225,14 +236,20 @@ let reference_run terms : P.result =
     in
     { P.conjuncts; key; bindings = slice_bindings @ !bindings;
       trace = List.rev trace; eliminated = !eliminated;
-      sliced = List.length dropped }
+      sliced = List.length dropped; solved = !solved }
 
 let same_terms = List.equal T.equal
+
+let same_relax (r : P.relax) (r' : P.relax) =
+  T.equal r.P.conj r'.P.conj && T.equal r.P.relaxed r'.P.relaxed
+  && same_terms r.P.atoms r'.P.atoms
+  && String.equal r.P.hi r'.P.hi && String.equal r.P.lo r'.P.lo
 
 let same_binding a b =
   match (a, b) with
   | P.Def (n, t), P.Def (m, u) | P.Diseq (n, t), P.Diseq (m, u) ->
     String.equal n m && T.equal t u
+  | P.Word r, P.Word r' -> same_relax r r'
   | _ -> false
 
 let same_step a b =
@@ -242,6 +259,7 @@ let same_step a b =
   | P.T_unconstrained (b, c), P.T_unconstrained (b', c') ->
     same_binding b b' && T.equal c c'
   | P.T_slice ds, P.T_slice ds' -> same_terms ds ds'
+  | P.T_relax r, P.T_relax r' -> same_relax r r'
   | _ -> false
 
 (* [run] and [reference_run] agree, and every input conjunct that no
@@ -256,6 +274,7 @@ let agrees_with_reference terms =
     List.concat_map
       (function
         | P.T_def (_, _, c) | P.T_unconstrained (_, c) -> [ c ]
+        | P.T_relax r -> [ r.P.conj ]
         | P.T_slice ds -> ds)
       r.P.trace
   in
@@ -269,6 +288,7 @@ let agrees_with_reference terms =
   && List.equal same_binding r.P.bindings r'.P.bindings
   && r.P.eliminated = r'.P.eliminated
   && r.P.sliced = r'.P.sliced
+  && r.P.solved = r'.P.solved
   && (T.is_false r.P.key
      || List.for_all
           (fun c -> List.memq c r.P.conjuncts)
@@ -360,6 +380,193 @@ let reference_tests =
          prop "matches rewrite-everything reference on Step-2-shaped queries"
            gen_step2 ]
 
+(* {1 Checksum-word elimination}
+
+   IPv4-style header checksums: [fold (fold s) = k] over the 16-bit
+   words of a header of byte variables, as CheckIPHeader's loop leaves
+   it after symbolic execution. *)
+
+let c16 n = T.bv_int ~width:16 n
+let c32 n = T.bv_int ~width:32 n
+let fold u = T.add (T.band u (c32 0xffff)) (T.lshr u (c32 16))
+
+let cksum ?(k = 0xffff) words =
+  let s =
+    List.fold_left (fun acc w -> T.add acc (T.zext 32 w)) (c32 0) words
+  in
+  T.eq (T.extract ~hi:15 ~lo:0 (fold (fold s))) (c16 k)
+
+let byte p i = T.var (Printf.sprintf "%s%d" p i) 8
+let word p i = T.concat (byte p (2 * i)) (byte p ((2 * i) + 1))
+let header p n = List.init n (word p)
+
+(* Every word of [p]'s header but [free] pinned down by a conjunct of
+   its own, so only word [free] can be solved. *)
+let others_fixed p n ~free =
+  List.filter_map
+    (fun i -> if i = free then None else Some (T.not_ (T.eq (word p i) (c16 0x1234))))
+    (List.init n Fun.id)
+
+let relax_steps (r : P.result) =
+  List.filter (function P.T_relax _ -> true | _ -> false) r.P.trace
+
+(* Same answer with preprocessing off, the Sat model checks out against
+   the original, and [run] matches the reference loop. *)
+let agrees_off terms =
+  agrees_with_reference terms
+  &&
+  match (Solver.check terms, Solver.check ~preprocess:false terms) with
+  | Solver.Sat m, Solver.Sat _ -> List.for_all (Eval.eval_bool m) terms
+  | Solver.Unsat, Solver.Unsat -> true
+  | _ -> false
+
+let checksum_tests =
+  [
+    Alcotest.test_case "a free checksum field is solved, not blasted" `Quick
+      (fun () ->
+        let q = cksum (header "ca" 10) :: others_fixed "ca" 10 ~free:5 in
+        let r = P.run q in
+        check_int "one word solved" 1 r.P.solved;
+        (match relax_steps r with
+        | [ P.T_relax rx ] ->
+          check_bool "the checksum field" true (rx.P.hi = "ca10" && rx.P.lo = "ca11");
+          check_bool "the atom became true" true (T.is_true rx.P.relaxed)
+        | _ -> Alcotest.fail "expected one relax step");
+        check_bool "no residual conjunct mentions the field" true
+          (not (List.exists (P.occurs "ca10") r.P.conjuncts));
+        check_bool "agrees with preprocessing off" true (agrees_off q);
+        Solver.reset_stats ();
+        ignore (Solver.check q);
+        check_int "counted" 1 Solver.stats.Solver.solved_words);
+    Alcotest.test_case "a field rechecked downstream is not solved" `Quick
+      (fun () ->
+        (* DecIPTTL patches the checksum field, and a second check reads
+           the patched field: its bytes occur in two conjuncts. *)
+        let hdr = header "cb" 10 in
+        let field = word "cb" 5 in
+        let bumped = T.add (T.zext 32 field) (c32 0x0100) in
+        let patched = T.extract ~hi:15 ~lo:0 (fold bumped) in
+        let ttl' = T.concat (T.sub (byte "cb" 8) (T.bv_int ~width:8 1)) (byte "cb" 9) in
+        let hdr' =
+          List.mapi
+            (fun i w -> if i = 5 then patched else if i = 4 then ttl' else w)
+            hdr
+        in
+        let q = [ cksum hdr; cksum hdr' ] @ others_fixed "cb" 10 ~free:5 in
+        check_int "nothing solved" 0 (P.run q).P.solved;
+        check_bool "agrees with preprocessing off" true (agrees_off q));
+    Alcotest.test_case "twice-summed words, negation, conjoined atoms" `Quick
+      (fun () ->
+        let hdr = header "cc" 10 in
+        let fixed = others_fixed "cc" 10 ~free:5 in
+        let twice = cksum (word "cc" 5 :: hdr) :: fixed in
+        check_int "a word summed twice is not solved" 0 (P.run twice).P.solved;
+        let negated = T.not_ (cksum hdr) :: fixed in
+        check_int "an atom under not is not solved" 0 (P.run negated).P.solved;
+        let z = T.var "ccz" 8 in
+        let both =
+          T.or_
+            [ T.and_ [ cksum hdr; cksum ~k:0xfffe (hdr @ [ word "cc" 10 ]) ];
+              T.ult z (T.bv_int ~width:8 3) ]
+          :: T.ult (T.bv_int ~width:8 1) z
+          :: (others_fixed "cc" 11 ~free:5)
+        in
+        check_int "two atoms on one And path are not solved" 0
+          (P.run both).P.solved;
+        List.iter
+          (fun q -> check_bool "agrees with preprocessing off" true (agrees_off q))
+          [ twice; negated; both ]);
+    Alcotest.test_case "IHL 5..15 disjunction completes" `Quick (fun () ->
+        (* The per-IHL variants of a merged summary: one checksum per
+           header length, each under its own length test. *)
+        let ihl = T.extract ~hi:3 ~lo:0 (byte "cd" 0) in
+        let variants =
+          T.or_
+            (List.init 11 (fun i ->
+                 let n = i + 5 in
+                 T.and_ [ T.eq ihl (T.bv_int ~width:4 n); cksum (header "cd" (2 * n)) ]))
+        in
+        let r = P.run [ variants ] in
+        check_int "one word solved" 1 r.P.solved;
+        (match relax_steps r with
+        | [ P.T_relax rx ] -> check_int "every variant relaxed" 11 (List.length rx.P.atoms)
+        | _ -> Alcotest.fail "expected one relax step");
+        List.iter
+          (fun n ->
+            let q = [ variants; T.eq ihl (T.bv_int ~width:4 n) ] in
+            check_bool (Printf.sprintf "IHL %d" n) true (agrees_off q))
+          [ 5; 6; 10; 15 ]);
+    Alcotest.test_case "sums that fold to 0x0000 or 0xffff" `Quick (fun () ->
+        let w = word "ce" 0 in
+        let cases =
+          [ (* the rest is 0: the word must be 0xffff, not 0 *)
+            [ cksum [ c16 0; w ] ];
+            (* the rest is 0xffff already *)
+            [ cksum [ c16 0xffff; w ] ];
+            [ cksum [ c16 0xffff; c16 0xffff; w ] ];
+            (* k = 1 over a rest of 1 *)
+            [ cksum ~k:1 [ c16 1; w ] ];
+            (* the rest pinned through definitions *)
+            [ cksum [ word "ce" 1; w ]; T.eq (word "ce" 1) (c16 0xffff) ];
+            [ cksum [ word "ce" 1; w ]; T.eq (word "ce" 1) (c16 0) ] ]
+        in
+        List.iter
+          (fun q ->
+            check_int "solved" 1 (P.run q).P.solved;
+            check_bool "agrees with preprocessing off" true (agrees_off q))
+          cases);
+  ]
+
+(* Random checksum-shaped conjunctions over a small byte pool, so words
+   repeat, bytes are shared, and atoms land under [not], [Or] and [And]
+   and beside conjuncts on their bytes. *)
+let gen_checksum : T.t list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let b i = byte "cq" i in
+  let wordg =
+    frequency
+      [ (4, map2 (fun i j -> T.concat (b i) (b j)) (int_bound 5) (int_bound 5));
+        (1, map c16 (oneof [ return 0; return 0xffff; int_bound 0xffff ])) ]
+  in
+  let atom =
+    map2
+      (fun k ws -> cksum ~k ws)
+      (oneof [ return 0xffff; return 0xffff; int_range 1 0xfffe ])
+      (list_size (int_range 1 4) wordg)
+  in
+  let side =
+    map2 (fun i n -> T.ult (b i) (T.bv_int ~width:8 n)) (int_bound 5) (int_bound 255)
+  in
+  let conj =
+    frequency
+      [ (4, atom); (1, map T.not_ atom);
+        (1, map2 (fun a s -> T.or_ [ a; s ]) atom side);
+        (1, map2 (fun a a' -> T.or_ [ a; a' ]) atom atom);
+        (1, map2 (fun a a' -> T.or_ [ T.and_ [ a; a' ]; T.fls ]) atom atom) ]
+  in
+  let* n = int_range 1 2 in
+  let* cs = list_repeat n conj in
+  let* sides = list_size (int_bound 2) side in
+  return (cs @ sides)
+
+let checksum_differential =
+  QCheck.Test.make ~count:300
+    ~name:"checksum elimination: answers, models and reference agree"
+    (QCheck.make
+       ~print:(fun ts -> String.concat " /\\ " (List.map T.to_string ts))
+       gen_checksum)
+    (fun terms ->
+      agrees_with_reference terms
+      &&
+      match
+        ( Solver.check ~max_conflicts:20_000 terms,
+          Solver.check ~max_conflicts:20_000 ~preprocess:false terms )
+      with
+      | Solver.Sat m, Solver.Sat _ -> List.for_all (Eval.eval_bool m) terms
+      | Solver.Unsat, Solver.Unsat -> true
+      | Solver.Unknown, _ | _, Solver.Unknown -> QCheck.assume_fail ()
+      | _ -> false)
+
 (* {1 End-to-end: the example pipelines, every preprocessed refutation
    checked}
 
@@ -407,6 +614,8 @@ let tests =
   unit_tests
   @ List.map QCheck_alcotest.to_alcotest [ differential_test ]
   @ reference_tests
+  @ checksum_tests
+  @ List.map QCheck_alcotest.to_alcotest [ checksum_differential ]
   @ [
       e2e_example "router.click";
       e2e_example "firewall.click";
