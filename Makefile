@@ -29,6 +29,7 @@ ci: build
 	dune exec bin/vdpverify.exe -- verify --certify examples/netflow_nat.click
 	dune exec bin/vdpverify.exe -- replay examples/router.click
 	dune exec bin/vdpverify.exe -- replay examples/firewall.click
+	dune exec bin/vdpverify.exe -- replay test/two_nat.click
 	dune exec bin/vdpverify.exe -- replay --engine compiled examples/router.click
 	dune exec bin/vdpverify.exe -- replay --engine compiled examples/firewall.click
 	dune exec bin/vdpverify.exe -- pump -n 20000 --engine compiled examples/router.click

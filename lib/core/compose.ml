@@ -38,6 +38,8 @@ type t = {
   instr_lo : int;
   instr_hi : int;
   summarized : bool;
+      (** the instruction interval over-approximates: a loop summary
+          contributed, or the last segment {!dips} ({!finish}) *)
   kv_trace : (string * S.kv_event) list;
       (** (position tag, renamed event), newest first *)
   trail : string list;
@@ -49,11 +51,6 @@ type t = {
           Every element's own symbex assumes it starts with the {e full}
           configured headroom, so composition must re-check each
           segment's worst push excursion against this remaining budget. *)
-  headroom_short : bool;
-      (** true iff the segment just applied dips below the remaining
-          budget ([headroom + min_delta < 0]): the concrete runtime
-          would crash with [Headroom_exhausted] on this path even
-          though the element-local summary did not. *)
   static_deps : (int * B.t) list;
       (** union of the static-state slices ({!Vdp_ir.Static_data} id,
           concrete key) baked into the segments applied so far — the
@@ -76,7 +73,6 @@ let initial ?(assume = []) ?(meta = [])
     kv_trace = [];
     trail = [];
     headroom;
-    headroom_short = false;
     static_deps = [];
   }
 
@@ -168,8 +164,10 @@ type guarded = {
   g_cond : T.t list;  (** the successor's [cond] *)
 }
 
-(** Whether applying [seg] to [st] dips below the remaining headroom
-    budget: the successor's [headroom_short], with no substitution. *)
+(** Whether [seg]'s worst push dips below [st]'s remaining headroom,
+    with no substitution: the runtime then crashes with
+    [Headroom_exhausted] inside [seg], though [seg]'s own summary
+    (which assumed the full budget) does not. *)
 let dips st (seg : Engine.segment) =
   st.headroom + seg.Engine.out_state.Engine.min_delta < 0
 
@@ -189,11 +187,14 @@ let guard site (seg : Engine.segment) =
 let plausible g = not (Vdp_smt.Interval.refute_list g.g_cond)
 
 (** The state {e after} a guarded segment (meaningful when its outcome
-    emits). *)
+    emits). After a segment that {!dips}, the runtime has executed only
+    part of it, so the state claims the interval from the predecessor's
+    low end to its own high end, and is [summarized]. *)
 let finish g =
   let { from = st; tag; xf; deps } = g.g_site and seg = g.g_seg in
   let out = seg.Engine.out_state in
   let delta = out.Engine.head_delta in
+  let short = dips st seg in
   (* Background and carried-over overrides. *)
   let background, overrides =
     match out.Engine.havoc with
@@ -245,20 +246,31 @@ let finish g =
     meta;
     cond = g.g_cond;
     new_cond = g.g_new_cond;
-    instr_lo = st.instr_lo + seg.Engine.instr_lo;
+    instr_lo =
+      (if short then st.instr_lo else st.instr_lo + seg.Engine.instr_lo);
     instr_hi = st.instr_hi + seg.Engine.instr_hi;
-    summarized = st.summarized || seg.Engine.summarized;
+    summarized = short || st.summarized || seg.Engine.summarized;
     kv_trace = List.rev_append kv_new st.kv_trace;
     trail = tag :: st.trail;
     headroom = st.headroom + delta;
-    headroom_short = dips st seg;
     static_deps = deps;
   }
 
-(** Apply a segment summary at pipeline position [tag]. [deps] is the
-    element's static-state slice list (from its {!Engine.result}),
-    unioned into the composite state. *)
-let apply ?deps st ~tag seg = finish (guard (site ?deps st ~tag) seg)
+(** The successor entering the next element on input [port], which the
+    runtime writes into the port annotation on every edge it follows:
+    elements branching on it (the NAT gateway) then compose exactly. *)
+let enter port g =
+  let st = finish g in
+  let meta = List.remove_assoc Ir.Port st.meta in
+  { st with meta = (Ir.Port, T.bv_int ~width:8 port) :: meta }
+
+(** Apply a segment summary at pipeline position [tag], entering the
+    next element on [port] if given. [deps] is the element's
+    static-state slice list (from its {!Engine.result}), unioned into
+    the composite state. *)
+let apply ?deps ?port st ~tag seg =
+  let g = guard (site ?deps st ~tag) seg in
+  match port with Some port -> enter port g | None -> finish g
 
 (** Build a concrete input packet from a solver model of the composite
     constraint. Bytes the model leaves free default to zero. *)

@@ -9,15 +9,15 @@
 
     Step 2 is one algorithm, whatever the property: compose the element
     summaries' segments along paths and ask the solver whether the
-    suspect composite paths are feasible. A property only decides which
-    segment ends are suspect and what a feasible one means, so each is
-    a {!property} — an [expand] step that yields one composite node's
-    items in segment order ("check this state" or "descend to node [d]
-    with this state") plus a [check] that runs one feasibility decision
-    and returns a mergeable result — run by one sequential and one
-    parallel driver (see {!section-step2}). The drivers are polymorphic
-    in the node type, so the fabric queries of {!Vdp_topo.Query} run on
-    them too, with a (pipe, node, crossings) hop as the node.
+    suspect composite paths are feasible. One hop {!step} over a node
+    {!graph} decides where each segment leads: a headroom dip, a crash
+    or a drop ends the path, an emit follows the graph's route. Each
+    {!property} is a filter over that step (which ends are suspect,
+    which descents are worth taking) plus a [check] that runs one
+    feasibility decision, run by one sequential and one parallel driver
+    (see {!section-step2}). A pipeline's elements and a fabric's (pipe,
+    node, crossings) hops ({!Vdp_topo.Relation.graph}) are two such
+    graphs, so the fabric queries of {!Vdp_topo.Query} share it all.
 
     The sequential driver carries one {e incremental} solver context
     down the composition DFS: each descent pushes a scope and asserts
@@ -270,18 +270,6 @@ let segment_reads_kv (seg : Engine.segment) =
     (function S.Kv_read _ -> true | S.Kv_write _ -> false)
     seg.Engine.kv_log
 
-(* Run [f guard seg] on every segment of [node]'s summary, in segment
-   order; [guard seg] applies [seg]'s constraints to [st] at [node]'s
-   site ({!Compose.guard}), and {!Compose.finish} builds the successor
-   of a guard that survives pruning. *)
-let iter_segments (summaries : Summaries.entry array) node st f =
-  let tag = Printf.sprintf "n%d" node in
-  let deps = summaries.(node).Summaries.result.Engine.static_deps in
-  let site = Compose.site ~deps st ~tag in
-  List.iter
-    (f (Compose.guard site))
-    summaries.(node).Summaries.result.Engine.segments
-
 (* {1:step2 Step 2: one traversal for every property}
 
    A property is an [expand] step plus a [check], over any node type:
@@ -289,10 +277,11 @@ let iter_segments (summaries : Summaries.entry array) node st f =
    {!Vdp_topo.Relation}. [expand node st yield] yields the items of one
    composite node in segment (DFS) order, one callback per item, so the
    sequential driver never holds all sibling states of a wide node at
-   once. [check] runs one feasibility decision on a context that holds
-   the item's state — it may push a scope of its own on top, as fabric
-   checks do with their boot grounding — and returns a result; results
-   merge in DFS order ([merge] is associative, [empty] its unit). *)
+   once; it is always {!step} with a filter. [check] runs one
+   feasibility decision on a context that holds the item's state — it
+   may push a scope of its own on top, as fabric checks do with their
+   boot grounding — and returns a result; results merge in DFS order
+   ([merge] is associative, [empty] its unit). *)
 
 type ('n, 'c) item =
   | Check of 'c * Compose.t  (** decide this state *)
@@ -312,6 +301,87 @@ type ('n, 'c, 'r) property = {
   empty : 'r;
   merge : 'r -> 'r -> 'r;
 }
+
+(* {2 The hop step} *)
+
+(** How a path ends. ['e] names an egress: a pipeline egress number,
+    or a (pipe, egress) pair on a fabric. *)
+type 'e stop = Egress of 'e | Drop | Crash of Engine.crash
+
+(** Where an output port leads. *)
+type ('n, 'e) route =
+  | Ends of 'e stop
+  | Goes of 'n * int  (** into this node, on this input port *)
+  | Cut  (** not followed: past the fabric's crossing cap *)
+
+(** A node graph Step 2 walks: a pipeline's elements, or a fabric's
+    hops ({!Vdp_topo.Relation.graph}). *)
+type ('n, 'e) graph = {
+  segments : 'n -> Engine.segment list;  (** the node's summary *)
+  deps : 'n -> (int * B.t) list;  (** its static-state slices *)
+  tag : 'n -> string;  (** its position tag *)
+  route : 'n -> int -> ('n, 'e) route;  (** where an output port leads *)
+}
+
+(** The expand step of every property: where each of the node's
+    segments leads, in order. A segment that {!Compose.dips} ends the
+    path in a headroom crash, a crash or a drop ends it, and an emit
+    follows [route]. An end is checked ({!Compose.finish}) with the
+    payload [ends node stop g] returns, if any; [dst] is entered
+    ({!Compose.enter}) if [descends dst g]. [g], the guarded successor,
+    is forced only by the filters that need it. *)
+let step graph ~ends ~descends node st yield =
+  let site = Compose.site ~deps:(graph.deps node) st ~tag:(graph.tag node) in
+  List.iter
+    (fun (seg : Engine.segment) ->
+      let next =
+        if Compose.dips st seg then Ends (Crash Engine.C_headroom)
+        else
+          match seg.Engine.outcome with
+          | Engine.O_crash c -> Ends (Crash c)
+          | Engine.O_drop -> Ends Drop
+          | Engine.O_emit port -> graph.route node port
+      in
+      let g = lazy (Compose.guard site seg) in
+      match next with
+      | Cut -> ()
+      | Ends stop ->
+        Option.iter
+          (fun c -> yield (Check (c, Compose.finish (Lazy.force g))))
+          (ends node stop g)
+      | Goes (dst, port) ->
+        if descends dst g then
+          yield (Descend (dst, Compose.enter port (Lazy.force g))))
+    (graph.segments node)
+
+let plausible g = Compose.plausible (Lazy.force g)
+
+(** Every plausible end [ends] keeps and every plausible descent: the
+    bound's and reachability's filter, and every fabric query's. *)
+let plausible_step graph ends =
+  step graph
+    ~ends:(fun node stop g ->
+      if plausible g then ends node stop (Lazy.force g) else None)
+    ~descends:(fun _ g -> plausible g)
+
+(** A pipeline's node graph: its elements, tagged ["n<i>"]. Every
+    unwired output is an egress. *)
+let pipeline_graph pl (summaries : Summaries.entry array) =
+  let result n = summaries.(n).Summaries.result in
+  let egress = Hashtbl.create 8 in
+  Array.iteri
+    (fun e point -> Hashtbl.add egress point e)
+    (Click.Pipeline.egress_points pl);
+  {
+    segments = (fun n -> (result n).Engine.segments);
+    deps = (fun n -> (result n).Engine.static_deps);
+    tag = Printf.sprintf "n%d";
+    route =
+      (fun n port ->
+        match (Click.Pipeline.node pl n).Click.Pipeline.outputs.(port) with
+        | Some (dst, dport) -> Goes (dst, dport)
+        | None -> Ends (Egress (Hashtbl.find egress (n, port))));
+  }
 
 (* The feasibility decision every property's [check] makes: count it,
    solve what the context holds, and certify a refutation. *)
@@ -507,33 +577,47 @@ let traverse ?pool cfg cert prop stats root st0 =
    Both look for feasible paths to a suspect end and report each one,
    with a replayed witness, as a violation. *)
 
-type suspect = {
-  s_node : int;
-  s_outcome : Engine.outcome;  (** the outcome reported for the path *)
-  s_expect : Witness.expect;  (** what the witness must reproduce *)
-  s_seg_reads : bool;
-      (** whether a read of private state on the path makes the
-          violation stateful: crash asks that the suspect segment itself
-          read state, reachability does not ([true]) *)
-}
+(** How a pipeline path ends. *)
+type path_end =
+  | End_egress of int  (** pipeline egress number *)
+  | End_drop of int    (** node index that dropped *)
+  | End_crash of int
 
-let violation_property cfg pl expand =
+let path_end node = function
+  | Egress e -> End_egress e
+  | Drop -> End_drop node
+  | Crash _ -> End_crash node
+
+let expect_of_end = function
+  | End_egress e -> Witness.Egress_at e
+  | End_drop n -> Witness.Drop_at n
+  | End_crash n -> Witness.Crash_at n
+
+(* A suspect end's payload is (node, stop, the segment ending there).
+   The violation reports the crash of a crash end, headroom dips
+   included, else the segment's outcome. A read of private state on the
+   path makes it stateful; with [seg_reads], as crash freedom asks, the
+   suspect segment itself must read state. *)
+let violation_property cfg pl ~seg_reads expand =
   let nodes = Click.Pipeline.nodes pl in
-  let check env s (st : Compose.t) =
+  let check env (node, stop, (seg : Engine.segment)) (st : Compose.t) =
     match decide cfg env ~solve:solve_small ~deps:st.Compose.static_deps with
     | Solver.Unsat | Solver.Unknown -> []
     | Solver.Sat model ->
-      let replayed =
-        replay_model cfg pl env.counters ~model ~st ~expect:s.s_expect
-      in
+      let expect = expect_of_end (path_end node stop) in
+      let replayed = replay_model cfg pl env.counters ~model ~st ~expect in
       [
         {
-          node = s.s_node;
-          element = nodes.(s.s_node).Click.Pipeline.element.Click.Element.name;
-          outcome = s.s_outcome;
+          node;
+          element = nodes.(node).Click.Pipeline.element.Click.Element.name;
+          outcome =
+            (match stop with
+            | Crash c -> Engine.O_crash c
+            | Egress _ | Drop -> seg.Engine.outcome);
           cond = st.Compose.cond;
           confirmed = Witness.confirmed replayed;
-          stateful = s.s_seg_reads && trace_reads_kv st;
+          stateful =
+            ((not seg_reads) || segment_reads_kv seg) && trace_reads_kv st;
           replayed;
         };
       ]
@@ -563,53 +647,11 @@ let violation_report summaries stats cert (violations, budget_hit) =
   in
   { verdict; stats; cert = cert_summary cert }
 
-(* {1 Crash freedom} *)
+(* {1 Crash freedom}
 
-(* Crash segments are suspect, and so are segments that dip below the
-   {e remaining} headroom budget even though the element-local summary
-   (which assumed a full budget) did not crash: those are reported as a
-   headroom crash. [danger.(i)] marks nodes where some segment's worst
-   push excursion can exceed the least budget any path carries in (a
-   static over-approximation): only there do drop/emit segments need
-   the per-path dip check, so headroom-safe pipelines pay nothing, and
-   a segment that does not dip is composed only to descend. Emit
-   segments are followed only into subtrees that [has_suspect], and
-   only when plausible. *)
-let crash_expand nodes summaries has_suspect danger node st yield =
-  let suspect (seg : Engine.segment) st' outcome =
-    yield
-      (Check
-         ( { s_node = node;
-             s_outcome = outcome;
-             s_expect = Witness.Crash_at node;
-             s_seg_reads = segment_reads_kv seg },
-           st' ))
-  in
-  let headroom seg st' = suspect seg st' (Engine.O_crash Engine.C_headroom) in
-  iter_segments summaries node st (fun guard seg ->
-      let dips = Compose.dips st seg in
-      match seg.Engine.outcome with
-      | Engine.O_crash _ ->
-        let st' = Compose.finish (guard seg) in
-        if dips then headroom seg st' else suspect seg st' seg.Engine.outcome
-      | Engine.O_drop ->
-        if danger.(node) && dips then headroom seg (Compose.finish (guard seg))
-      | Engine.O_emit p -> (
-        let dst =
-          match nodes.(node).Click.Pipeline.outputs.(p) with
-          | Some (dst, _) when has_suspect.(dst) -> Some dst
-          | _ -> None
-        in
-        if (danger.(node) || dst <> None) && dips then
-          (* The runtime crashes mid-segment; nothing runs behind
-             this element on such a path, so do not descend. *)
-          headroom seg (Compose.finish (guard seg))
-        else
-          match dst with
-          | Some dst ->
-            let g = guard seg in
-            if Compose.plausible g then yield (Descend (dst, Compose.finish g))
-          | None -> ()))
+   Crash ends are suspect, headroom dips included ({!step}), and are
+   checked without interval pruning. Emits are followed only into
+   subtrees that [has_suspect], and only when plausible. *)
 
 let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
     report =
@@ -623,21 +665,21 @@ let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
   let order = Click.Pipeline.topological_order pl in
   (* Static headroom budgeting: [budget.(i)] is the least remaining
      headroom any path can carry into node [i] (forward min-plus pass
-     over the segments' net head deltas). A node is a [danger] node iff
-     some segment's worst push excursion can dip below that least
-     budget — an over-approximation of the per-path [headroom_short]
-     check, so pipelines that provably stay within budget skip the
-     dynamic dip checks entirely. *)
+     over the segments' net head deltas). A node where some segment's
+     worst push excursion can dip below that least budget (an
+     over-approximation of the per-path {!Compose.dips}) may end a path
+     in a headroom crash, so it has a suspect of its own. *)
   let budget = Array.make n max_int in
   budget.(entry) <- config.engine.Engine.headroom;
-  let danger = Array.make n false in
+  let has_suspect = Array.make n false in
   List.iter
     (fun i ->
       if budget.(i) < max_int then
         List.iter
           (fun (seg : Engine.segment) ->
             let out = seg.Engine.out_state in
-            if budget.(i) + out.Engine.min_delta < 0 then danger.(i) <- true;
+            if budget.(i) + out.Engine.min_delta < 0 then
+              has_suspect.(i) <- true;
             match seg.Engine.outcome with
             | Engine.O_emit p -> (
               match nodes.(i).Click.Pipeline.outputs.(p) with
@@ -648,13 +690,12 @@ let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
             | Engine.O_drop | Engine.O_crash _ -> ())
           summaries.(i).Summaries.result.Engine.segments)
     order;
-  (* Which nodes can still lead to a suspect segment (their own crash
-     segments, a possible headroom dip, or either further down)? *)
-  let has_suspect = Array.make n false in
+  (* Which nodes can still lead to a suspect segment (a possible
+     headroom dip, their own crash segments, or either further down)? *)
   List.iter
     (fun i ->
       let own =
-        danger.(i)
+        has_suspect.(i)
         || List.exists Summaries.is_suspect_crash
              summaries.(i).Summaries.result.Engine.segments
       in
@@ -676,11 +717,17 @@ let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
                e.Summaries.result.Engine.segments))
     summaries;
   let t0 = now () in
+  let ends node stop g =
+    match stop with
+    | Crash _ -> Some (node, stop, (Lazy.force g).Compose.g_seg)
+    | Egress _ | Drop -> None
+  in
+  let descends dst g = has_suspect.(dst) && plausible g in
   let result =
     if has_suspect.(entry) then
       traverse ?pool config cert
-        (violation_property config pl
-           (crash_expand nodes summaries has_suspect danger))
+        (violation_property config pl ~seg_reads:true
+           (step (pipeline_graph pl summaries) ~ends ~descends))
         stats entry (initial_state config)
     else ([], false)
   in
@@ -743,19 +790,6 @@ type bound_report = {
   b_cert : Vdp_cert.Certificate.summary option;
 }
 
-(* Every completed path is a candidate. *)
-let bound_expand nodes summaries node st yield =
-  iter_segments summaries node st (fun guard seg ->
-      let g = guard seg in
-      if Compose.plausible g then
-        let st' = Compose.finish g in
-        match seg.Engine.outcome with
-        | Engine.O_crash _ | Engine.O_drop -> yield (Check ((), st'))
-        | Engine.O_emit p -> (
-          match nodes.(node).Click.Pipeline.outputs.(p) with
-          | None -> yield (Check ((), st'))
-          | Some (dst, _) -> yield (Descend (dst, st'))))
-
 (* The bound is decided in two phases, the same at every [-j]. The
    traversal only collects the completed paths, newest first (merging
    conses onto the older ones). They are then decided longest first on
@@ -768,10 +802,10 @@ let bound_expand nodes summaries node st yield =
    SAT-hard (a random five-element pipeline took 5 s at -j 1 and did
    not finish in four minutes at -j 2). [longest_feasible] returns the
    longest feasible path with its model and the longest path that came
-   back Unknown. *)
-let candidates_property nodes summaries =
+   back Unknown. Every plausible completed path is a candidate. *)
+let candidates_property graph =
   {
-    expand = bound_expand nodes summaries;
+    expand = plausible_step graph (fun _ _ _ -> Some ());
     check = (fun _ () st -> [ st ]);
     empty = [];
     merge = (fun older newer -> newer @ older);
@@ -803,11 +837,10 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
   let stats = fresh_stats () in
   let cert = make_cert config in
   let summaries = step1 ?pool config pl stats in
-  let nodes = Click.Pipeline.nodes pl in
   let t0 = now () in
   let candidates, budget_hit =
     traverse ?pool config cert
-      (candidates_property nodes summaries)
+      (candidates_property (pipeline_graph pl summaries))
       stats (Click.Pipeline.entry pl) (initial_state config)
   in
   let best, unknown_hi = longest_feasible config cert stats candidates in
@@ -859,52 +892,22 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
 (** [check_reachability ~assume ~bad pl] proves that no input packet
     satisfying [assume] can end in a way matching [bad]; returns
     violations (with witnesses) otherwise. *)
-type path_end =
-  | End_egress of int  (** pipeline egress number *)
-  | End_drop of int    (** node index that dropped *)
-  | End_crash of int
-
-let expect_of_end = function
-  | End_egress e -> Witness.Egress_at e
-  | End_drop n -> Witness.Drop_at n
-  | End_crash n -> Witness.Crash_at n
-
-(* Path ends matching [bad] are suspect. *)
-let reach_expand pl nodes summaries ~bad node st yield =
-  let suspect (seg : Engine.segment) st' path_end =
-    if bad path_end then
-      yield
-        (Check
-           ( { s_node = node; s_outcome = seg.Engine.outcome;
-               s_expect = expect_of_end path_end; s_seg_reads = true },
-             st' ))
-  in
-  iter_segments summaries node st (fun guard seg ->
-      let g = guard seg in
-      if Compose.plausible g then
-        let st' = Compose.finish g in
-        match seg.Engine.outcome with
-        | Engine.O_crash _ -> suspect seg st' (End_crash node)
-        | Engine.O_drop -> suspect seg st' (End_drop node)
-        | Engine.O_emit p -> (
-          match nodes.(node).Click.Pipeline.outputs.(p) with
-          | None -> (
-            match Click.Pipeline.egress_index pl ~node ~port:p with
-            | Some e -> suspect seg st' (End_egress e)
-            | None -> ())
-          | Some (dst, _) -> yield (Descend (dst, st'))))
-
 let check_reachability ?(config = default_config) ~bad (pl : Click.Pipeline.t)
     : report =
   with_jobs config @@ fun pool ->
   let stats = fresh_stats () in
   let cert = make_cert config in
   let summaries = step1 ?pool config pl stats in
-  let nodes = Click.Pipeline.nodes pl in
+  (* Plausible ends matching [bad] are suspect. *)
+  let ends node stop (g : Compose.guarded) =
+    if bad (path_end node stop) then Some (node, stop, g.Compose.g_seg)
+    else None
+  in
   let t0 = now () in
   let result =
     traverse ?pool config cert
-      (violation_property config pl (reach_expand pl nodes summaries ~bad))
+      (violation_property config pl ~seg_reads:false
+         (plausible_step (pipeline_graph pl summaries) ends))
       stats (Click.Pipeline.entry pl) (initial_state config)
   in
   stats.step2_time <- now () -. t0;

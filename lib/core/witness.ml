@@ -443,7 +443,8 @@ let check_packet (session : session) (pkt : P.t) :
                  nodes.(node).Click.Pipeline.element.Click.Element.name s))
       fmt
   in
-  let commit node overlay bindings (seg : Engine.segment) =
+  (* [port]: the next element's input port, entered as Step 2 does. *)
+  let commit node overlay bindings (seg : Engine.segment) ~port =
     Hashtbl.iter
       (fun (store, k) v ->
         match store_decl session.pl node store with
@@ -455,7 +456,7 @@ let check_packet (session : session) (pkt : P.t) :
     List.iter
       (fun (name, v) -> Model.set_bv comp_model ("!" ^ tag ^ name) v)
       bindings;
-    comp_st := Compose.apply !comp_st ~tag seg;
+    comp_st := Compose.apply ?port !comp_st ~tag seg;
     (* The composed (renamed, substituted) constraints must stay true
        over the original input — this cross-checks Compose.import
        against the element-level match just made. *)
@@ -513,6 +514,12 @@ let check_packet (session : session) (pkt : P.t) :
     (fun i (step, snap) ->
       if !err = None then begin
         let node = (step : Click.Runtime.step).Click.Runtime.node in
+        let port =
+          match step.Click.Runtime.outcome with
+          | Ir.Emitted p ->
+            Option.map snd nodes.(node).Click.Pipeline.outputs.(p)
+          | _ -> None
+        in
         let hop_model = model_of_packet ~max_len:session.max_len !input in
         let evaluated =
           List.map
@@ -547,7 +554,7 @@ let check_packet (session : session) (pkt : P.t) :
           else begin
             if not seg.Engine.summarized then
               check_out_state node hop_model seg step snap;
-            commit node overlay bindings seg
+            commit node overlay bindings seg ~port
           end
         | [] -> (
           (* No decidable match: fall back to summarized candidates that
@@ -559,7 +566,7 @@ let check_packet (session : session) (pkt : P.t) :
           with
           | (seg, overlay, bindings, _) :: _ ->
             incr approx;
-            commit node overlay bindings seg;
+            commit node overlay bindings seg ~port;
             (* The segment's own writes were havocked; re-observe the
                store state the concrete run left behind. *)
             resync_node session node
@@ -574,15 +581,12 @@ let check_packet (session : session) (pkt : P.t) :
             (List.length many) i);
         (* Next element's input: this snapshot, port rewritten the way
            the runtime does when following the edge. *)
-        match step.Click.Runtime.outcome with
-        | Ir.Emitted p -> (
-          match nodes.(node).Click.Pipeline.outputs.(p) with
-          | Some (_, dport) ->
+        Option.iter
+          (fun port ->
             let q = P.clone snap in
-            q.P.port <- dport;
-            input := q
-          | None -> ())
-        | _ -> ()
+            q.P.port <- port;
+            input := q)
+          port
       end)
     snaps;
   (* Whole-path checks: composed instruction interval and, for egressed
@@ -626,10 +630,7 @@ let check_packet (session : session) (pkt : P.t) :
       done;
       List.iter
         (fun (m, term) ->
-          (* Port is rewritten by every edge the runtime follows, which
-             the composite state does not model; the per-hop check
-             already compared it at each element. *)
-          if m <> Ir.Port && !err = None then
+          if !err = None then
             match eval_int term with
             | Some v when v <> meta_of_packet last m ->
               err :=

@@ -1,10 +1,10 @@
 (** Relational queries over a fabric: reach, isolate, temporal, and
     fabric crash freedom.
 
-    Every query is the verifier's Step 2 over the fabric's node graph:
-    {!Relation.expand} is a {!Vdp_verif.Verifier.property} expand step
-    whose node is a (pipe, node, crossings) hop, and each query's
-    depth-1 stage is a [check] on it, run by the verifier's own drivers
+    Every query is the verifier's Step 2 over the fabric's node graph
+    ({!Relation.graph}): {!Relation.expand} is the one hop step with
+    the filter all queries share, and each query's depth-1 stage is a
+    [check] on every plausible path end, run by the verifier's drivers
     — one incremental solver context down the DFS at [jobs = 1], the
     work-stealing {!Vdp_verif.Pool} at [jobs > 1]. Fabric checks share the
     pipeline properties' query cache, word-level preprocessing,

@@ -1,15 +1,15 @@
 (** Per-pipeline transfer relations, composed across the fabric.
 
-    The verifier's Step-2 traversal composes element summaries along
-    the paths of a property's node graph. This module supplies the
-    fabric's node graph: {!expand} is a {!Vdp_verif.Verifier.property}
-    expand step whose node is a (pipe, node, crossings) hop, so a link
-    crossing is one more [Descend] and the verifier's sequential and
-    parallel drivers walk fabric paths exactly as they walk pipeline
-    paths. Composite states carry position tags ["p<pipe>n<node>"]
-    ({!Fabric.tag}), so all of Compose — headroom accounting,
-    static-slice deps, the kv event trace, instruction intervals, the
-    node trail — works unchanged over the composed fabric.
+    The verifier's Step 2 walks a node graph with one hop step
+    ({!Vdp_verif.Verifier.step}). This module supplies the fabric's
+    graph ({!graph}): a node is a (pipe, node, crossings) hop and a link
+    crossing is one more descent, so the verifier's drivers walk fabric
+    paths exactly as they walk pipeline paths; {!expand} is the step
+    with every fabric query's filter. Composite states carry position
+    tags ["p<pipe>n<node>"] ({!Fabric.tag}), so all of Compose —
+    headroom accounting, static-slice deps, the kv event trace,
+    instruction intervals, the node trail — works unchanged over the
+    composed fabric.
 
     Two things are new relative to single-pipeline Step 2:
 
@@ -42,6 +42,7 @@ module Element = Vdp_click.Element
 module Compose = Vdp_verif.Compose
 module Summaries = Vdp_verif.Summaries
 module Staleness = Vdp_verif.Staleness
+module V = Vdp_verif.Verifier
 
 type t = {
   fab : Fabric.t;
@@ -88,14 +89,6 @@ type fpath = { fp_end : fend; fp_st : Compose.t }
 (** The (pipe, node) hops a path's state went through, in order. *)
 let trail (fp : fpath) =
   List.rev (List.filter_map Fabric.parse_tag fp.fp_st.Compose.trail)
-
-let set_port st port =
-  {
-    st with
-    Compose.meta =
-      (Ir.Port, T.bv_int ~width:8 port)
-      :: List.remove_assoc Ir.Port st.Compose.meta;
-  }
 
 (* {2 Disjunctive sibling merging, once per summary}
 
@@ -212,57 +205,44 @@ let merged rel ~pipe ~node =
 (** A fabric hop: (pipe, node, link crossings so far). *)
 type node = int * int * int
 
-(** The fabric's Step-2 expand step: apply every segment of the hop's
-    merged summary ({!merged}) and yield, in segment order, a [Check]
-    per completed path — payload its {!fend} — and a [Descend] per
-    continuing successor, into the next node of the pipeline or, across
-    a link, into the linked pipeline's entry. Successors the interval
-    filter refutes are dropped before they are built
-    ({!Compose.guard}), and a link beyond {!Fabric.max_crossings} is not
-    followed. *)
-let expand rel ((pi, node, crossings) : node) (st : Compose.t) yield =
-  let p = rel.fab.Fabric.pipes.(pi) in
-  let nodes = Pipeline.nodes p.Fabric.p_pl in
-  let site =
-    Compose.site
-      ~deps:rel.summaries.(pi).(node).Summaries.result.Engine.static_deps st
-      ~tag:(Fabric.tag ~pipe:pi ~node)
-  in
-  let finished fe st' = yield (Vdp_verif.Verifier.Check (fe, st')) in
-  (* The runtime rewrites the port annotation on every edge; track it
-     so elements branching on the input port (the NAT gateway) compose
-     exactly. *)
-  let goto hop dport st' =
-    yield (Vdp_verif.Verifier.Descend (hop, set_port st' dport))
-  in
-  List.iter
-    (fun (seg : Engine.segment) ->
-      let g = Compose.guard site seg in
-      if Compose.plausible g then
-        let st' = Compose.finish g in
-        if st'.Compose.headroom_short then
-          finished (E_crash (pi, node, Engine.C_headroom)) st'
-        else
-          match seg.Engine.outcome with
-          | Engine.O_crash c -> finished (E_crash (pi, node, c)) st'
-          | Engine.O_drop -> finished (E_drop (pi, node)) st'
-          | Engine.O_emit port -> (
-            match nodes.(node).Pipeline.outputs.(port) with
-            | Some (dst, dport) -> goto (pi, dst, crossings) dport st'
-            | None -> (
-              match Pipeline.egress_index p.Fabric.p_pl ~node ~port with
-              | None -> ()  (* unreachable: unwired => egress *)
-              | Some e -> (
-                match Hashtbl.find_opt rel.fab.Fabric.links (pi, e) with
-                | Some (dpi, dport) ->
-                  if crossings < Fabric.max_crossings then
-                    goto
-                      ( dpi,
-                        Pipeline.entry rel.fab.Fabric.pipes.(dpi).Fabric.p_pl,
-                        crossings + 1 )
-                      dport st'
-                | None -> finished (E_egress (pi, e)) st'))))
-    (merged rel ~pipe:pi ~node)
+(** The fabric's node graph: a hop's segments are its merged summary
+    ({!merged}), and a linked egress goes into the linked pipeline's
+    entry, up to {!Fabric.max_crossings} crossings. *)
+let graph rel : (node, int * int) V.graph =
+  let pipeline pi = rel.fab.Fabric.pipes.(pi).Fabric.p_pl in
+  {
+    V.segments = (fun (pi, node, _) -> merged rel ~pipe:pi ~node);
+    deps =
+      (fun (pi, node, _) ->
+        rel.summaries.(pi).(node).Summaries.result.Engine.static_deps);
+    tag = (fun (pi, node, _) -> Fabric.tag ~pipe:pi ~node);
+    route =
+      (fun (pi, node, crossings) port ->
+        let pl = pipeline pi in
+        match (Pipeline.node pl node).Pipeline.outputs.(port) with
+        | Some (dst, dport) -> V.Goes ((pi, dst, crossings), dport)
+        | None -> (
+          (* Every unwired output is an egress. *)
+          let e = Option.get (Pipeline.egress_index pl ~node ~port) in
+          match Hashtbl.find_opt rel.fab.Fabric.links (pi, e) with
+          | None -> V.Ends (V.Egress (pi, e))
+          | Some (dpi, dport) ->
+            let hop = (dpi, Pipeline.entry (pipeline dpi), crossings + 1) in
+            if crossings < Fabric.max_crossings then V.Goes (hop, dport)
+            else V.Cut));
+  }
+
+(** A fabric path's end at hop [(pi, node, _)]. *)
+let fend (pi, node, _) = function
+  | V.Egress (p, e) -> E_egress (p, e)
+  | V.Drop -> E_drop (pi, node)
+  | V.Crash c -> E_crash (pi, node, c)
+
+(** The fabric's Step-2 expand step ({!Vdp_verif.Verifier.step}): a
+    [Check] per plausible completed path, its payload the path's
+    {!fend}, and a [Descend] per plausible successor. *)
+let expand rel =
+  V.plausible_step (graph rel) (fun hop stop _ -> Some (fend hop stop))
 
 (** Where a traversal from [ingress = (pipe, in_port)] starts: the
     pipe's entry hop and the boot-time composite state, its port

@@ -540,10 +540,31 @@ let fabric_differential =
       && crash 1 = crash 4
       && paths () = Pool.with_pool 4 (fun pool -> paths ~pool ()))
 
+(* The reach differential on a pipeline whose violations need the port
+   rewrite on the edge into its second NAT gateway. *)
+let two_nat_reach =
+  Alcotest.test_case "two NATs: -j 4 reach matches sequential" `Quick
+    (fun () ->
+      let pl =
+        Click.Config.parse_file
+          (List.find Sys.file_exists [ "two_nat.click"; "test/two_nat.click" ])
+      in
+      let bad = function V.End_egress 3 -> true | _ -> false in
+      let run jobs =
+        Summaries.clear ();
+        V.check_reachability ~config:(config ~jobs) ~bad pl
+      in
+      let seq = run 1 and par = run 4 in
+      check_bool "violated" true (verdict_kind seq = `Violated);
+      check_bool "same violations" true
+        (violation_sig seq = violation_sig par);
+      check_int "same suspect checks" seq.V.stats.V.suspect_checks
+        par.V.stats.V.suspect_checks)
+
 let tests =
   pool_tests @ interning_tests @ summaries_tests
   @ List.map QCheck_alcotest.to_alcotest
       [ crash_differential; bound_differential; reach_differential ]
   @ fixed_differential_tests
   @ [ QCheck_alcotest.to_alcotest fabric_differential ]
-  @ certified_parallel_tests
+  @ certified_parallel_tests @ [ two_nat_reach ]

@@ -103,6 +103,18 @@ let differential_tests =
         check_int "same packets" seq.W.f_packets par.W.f_packets;
         check_int "same hops" seq.W.f_hops par.W.f_hops;
         check_int "same approx hops" seq.W.f_approx par.W.f_approx);
+    Alcotest.test_case "two NATs: the walk enters b on port 1" `Slow
+      (fun () ->
+        (* b branches on its input port; the composite state must carry
+           the port the a[0] -> [1]b edge sets. *)
+        Summaries.clear ();
+        let pl =
+          Click.Config.parse_file
+            (List.find Sys.file_exists [ "two_nat.click"; "test/two_nat.click" ])
+        in
+        let r = W.differential ~seed:7 ~count:500 pl in
+        assert_clean r;
+        check_int "packets run" 500 r.W.f_packets);
   ]
 
 let replay_tests =

@@ -20,6 +20,11 @@ module Summaries = Vdp_verif.Summaries
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* A config under [test/], from the test directory or the root. *)
+let test_pipeline name =
+  Click.Config.parse_file
+    (List.find Sys.file_exists [ name; "test/" ^ name ])
+
 let router_config =
   {|
   cl :: Classifier(12/0800, -);
@@ -266,6 +271,33 @@ let tests_unit =
         in
         let r2 = V.check_reachability ~config:fast_config ~bad dpl in
         check_bool "discard pipeline drops" true (violations r2 <> []));
+    Alcotest.test_case "reachability follows the port rewrite on edges"
+      `Quick (fun () ->
+        (* b is fed on input port 1, where the NAT gateway translates
+           inbound traffic back; b[1] is reachable once b's reverse map
+           holds the flow, which replay preloads from the model. *)
+        Summaries.clear ();
+        let pl = test_pipeline "two_nat.click" in
+        let b =
+          Option.get
+            (Array.find_index
+               (fun (n : Click.Pipeline.node) ->
+                 n.Click.Pipeline.element.Click.Element.name = "b")
+               (Click.Pipeline.nodes pl))
+        in
+        check_bool "egress 3 is b[1]" true
+          (Click.Pipeline.egress_index pl ~node:b ~port:1 = Some 3);
+        let r =
+          V.check_reachability ~config:fast_config
+            ~bad:(function V.End_egress 3 -> true | _ -> false)
+            pl
+        in
+        let vs = violations r in
+        check_int "violations" 22 (List.length vs);
+        List.iter
+          (fun (v : V.violation) ->
+            check_bool "reproduced on the runtime" true v.V.confirmed)
+          vs);
     Alcotest.test_case "monolithic baseline completes on tiny pipeline"
       `Quick (fun () ->
         let pl = Click.El_toy.fig2_pipeline () in
@@ -359,18 +391,19 @@ let encap name =
   Click.Registry.make ~name ~cls:"EtherEncap"
     ~config:[ "2048"; "02:00:00:00:00:01"; "02:00:00:00:00:02" ]
 
+(* 5 x push 14 = 70 > 64: the fifth encap dips. *)
+let five_encaps () =
+  Click.Pipeline.linear
+    (List.init 5 (fun i -> encap (Printf.sprintf "e%d" i)))
+
 let headroom_tests =
   [
     Alcotest.test_case "stacked encapsulations exhaust headroom" `Quick
       (fun () ->
         Summaries.clear ();
-        (* 5 x push 14 = 70 > 64: the fifth encap dips. Replay must
-           reproduce the Headroom_exhausted crash on the runtime. *)
-        let pl =
-          Click.Pipeline.linear (List.init 5 (fun i ->
-              encap (Printf.sprintf "e%d" i)))
-        in
-        let r = V.check_crash_freedom ~config:fast_config pl in
+        (* Replay must reproduce the Headroom_exhausted crash on the
+           runtime. *)
+        let r = V.check_crash_freedom ~config:fast_config (five_encaps ()) in
         (match violations r with
         | [] -> Alcotest.fail "expected a headroom violation"
         | vs ->
@@ -388,6 +421,34 @@ let headroom_tests =
         in
         check_bool "4 encaps proved" true
           (proved (V.check_crash_freedom ~config:fast_config pl4)));
+    Alcotest.test_case "reachability sees the headroom crash" `Quick
+      (fun () ->
+        (* The fifth encap's dip ends the path in a crash on every walk,
+           not only on crash freedom's. *)
+        Summaries.clear ();
+        let r =
+          V.check_reachability ~config:fast_config
+            ~bad:(function V.End_crash _ -> true | _ -> false)
+            (five_encaps ())
+        in
+        match violations r with
+        | [ v ] ->
+          check_bool "headroom crash" true
+            (v.V.outcome = E.O_crash E.C_headroom);
+          check_bool "reproduced on the runtime" true v.V.confirmed
+        | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
+    Alcotest.test_case "bound on a headroom-dipping path is inexact" `Quick
+      (fun () ->
+        (* The runtime crashes partway through the dipping segment, so
+           the path claims only an interval reaching back to the state
+           before it, and the bound is not exact. *)
+        Summaries.clear ();
+        let r = V.instruction_bound ~config:fast_config (five_encaps ()) in
+        check_bool "up to the dipping segment's end" true (r.V.bound = Some 25);
+        check_bool "inexact" false r.V.exact;
+        match r.V.b_replayed with
+        | Some w -> check_bool "witness confirmed" true (W.confirmed w)
+        | None -> Alcotest.fail "expected a bound witness");
     Alcotest.test_case "strip/encap alternation replenishes the budget"
       `Quick (fun () ->
         Summaries.clear ();
