@@ -15,6 +15,7 @@ bench:
 
 ci: build
 	dune runtest
+	dune exec test/test_main.exe -- list --color=never | grep -Eq '^parallel +18 +fabric queries'
 	QCHECK_SEED=2 dune exec test/test_main.exe -- test parallel 18
 	dune exec bin/vdpverify.exe -- crash examples/router.click
 	dune exec bin/vdpverify.exe -- crash test/malformed.click; test $$? -eq 1

@@ -459,73 +459,43 @@ let topo_config max_len ~certify =
     Q.certify = certify;
   }
 
-(* 0 = as expected; 2 = property fails / undecided; 3 = untrusted
+(* Print one verdict line with its flows and certificates; an
+   unconfirmed flow also prints why, and its replay's notes. Returns
+   0 = as expected; 2 = property fails / undecided; 3 = untrusted
    result (a breach flow that did not replay-confirm, or a verdict
    whose requested certificates did not all check). *)
-let topo_code (r : Q.report) =
-  match r.Q.verdict with
-  | Q.Holds _ -> if Q.cert_complete r.Q.cert then 0 else 3
-  | Q.Fails _ -> if Q.all_confirmed r then 2 else 3
-  | Q.Unknown _ -> 2
-
-let print_topo_report (r : Q.report) =
+let report_verdict label verdict detail cert =
   let module P = Vdp_packet.Packet in
-  Format.printf "%-28s %s  [depth %d, %d paths, %d checks, %.2fs]@."
-    (Q.prop_to_string r.Q.prop ^ ":")
-    (Q.verdict_to_string r.Q.verdict)
-    r.Q.depth r.Q.paths r.Q.checks r.Q.time;
+  let module W = Vdp_verif.Witness in
+  Format.printf "%-28s %s  [%s]@." label (Q.verdict_to_string verdict) detail;
   let flows =
-    match r.Q.verdict with
+    match verdict with
     | Q.Fails (flows, _) -> flows
     | Q.Holds (Some f) -> [ f ]
-    | _ -> []
+    | Q.Holds None | Q.Unknown _ -> []
   in
   List.iter
     (fun (f : Q.flow) ->
+      let w = f.Q.w_replay in
       Format.printf "    %s%s: %d-byte packet -> %s%s@."
         (match f.Q.w_prime with
         | Some (n, p) ->
           Printf.sprintf "[primed via %s, %d bytes] " n (P.length p)
         | None -> "")
-        f.Q.w_ingress (P.length f.Q.w_packet) f.Q.w_end
-        (if f.Q.w_confirmed then " (replay confirmed)"
-         else
-           Printf.sprintf " (UNCONFIRMED%s)"
-             (match f.Q.w_note with Some n -> ": " ^ n | None -> "")))
+        f.Q.w_ingress (P.length w.W.packet) f.Q.w_end
+        (match w.W.status with
+        | W.Confirmed -> " (replay confirmed)"
+        | W.Unconfirmed why -> Printf.sprintf " (UNCONFIRMED: %s)" why);
+      if not f.Q.w_confirmed then
+        List.iter (Format.printf "      note: %s@.") w.W.notes)
     flows;
-  match r.Q.cert with
-  | Some c ->
-    Format.printf "    certificates: %d/%d checked (%d failed)@."
-      c.C.certified c.C.attempted c.C.failed
-  | None -> ()
-
-let print_crash_report (c : Q.crash_report) =
-  let module P = Vdp_packet.Packet in
-  Format.printf "%-28s %s  [%d paths, <= %d instrs/packet]@."
-    "fabric crash-freedom:"
-    (Q.verdict_to_string c.Q.c_verdict)
-    c.Q.c_paths c.Q.c_max_instrs;
-  (match c.Q.c_verdict with
-  | Q.Fails (flows, _) ->
-    List.iter
-      (fun (f : Q.flow) ->
-        Format.printf "    %s: %d-byte packet -> %s%s@." f.Q.w_ingress
-          (P.length f.Q.w_packet) f.Q.w_end
-          (if f.Q.w_confirmed then " (replay confirmed)"
-           else
-             Printf.sprintf " (UNCONFIRMED%s)"
-               (match f.Q.w_note with Some n -> ": " ^ n | None -> "")))
-      flows
-  | _ -> ());
-  match c.Q.c_cert with
-  | Some s ->
-    Format.printf "    certificates: %d/%d checked (%d failed)@."
-      s.C.certified s.C.attempted s.C.failed
-  | None -> ()
-
-let crash_code (c : Q.crash_report) =
-  match c.Q.c_verdict with
-  | Q.Holds _ -> if Q.cert_complete c.Q.c_cert then 0 else 3
+  Option.iter
+    (fun c ->
+      Format.printf "    certificates: %d/%d checked (%d failed)@."
+        c.C.certified c.C.attempted c.C.failed)
+    cert;
+  match verdict with
+  | Q.Holds _ -> if Q.cert_complete cert then 0 else 3
   | Q.Fails (flows, _) ->
     if List.for_all (fun f -> f.Q.w_confirmed) flows then 2 else 3
   | Q.Unknown _ -> 2
@@ -566,14 +536,22 @@ let run_topo ?(crash = false) config_path max_len certify ingress egress
           List.fold_left
             (fun code p ->
               let r = Q.run ~config rel p in
-              print_topo_report r;
-              max code (topo_code r))
+              max code
+                (report_verdict
+                   (Q.prop_to_string r.Q.prop ^ ":")
+                   r.Q.verdict
+                   (Printf.sprintf "depth %d, %d paths, %d checks, %.2fs"
+                      r.Q.depth r.Q.paths r.Q.checks r.Q.time)
+                   r.Q.cert))
             0 props
         in
         if crash then begin
           let c = Q.verify_crash ~config rel in
-          print_crash_report c;
-          max code (crash_code c)
+          max code
+            (report_verdict "fabric crash-freedom:" c.Q.c_verdict
+               (Printf.sprintf "%d paths, <= %d instrs/packet" c.Q.c_paths
+                  c.Q.c_max_instrs)
+               c.Q.c_cert)
         end
         else code
       with Vdp_topo.Fabric.Bad_fabric m ->

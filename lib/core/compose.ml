@@ -273,21 +273,23 @@ let apply ?deps ?port st ~tag seg =
   match port with Some port -> enter port g | None -> finish g
 
 (** Build a concrete input packet from a solver model of the composite
-    constraint. Bytes the model leaves free default to zero. *)
-let witness_packet (m : Vdp_smt.Model.t) ~max_len =
+    constraint, reading its variables behind [prefix]. Bytes the model
+    leaves free default to zero. *)
+let witness_packet ?(prefix = "") (m : Vdp_smt.Model.t) ~max_len =
+  let value name = Vdp_smt.Model.bv_opt m (prefix ^ name) in
   let len =
-    match Vdp_smt.Model.bv_opt m S.len_var with
+    match value S.len_var with
     | Some v -> min (B.to_int_trunc v) max_len
     | None -> 0
   in
   let data =
     String.init len (fun j ->
-        match Vdp_smt.Model.bv_opt m (S.byte_var j) with
+        match value (S.byte_var j) with
         | Some v -> Char.chr (B.to_int_trunc v land 0xff)
         | None -> '\000')
   in
   let pkt = Vdp_packet.Packet.create data in
-  (match Vdp_smt.Model.bv_opt m (S.meta_var Ir.Port) with
+  (match value (S.meta_var Ir.Port) with
   | Some v -> pkt.Vdp_packet.Packet.port <- B.to_int_trunc v
   | None -> ());
   pkt

@@ -32,7 +32,7 @@ let pp_violation fmt (v : Verifier.violation) =
   | state ->
     Format.fprintf fmt "initial state loaded for the replay:@,";
     List.iter
-      (fun (node, store, kvs) ->
+      (fun ((_, node), store, kvs) ->
         List.iter
           (fun (k, value) ->
             Format.fprintf fmt "  node %d %s[%s] = %s@," node store

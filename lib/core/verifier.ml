@@ -58,7 +58,7 @@ module Ir = Vdp_ir.Types
 module Click = struct
   module Pipeline = Vdp_click.Pipeline
   module Element = Vdp_click.Element
-  module Runtime = Vdp_click.Runtime
+  module Wired = Vdp_click.Wired
 end
 
 type config = {
@@ -249,16 +249,22 @@ let any_incomplete summaries =
     (fun (e : Summaries.entry) -> e.Summaries.result.Engine.incomplete > 0)
     summaries
 
-(* Replay one Sat model: derive the initial private state it assumes,
-   load it, and run the witness packet on the concrete runtime. *)
-let replay_model cfg pl (stats : stats) ~model ~st ~expect =
-  let r =
-    Witness.replay pl ~max_len:cfg.engine.Engine.max_len ~model ~st ~expect
-  in
+(* Replay one Sat model ({!Witness.replay}) and count it. *)
+let replay (stats : stats) ?boot w ~model ?prime leg =
+  let r = Witness.replay ?boot w ~model ?prime leg in
   stats.replays <- stats.replays + 1;
   if Witness.confirmed r then
     stats.replays_confirmed <- stats.replays_confirmed + 1;
   r
+
+(* A pipeline witness: the model's packet, entering on the model's port,
+   after the private state the path assumes is loaded. *)
+let replay_model cfg pl stats ~model ~st ~expect =
+  let packet =
+    Compose.witness_packet model ~max_len:cfg.engine.Engine.max_len
+  in
+  replay stats (Click.Wired.of_pipeline pl) ~model
+    { Witness.at = (0, packet.Vdp_packet.Packet.port); packet; st; expect }
 
 let trace_reads_kv (st : Compose.t) =
   List.exists
@@ -589,9 +595,9 @@ let path_end node = function
   | Crash _ -> End_crash node
 
 let expect_of_end = function
-  | End_egress e -> Witness.Egress_at e
-  | End_drop n -> Witness.Drop_at n
-  | End_crash n -> Witness.Crash_at n
+  | End_egress e -> Witness.Egress_at (0, e)
+  | End_drop n -> Witness.Drop_at (0, n)
+  | End_crash n -> Witness.Crash_at (0, n)
 
 (* A suspect end's payload is (node, stop, the segment ending there).
    The violation reports the crash of a crash end, headroom dips
@@ -734,42 +740,71 @@ let check_crash_freedom ?(config = default_config) (pl : Click.Pipeline.t) :
   stats.step2_time <- now () -. t0;
   violation_report summaries stats cert result
 
-(* {1 Incremental (delta) re-verification}
+(* {1 Sessions: memoized verdicts under config churn}
 
-   A [session] memoizes the last crash-freedom report for one pipeline
-   and re-validates it by probing the Step-1 summary cache: the report
-   is a deterministic function of the element summaries (plus config),
-   so if every summary entry comes back {e physically} unchanged — i.e.
-   no static-store mutation invalidated any of them since the last run
-   — the previous [Proved] verdict still holds and is returned without
-   re-composing or re-solving anything. A mutation that does invalidate
-   a summary makes the probe recompute exactly that element; the
-   mismatch then triggers a full (but cache-warm) re-verification.
-   Non-[Proved] reports are never reused: a violation's witness is
-   replayed against {e current} store contents, so its confirmation
-   status must be recomputed. *)
+   A session memoizes one report per property, for pipelines and
+   fabrics alike, and reuses it only while every summary of every pipe
+   its checks can read is {e physically} unchanged
+   ({!Summaries.unchanged}): no static-store mutation invalidated a
+   slice any of them baked in. A report that replayed a model also
+   rests on contents no summary records (a read at a symbolic key, as
+   a radix FIB makes, stays adversarial in the summary), so it is
+   reused only while every store those pipes declare is still at the
+   {!Vdp_ir.Static_data} generation it had when the report was made. *)
+
+type probe = (Click.Pipeline.t * Summaries.entry array) array
+
+type ('k, 'r) memo = ('k, (probe -> bool) * 'r) Hashtbl.t
+
+let generations pl =
+  Array.to_list (Click.Pipeline.nodes pl)
+  |> List.concat_map (fun (n : Click.Pipeline.node) ->
+         List.map
+           (fun (d : Ir.store_decl) ->
+             (d.Ir.init, Vdp_ir.Static_data.generation d.Ir.init))
+           n.Click.Pipeline.element.Click.Element.program.Ir.stores)
+
+(** [memoized m key ~probe run]: [key]'s memoized report while it is
+    current, else [run ()]'s, memoized; [true] when reused. [probe ()]
+    gives every pipe's pipeline and current summaries; [run] returns
+    the report, the pipes its checks can read and whether it replayed
+    a model. *)
+let memoized m key ~probe run =
+  match Hashtbl.find_opt m key with
+  | Some (current, r) when current (probe ()) -> (r, true)
+  | _ ->
+    let r, pipes, replayed = run () in
+    let made = probe () in
+    let gens =
+      if not replayed then []
+      else List.concat_map (fun pi -> generations (fst made.(pi))) pipes
+    in
+    let current (now : probe) =
+      List.for_all
+        (fun pi -> Summaries.unchanged (snd made.(pi)) (snd now.(pi)))
+        pipes
+      && List.for_all (fun (d, g) -> Vdp_ir.Static_data.generation d = g) gens
+    in
+    Hashtbl.replace m key (current, r);
+    (r, false)
 
 type session = {
   s_pl : Click.Pipeline.t;
   s_config : config;
-  mutable s_prev : (Summaries.entry array * report) option;
+  s_memo : (unit, report) memo;
 }
 
 let session ?(config = default_config) pl =
   Staleness.install ();
-  { s_pl = pl; s_config = config; s_prev = None }
+  { s_pl = pl; s_config = config; s_memo = Hashtbl.create 1 }
 
 let verify_crash (s : session) : report * bool =
-  let probe () = Summaries.of_pipeline ~config:s.s_config.engine s.s_pl in
-  match s.s_prev with
-  | Some (prev, r)
-    when (match r.verdict with Proved -> true | _ -> false)
-         && Summaries.unchanged prev (probe ()) ->
-    (r, true)
-  | _ ->
-    let r = check_crash_freedom ~config:s.s_config s.s_pl in
-    s.s_prev <- Some (probe (), r);
-    (r, false)
+  memoized s.s_memo ()
+    ~probe:(fun () ->
+      [| (s.s_pl, Summaries.of_pipeline ~config:s.s_config.engine s.s_pl) |])
+    (fun () ->
+      let r = check_crash_freedom ~config:s.s_config s.s_pl in
+      (r, [ 0 ], r.stats.replays > 0))
 
 (* {1 Bounded execution} *)
 
@@ -865,7 +900,7 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
             (Witness.Instrs_between (st.Compose.instr_lo, st.Compose.instr_hi))
       in
       ( Some r.Witness.packet,
-        Some r.Witness.run.Click.Runtime.total_instrs,
+        Some r.Witness.run.Click.Wired.total_instrs,
         Some r )
   in
   stats.step2_time <- now () -. t0;

@@ -7,12 +7,12 @@
 
     - {b Replay} ({!replay}): turn the model into a concrete input
       packet {e plus the initial private store state the path depends
-      on}, run it on the real pipeline, and check that the claimed
-      violation actually happens there — same crash site, same drop
-      node, same egress, or an instruction count inside the claimed
-      interval. A violation whose witness survives this is [Confirmed];
-      otherwise the verdict carries the first hop where the concrete
-      path diverged from the predicted one.
+      on}, run it on wired pipelines ({!Vdp_click.Wired}), and check
+      that the claimed violation actually happens there — same crash
+      site, same drop node, same egress, or an instruction count inside
+      the claimed interval. A violation whose witness survives this is
+      [Confirmed]; otherwise the verdict carries the first hop where the
+      concrete path diverged from the predicted one.
 
     - {b Differential} ({!check_packet}): drive an arbitrary concrete
       packet through the runtime and, in lockstep, through the Step-1
@@ -44,14 +44,17 @@ module Click = struct
   module Pipeline = Vdp_click.Pipeline
   module Element = Vdp_click.Element
   module Runtime = Vdp_click.Runtime
+  module Wired = Vdp_click.Wired
 end
 
 (* {1 Concretizing a Step-2 model} *)
 
-let node_of_tag tag =
-  if String.length tag > 1 && tag.[0] = 'n' then
-    int_of_string_opt (String.sub tag 1 (String.length tag - 1))
-  else None
+(* A composite position tag as (pipe, node): ["n<node>"] in a pipeline,
+   the one-pipe case, and ["p<pipe>n<node>"] on a fabric. *)
+let pos_of_tag tag =
+  match Scanf.sscanf_opt tag "n%u%!" (fun n -> (0, n)) with
+  | Some _ as pos -> pos
+  | None -> Scanf.sscanf_opt tag "p%un%u%!" (fun p n -> (p, n))
 
 let store_decl pl node name =
   let prog =
@@ -60,23 +63,24 @@ let store_decl pl node name =
   List.find_opt (fun (d : Ir.store_decl) -> d.Ir.store_name = name)
     prog.Ir.stores
 
-(** Initial private-store contents: [(node, store, [(key, value); ...])]. *)
-type state_init = (int * string * (B.t * B.t) list) list
+(** The declaration of [store] at the position [tag] names in [w]. *)
+let decl_at (w : Click.Wired.t) tag store =
+  Option.bind (pos_of_tag tag) (fun (pipe, node) ->
+      store_decl (snd w.Click.Wired.pipes.(pipe)) node store)
+
+(** Initial private-store contents:
+    [((pipe, node), store, [(key, value); ...])]. *)
+type state_init = ((int * int) * string * (B.t * B.t) list) list
 
 (** Walk the composite kv trace oldest-first under the model. The first
-    read of a (node, store, key) that no earlier write covers pins that
-    key's {e initial} value — exactly the state the violation needs to
-    be reachable. Later reads and writes only evolve the simulated
+    read of a (position, store, key) that no earlier write covers pins
+    that key's {e initial} value — exactly the state the violation needs
+    to be reachable. Later reads and writes only evolve the simulated
     contents. Only private stores can be preloaded; a model that
     assumes static contents other than the declared ones is noted. *)
-let state_of_model pl (model : Model.t) (st : Compose.t) :
+let state_of_model (w : Click.Wired.t) (model : Model.t) (st : Compose.t) :
     state_init * string list =
-  let init : (int * string, (B.t, B.t) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let current : (int * string, (B.t, B.t) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  let init = Hashtbl.create 8 and current = Hashtbl.create 8 in
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   let tbl_of cache key =
@@ -89,31 +93,32 @@ let state_of_model pl (model : Model.t) (st : Compose.t) :
   in
   List.iter
     (fun (tag, ev) ->
-      match node_of_tag tag with
+      match pos_of_tag tag with
       | None -> ()
-      | Some node -> (
+      | Some ((pipe, node) as pos) -> (
+        let site = Click.Wired.site w ~pipe node in
         match ev with
         | S.Kv_write { store; key; value; cond } ->
           if Eval.eval_bool model cond then
             Hashtbl.replace
-              (tbl_of current (node, store))
+              (tbl_of current (pos, store))
               (Eval.eval_bv model key) (Eval.eval_bv model value)
         | S.Kv_read { store; key; value; cond } ->
           if Eval.eval_bool model cond then begin
             let k = Eval.eval_bv model key in
             let v = Eval.eval_bv model value in
-            let cur = tbl_of current (node, store) in
+            let cur = tbl_of current (pos, store) in
             match Hashtbl.find_opt cur k with
             | Some v' ->
               if not (B.equal v v') then
-                note "model reads %s from node %d %s[%s] already holding %s"
-                  (B.to_string_hex v) node store (B.to_string_hex k)
+                note "model reads %s from %s %s[%s] already holding %s"
+                  (B.to_string_hex v) site store (B.to_string_hex k)
                   (B.to_string_hex v')
             | None -> (
               Hashtbl.replace cur k v;
-              match store_decl pl node store with
+              match decl_at w tag store with
               | Some d when d.Ir.kind = Ir.Private ->
-                Hashtbl.replace (tbl_of init (node, store)) k v
+                Hashtbl.replace (tbl_of init (pos, store)) k v
               | Some d ->
                 let actual =
                   match Vdp_ir.Static_data.find d.Ir.init k with
@@ -121,32 +126,42 @@ let state_of_model pl (model : Model.t) (st : Compose.t) :
                   | None -> d.Ir.default
                 in
                 if not (B.equal actual v) then
-                  note "model assumes static %s[%s] = %s at node %d, \
-                        actual contents are %s"
-                    store (B.to_string_hex k) (B.to_string_hex v) node
+                  note "model assumes static %s[%s] = %s at %s, actual \
+                        contents are %s"
+                    store (B.to_string_hex k) (B.to_string_hex v) site
                     (B.to_string_hex actual)
-              | None -> note "model reads undeclared store %s at node %d"
-                          store node)
+              | None -> note "model reads undeclared store %s at %s" store site)
           end))
     (List.rev st.Compose.kv_trace);
   let state =
     Hashtbl.fold
-      (fun (node, store) tbl acc ->
-        (node, store, Hashtbl.fold (fun k v l -> (k, v) :: l) tbl []) :: acc)
+      (fun (pos, store) tbl acc ->
+        (pos, store, Hashtbl.fold (fun k v l -> (k, v) :: l) tbl []) :: acc)
       init []
   in
   (state, List.rev !notes)
 
 let predicted_path (st : Compose.t) =
-  List.filter_map node_of_tag (List.rev st.Compose.trail)
+  List.filter_map pos_of_tag (List.rev st.Compose.trail)
 
 (* {1 Replaying a claimed violation} *)
 
+(** How a claimed path ends: positions are (pipe, node), egresses
+    (pipe, egress index). *)
 type expect =
-  | Crash_at of int
-  | Drop_at of int
-  | Egress_at of int
+  | Crash_at of int * int
+  | Drop_at of int * int
+  | Egress_at of int * int
   | Instrs_between of int * int
+
+(** One packet a replay pushes: where it enters the wired pipelines,
+    and the composite state and end of the path it claims. *)
+type leg = {
+  at : int * int;  (** (pipe, in-port) *)
+  packet : P.t;
+  st : Compose.t;
+  expect : expect;
+}
 
 type status = Confirmed | Unconfirmed of string
 
@@ -154,41 +169,33 @@ type t = {
   status : status;
   packet : P.t;         (** the concretized witness input *)
   state : state_init;   (** private store state loaded before the run *)
-  run : Click.Runtime.run;
-  predicted : int list; (** node path the composite state predicts *)
+  run : Click.Wired.run;
   notes : string list;
 }
 
-let expect_to_string = function
-  | Crash_at n -> Printf.sprintf "crash at node %d" n
-  | Drop_at n -> Printf.sprintf "drop at node %d" n
-  | Egress_at e -> Printf.sprintf "egress %d" e
+let expect_to_string w = function
+  | Crash_at (pipe, n) -> "crash at " ^ Click.Wired.site w ~pipe n
+  | Drop_at (pipe, n) -> "drop at " ^ Click.Wired.site w ~pipe n
+  | Egress_at (pipe, e) -> Click.Wired.egress_to_string w ~pipe e
   | Instrs_between (lo, hi) ->
     if lo = hi then Printf.sprintf "exactly %d instructions" hi
     else Printf.sprintf "%d..%d instructions" lo hi
 
-let final_to_string (run : Click.Runtime.run) =
-  let base =
-    match run.Click.Runtime.final with
-    | Click.Runtime.Egress e -> Printf.sprintf "egress %d" e
-    | Click.Runtime.Dropped_at n -> Printf.sprintf "drop at node %d" n
-    | Click.Runtime.Crashed_at (n, c) ->
-      Format.asprintf "crash at node %d (%a)" n Ir.pp_crash c
-    | Click.Runtime.Hop_budget_at n ->
-      Printf.sprintf "hop budget exceeded at node %d" n
-  in
-  Printf.sprintf "%s after %d instructions" base run.Click.Runtime.total_instrs
+let meets expect (r : Click.Wired.run) =
+  match (expect, r.Click.Wired.final) with
+  | Crash_at (p, n), Click.Runtime.Crashed_at (n', _)
+  | Drop_at (p, n), Click.Runtime.Dropped_at n'
+  | Egress_at (p, n), Click.Runtime.Egress n' ->
+    p = r.Click.Wired.pipe && n = n'
+  | Instrs_between (lo, hi), _ ->
+    lo <= r.Click.Wired.total_instrs && r.Click.Wired.total_instrs <= hi
+  | _ -> false
 
-(* First hop at which the concrete node path left the predicted one.
-   [predicted] pairs a pipeline label with each node; labels are [""]
-   for single-pipeline replay, where messages keep the classic
-   [node %d] form. Fabric replay passes per-pipeline labels and the
-   divergence point reads [pipeline:element:hop]. *)
-let divergence_steps predicted (steps : Click.Runtime.step list) =
-  let pdesc (label, node) =
-    if label = "" then Printf.sprintf "node %d" node
-    else Printf.sprintf "%s:node %d" label node
-  in
+(* First hop at which the concrete (pipe, node) path left the predicted
+   one. Hops read [node %d] in a standalone pipeline and
+   [pipeline:element:hop] on a fabric. *)
+let divergence w predicted (steps : Click.Runtime.step list) =
+  let pdesc (pipe, node) = Click.Wired.site w ~pipe node in
   let sdesc i (s : Click.Runtime.step) =
     if s.Click.Runtime.pipeline = "" then
       Printf.sprintf "node %d" s.Click.Runtime.node
@@ -205,10 +212,10 @@ let divergence_steps predicted (steps : Click.Runtime.step list) =
     | [], s :: _ ->
       Some (Printf.sprintf "diverged at hop %d: run continued to %s \
                             beyond the predicted path" i (sdesc i s))
-    | ((plab, pn) as p) :: ps', s :: ss' ->
+    | ((pipe, pn) as p) :: ps', s :: ss' ->
       if
         pn <> s.Click.Runtime.node
-        || (plab <> "" && plab <> s.Click.Runtime.pipeline)
+        || fst w.Click.Wired.pipes.(pipe) <> s.Click.Runtime.pipeline
       then
         Some (Printf.sprintf "diverged at hop %d: predicted %s, \
                               runtime took %s" i (pdesc p) (sdesc i s))
@@ -216,52 +223,51 @@ let divergence_steps predicted (steps : Click.Runtime.step list) =
   in
   go 0 predicted steps
 
-let divergence predicted (run : Click.Runtime.run) =
-  divergence_steps
-    (List.map (fun n -> ("", n)) predicted)
-    run.Click.Runtime.steps
-
-(** Replay a Step-2 model on the concrete runtime: build the witness
-    packet (unless the caller already did), derive and load the initial
-    private state the path depends on, push, and compare the concrete
-    end against the claim. *)
-let replay ?packet ?engine ~max_len pl ~(model : Model.t) ~(st : Compose.t)
-    ~expect =
-  let packet =
-    match packet with
-    | Some p -> p
-    | None -> Compose.witness_packet model ~max_len
-  in
-  let state, notes = state_of_model pl model st in
-  let inst = Click.Runtime.instantiate ?engine pl in
-  Click.Runtime.load_state inst state;
-  let run =
-    Click.Runtime.push ~in_port:packet.P.port inst (P.clone packet)
-  in
-  let predicted = predicted_path st in
-  let ok =
-    match (expect, run.Click.Runtime.final) with
-    | Crash_at n, Click.Runtime.Crashed_at (n', _) -> n = n'
-    | Drop_at n, Click.Runtime.Dropped_at n' -> n = n'
-    | Egress_at e, Click.Runtime.Egress e' -> e = e'
-    | Instrs_between (lo, hi), _ ->
-      let m = run.Click.Runtime.total_instrs in
-      lo <= m && m <= hi
-    | _ -> false
-  in
-  let status =
-    if ok then Confirmed
+(* Push one leg and say how it missed its claim, if it did. *)
+let push_leg w inst leg =
+  let pipe, in_port = leg.at in
+  let run = Click.Wired.push inst ~pipe ~in_port (P.clone leg.packet) in
+  let miss =
+    if meets leg.expect run then None
     else
       let base =
-        Printf.sprintf "claimed %s, runtime did %s" (expect_to_string expect)
-          (final_to_string run)
+        Printf.sprintf "claimed %s, runtime did %s after %d instructions"
+          (expect_to_string w leg.expect)
+          (Click.Wired.end_to_string w run)
+          run.Click.Wired.total_instrs
       in
-      Unconfirmed
-        (match divergence predicted run with
+      Some
+        (match divergence w (predicted_path leg.st) run.Click.Wired.steps with
         | Some d -> base ^ "; " ^ d
         | None -> base)
   in
-  { status; packet; state; run; predicted; notes }
+  (run, miss)
+
+(** Replay a Step-2 model on one fresh instance of [w]: push the [prime]
+    leg first, when there is one, then the witness leg; each must end
+    where its path claims. The initial private state the witness path
+    assumes is derived from the model and, unless the claim is about
+    runs from [boot] state, loaded first. *)
+let replay ?(boot = false) w ~(model : Model.t) ?prime leg =
+  let state, notes = state_of_model w model leg.st in
+  let state = if boot then [] else state in
+  let inst = Click.Wired.instantiate w in
+  List.iter
+    (fun ((pipe, node), store, kvs) ->
+      Click.Runtime.load_state inst.Click.Wired.insts.(pipe)
+        [ (node, store, kvs) ])
+    state;
+  let prime_miss =
+    Option.bind prime (fun p ->
+        Option.map (( ^ ) "priming packet: ") (snd (push_leg w inst p)))
+  in
+  let run, miss = push_leg w inst leg in
+  let status =
+    match (prime_miss, miss) with
+    | Some why, _ | None, Some why -> Unconfirmed why
+    | None, None -> Confirmed
+  in
+  { status; packet = leg.packet; state; run; notes }
 
 let confirmed r = r.status = Confirmed
 

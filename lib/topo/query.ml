@@ -16,10 +16,10 @@
     alone:
 
     - A satisfiable breach/reach answer must {e replay}: the model's
-      packet(s) are pushed through the actual wired runtimes
-      ({!Fabric.push}) from boot state and the flow is tagged confirmed
-      only if the concrete run ends where the symbolic path claimed,
-      as every pipeline witness is replayed too.
+      packet(s) are pushed through the wired fabric from boot state by
+      {!Vdp_verif.Witness.replay}, which replays every pipeline
+      witness too, and the flow is tagged confirmed only if the
+      concrete run ends where the symbolic path claimed.
     - An unsatisfiable answer can be certified through
       {!Vdp_cert.Certificate}, upgrading [Holds] to a checked proof.
 
@@ -60,10 +60,9 @@ let default_config = V.default_config
 type flow = {
   w_prime : (string * P.t) option;
   w_ingress : string;
-  w_packet : P.t;
   w_end : string;  (** where the concrete replay ended *)
   w_confirmed : bool;
-  w_note : string option;  (** divergence point when unconfirmed *)
+  w_replay : Witness.t;  (** the witness packet's replay, with its notes *)
 }
 
 type verdict =
@@ -182,67 +181,40 @@ let decide_scoped q env terms ~deps =
   Solver.pop ctx;
   r
 
-let ends_match (fe : Relation.fend) (ff : Fabric.ffinal) =
-  match (fe, ff) with
-  | Relation.E_egress (p, e), Fabric.F_egress (p', e') -> p = p' && e = e'
-  | Relation.E_drop (p, n), Fabric.F_drop (p', n') -> p = p' && n = n'
-  | Relation.E_crash (p, n, _), Fabric.F_crash (p', n', _) ->
-    p = p' && n = n'
-  | _ -> false
+let expect_of_end = function
+  | Relation.E_egress (p, e) -> Witness.Egress_at (p, e)
+  | Relation.E_drop (p, n) -> Witness.Drop_at (p, n)
+  | Relation.E_crash (p, n, _) -> Witness.Crash_at (p, n)
 
-let labeled_trail fab fp =
-  List.map
-    (fun (pi, n) -> ((Fabric.pipe fab pi).Fabric.p_name, n))
-    (Relation.trail fp)
-
-(* Replay a model on fresh wired runtimes from boot state: prime packet
-   first (when present), then the attack packet; both must end exactly
-   where their symbolic paths claim. Counted in [counters]. *)
-let replay_flow q (counters : V.stats) ~model ?prime ~attack ~ingress_name
-    ~ingress () =
-  let fab = q.rel.Relation.fab in
-  let max_len = q.cfg.engine.Engine.max_len in
-  let fi = Fabric.instantiate fab in
-  let note = ref None in
-  let push_and_check (fp : Relation.fpath) (ing : int * int) pkt =
-    let pipe, in_port = ing in
-    let fr = Fabric.push fi ~pipe ~in_port pkt in
-    let ok = ends_match fp.Relation.fp_end fr.Fabric.f_final in
-    if not ok && !note = None then begin
-      let d =
-        Witness.divergence_steps (labeled_trail fab fp) fr.Fabric.f_steps
-      in
-      note :=
-        Some
-          (Printf.sprintf "replay ended at %s%s"
-             (Fabric.ffinal_to_string fab fr.Fabric.f_final)
-             (match d with Some d -> "; " ^ d | None -> ""))
-    end;
-    (ok, fr)
+(* The flow of a feasible answer: its model replayed ({!Witness.replay})
+   from boot state on the wired fabric, the prime packet first when
+   there is one, then the attack packet. Counted in [counters]. *)
+let flow_of_model q counters ~model ?prime ~ingress_name ~ingress
+    (attack : Relation.fpath) =
+  let w = q.rel.Relation.fab.Fabric.wired in
+  let packet ~prefix =
+    Compose.witness_packet ~prefix model ~max_len:q.cfg.engine.Engine.max_len
   in
-  let prime_res =
-    match prime with
-    | None -> None
-    | Some (pr_ing_name, pr_ing, pr) ->
-      let pkt = Relation.prime_witness_packet model ~max_len in
-      let ok, _ = push_and_check pr pr_ing (P.clone pkt) in
-      Some (pr_ing_name, pkt, ok)
+  let leg at packet (fp : Relation.fpath) =
+    { Witness.at; packet; st = fp.Relation.fp_st;
+      expect = expect_of_end fp.Relation.fp_end }
   in
-  let pkt = Compose.witness_packet model ~max_len in
-  let ok, fr = push_and_check attack ingress (P.clone pkt) in
-  let confirmed =
-    ok && match prime_res with Some (_, _, pok) -> pok | None -> true
+  let prime =
+    Option.map
+      (fun (name, at, pr) ->
+        (name, leg at (packet ~prefix:Relation.prime_prefix) pr))
+      prime
   in
-  counters.V.replays <- counters.V.replays + 1;
-  if confirmed then
-    counters.V.replays_confirmed <- counters.V.replays_confirmed + 1;
+  let r =
+    V.replay counters ~boot:true w ~model ?prime:(Option.map snd prime)
+      (leg ingress (packet ~prefix:"") attack)
+  in
   {
-    w_prime = Option.map (fun (n, p, _) -> (n, p)) prime_res;
+    w_prime = Option.map (fun (n, (l : Witness.leg)) -> (n, l.packet)) prime;
     w_ingress = ingress_name;
-    w_packet = pkt;
-    w_end = Fabric.ffinal_to_string fab fr.Fabric.f_final;
-    w_confirmed = confirmed;
-    w_note = !note;
+    w_end = Vdp_click.Wired.end_to_string w r.Witness.run;
+    w_confirmed = Witness.confirmed r;
+    w_replay = r;
   }
 
 (* A depth-1 check: decide one path from boot state — its grounding
@@ -256,8 +228,7 @@ let decide_cold q env ~ingress_name ~ingress (fp : Relation.fpath) =
   with
   | Solver.Sat model ->
     Some
-      (replay_flow q env.V.counters ~model ~attack:fp ~ingress_name ~ingress
-         ())
+      (flow_of_model q env.V.counters ~model ~ingress_name ~ingress fp)
   | Solver.Unsat | Solver.Unknown -> None
 
 (* {1 The three queries} *)
@@ -348,8 +319,8 @@ let depth2 q ~a ~ingress ~attacks ~first =
             match decide_scoped q env terms ~deps with
             | Solver.Sat model ->
               let f =
-                replay_flow q q.stats ~model ~prime ~attack ~ingress_name:a
-                  ~ingress ()
+                flow_of_model q q.stats ~model ~prime ~ingress_name:a ~ingress
+                  attack
               in
               flows := f :: !flows;
               stop := first && f.w_confirmed
@@ -377,21 +348,39 @@ let run_isolate q a b =
      else or_unknown q (Holds None)),
     depth )
 
+(* [v] for a positive query that found no confirmed flow, unless some
+   check came back feasible: an unconfirmed flow leaves the answer
+   unknown, naming its replay. *)
+let unconfirmed q flows v =
+  match flows with
+  | [] -> or_unknown q v
+  | f :: _ ->
+    let why =
+      match f.w_replay.Witness.status with
+      | Witness.Unconfirmed why -> why
+      | Witness.Confirmed -> ""
+    in
+    Unknown
+      (String.concat "; "
+         (Printf.sprintf "%d feasible flow(s), none replay-confirmed: replay \
+                          from %s: %s"
+            (List.length flows) f.w_ingress why
+         :: f.w_replay.Witness.notes))
+
 (* Reachability: some packet from [a] reaches [b]; try cold first, then
    primed. The witness must replay-confirm to count. *)
 let run_reach q a b =
   let ingress, cold = cold_stage q a b ~first:true in
-  let found, depth =
-    match first_confirmed (List.filter_map snd cold) with
-    | None when cold <> [] ->
-      ( first_confirmed
-          (depth2 q ~a ~ingress ~attacks:(List.map fst cold) ~first:true),
+  let flows = List.filter_map snd cold in
+  let flows, depth =
+    if first_confirmed flows = None && cold <> [] then
+      ( flows @ depth2 q ~a ~ingress ~attacks:(List.map fst cold) ~first:true,
         2 )
-    | found -> (found, 1)
+    else (flows, 1)
   in
-  ( (match found with
+  ( (match first_confirmed flows with
     | Some f -> Holds (Some f)
-    | None -> or_unknown q (Fails ([], "no feasible path"))),
+    | None -> unconfirmed q flows (Fails ([], "no feasible path"))),
     depth )
 
 (* Temporal: [b] unreachable from [a] on a cold fabric, and reachable
@@ -402,14 +391,15 @@ let run_temporal q a b =
   | (_ :: _ as flows), _ -> (Fails (flows, "reachable from a cold fabric"), 1)
   | [], Some why -> (Unknown why, 1)
   | [], None -> (
-    let found =
-      first_confirmed
-        (depth2 q ~a ~ingress ~attacks:(List.map fst cold) ~first:true)
+    let flows =
+      depth2 q ~a ~ingress ~attacks:(List.map fst cold) ~first:true
     in
-    match found with
+    match first_confirmed flows with
     | Some f -> (Holds (Some f), 2)
     | None ->
-      (or_unknown q (Fails ([], "unreachable even after a priming packet")), 2))
+      ( unconfirmed q flows
+          (Fails ([], "unreachable even after a priming packet")),
+        2 ))
 
 (** Run one declared property against a built relation. *)
 let run ?(config = default_config) rel prop =
@@ -487,72 +477,50 @@ let verify_crash ?(config = default_config) rel =
    relevant ingresses — [a]'s alone for a reach decided at depth 1, all
    of them once a query reaches depth 2, whose primes come from every
    ingress (isolate and temporal always may). *)
-let reachable_pipes fab from_pipes =
-  let n = Array.length fab.Fabric.pipes in
-  let inset = Array.make n false in
-  List.iter (fun pi -> inset.(pi) <- true) from_pipes;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun (spi, _) (dpi, _) ->
-        if inset.(spi) && not inset.(dpi) then begin
-          inset.(dpi) <- true;
-          changed := true
-        end)
-      fab.Fabric.links
-  done;
-  let out = ref [] in
-  for pi = n - 1 downto 0 do
-    if inset.(pi) then out := pi :: !out
-  done;
-  !out
+let rec reachable_pipes fab seen = function
+  | [] -> seen
+  | pi :: rest when List.mem pi seen -> reachable_pipes fab seen rest
+  | pi :: rest ->
+    reachable_pipes fab (pi :: seen)
+      (Hashtbl.fold
+         (fun (spi, _) (dpi, _) acc -> if spi = pi then dpi :: acc else acc)
+         fab.Fabric.links rest)
 
 let prop_pipes fab prop ~depth =
-  match prop with
-  | Config.Reach (a, _) when depth = 1 ->
-    reachable_pipes fab [ fst (Fabric.ingress fab a) ]
-  | Config.Reach _ | Config.Isolate _ | Config.Temporal _ ->
-    reachable_pipes fab
-      (List.map (fun (_, (pi, _)) -> pi) fab.Fabric.ingresses)
+  let from =
+    match prop with
+    | Config.Reach (a, _) when depth = 1 -> [ Fabric.ingress fab a ]
+    | Config.Reach _ | Config.Isolate _ | Config.Temporal _ ->
+      List.map snd fab.Fabric.ingresses
+  in
+  reachable_pipes fab [] (List.map fst from)
 
-(** A session memoizes per-property reports and revalidates them by
-    probing the Step-1 summary cache, exactly like
-    {!Vdp_verif.Verifier.session}: a report is reused only while every
-    pipeline it can read has {e physically} unchanged summaries
-    ({!Vdp_verif.Summaries.unchanged}). A [Static_data] mutation in one
-    pipeline's tables invalidates that pipeline's summaries through the
-    {!Vdp_verif.Staleness} listeners, which breaks the probe for
-    exactly the verdicts whose queries could read the mutated slice —
-    other pipelines' summaries, and verdicts not reading the mutated
-    pipeline, stay warm. *)
+(** A session memoizes per-property reports under
+    {!Vdp_verif.Verifier.memoized}'s one reuse rule, probing the pipes
+    a property's queries can read. A [Static_data] mutation in one
+    pipeline invalidates its summaries through the
+    {!Vdp_verif.Staleness} listeners (or bumps its stores' generations,
+    which verdicts resting on a replay check too), so only the verdicts
+    whose queries could read that pipeline are recomputed. *)
 type session = {
   s_fab : Fabric.t;
   s_config : config;
-  mutable s_memo : (Config.topo_prop * ((int * Summaries.entry array) list * report)) list;
+  s_memo : (Config.topo_prop, report) V.memo;
 }
 
 let session ?(config = default_config) fab =
-  { s_fab = fab; s_config = config; s_memo = [] }
+  { s_fab = fab; s_config = config; s_memo = Hashtbl.create 8 }
 
 (** [(report, memoized)] — [memoized] is true when a previous report
     was revalidated without re-querying. *)
 let query (s : session) prop =
   let rel = Relation.build ~config:s.s_config.engine s.s_fab in
-  match List.assoc_opt prop s.s_memo with
-  | Some (probes, r)
-    when List.for_all
-           (fun (pi, prev) ->
-             Summaries.unchanged prev rel.Relation.summaries.(pi))
-           probes ->
-    (r, true)
-  | _ ->
-    let r = run ~config:s.s_config rel prop in
-    let probes =
-      List.map
-        (fun pi -> (pi, rel.Relation.summaries.(pi)))
-        (prop_pipes s.s_fab prop ~depth:r.depth)
-    in
-    s.s_memo <-
-      (prop, (probes, r)) :: List.remove_assoc prop s.s_memo;
-    (r, false)
+  V.memoized s.s_memo prop
+    ~probe:(fun () ->
+      Array.mapi
+        (fun pi (p : Fabric.pipe) ->
+          (p.Fabric.p_pl, rel.Relation.summaries.(pi)))
+        s.s_fab.Fabric.pipes)
+    (fun () ->
+      let r = run ~config:s.s_config rel prop in
+      (r, prop_pipes s.s_fab prop ~depth:r.depth, r.sat > 0))

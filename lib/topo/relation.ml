@@ -33,12 +33,10 @@
 
 module B = Vdp_bitvec.Bitvec
 module T = Vdp_smt.Term
-module Model = Vdp_smt.Model
 module S = Vdp_symbex.Sstate
 module Engine = Vdp_symbex.Engine
 module Ir = Vdp_ir.Types
 module Pipeline = Vdp_click.Pipeline
-module Element = Vdp_click.Element
 module Compose = Vdp_verif.Compose
 module Summaries = Vdp_verif.Summaries
 module Staleness = Vdp_verif.Staleness
@@ -207,7 +205,7 @@ type node = int * int * int
 
 (** The fabric's node graph: a hop's segments are its merged summary
     ({!merged}), and a linked egress goes into the linked pipeline's
-    entry, up to {!Fabric.max_crossings} crossings. *)
+    entry, up to {!Vdp_click.Wired.max_crossings} crossings. *)
 let graph rel : (node, int * int) V.graph =
   let pipeline pi = rel.fab.Fabric.pipes.(pi).Fabric.p_pl in
   {
@@ -228,7 +226,8 @@ let graph rel : (node, int * int) V.graph =
           | None -> V.Ends (V.Egress (pi, e))
           | Some (dpi, dport) ->
             let hop = (dpi, Pipeline.entry (pipeline dpi), crossings + 1) in
-            if crossings < Fabric.max_crossings then V.Goes (hop, dport)
+            if crossings < Vdp_click.Wired.max_crossings then
+              V.Goes (hop, dport)
             else V.Cut));
   }
 
@@ -255,18 +254,7 @@ let root rel ~assume ~ingress:(pi, in_port) : node * Compose.t =
 
 (* {1 Boot-state grounding} *)
 
-let store_decl rel tag store =
-  match Fabric.parse_tag tag with
-  | None -> None
-  | Some (pi, node) ->
-    let prog =
-      (Pipeline.node rel.fab.Fabric.pipes.(pi).Fabric.p_pl node)
-        .Pipeline.element
-        .Element.program
-    in
-    List.find_opt
-      (fun (d : Ir.store_decl) -> d.Ir.store_name = store)
-      prog.Ir.stores
+let store_decl rel = Vdp_verif.Witness.decl_at rel.fab.Fabric.wired
 
 (* Initial contents of a private store, as an ITE over the declared
    init entries bottoming out at the default. *)
@@ -391,21 +379,3 @@ let query_terms rel ~(prime : fpath) ~(attack : fpath) :
     @ List.map ren pr.Compose.cond
     @ at.Compose.cond,
     deps )
-
-(** The prime packet's bytes under a model of a primed query — the
-    composite witness is (this packet first, then the attack packet
-    from {!Vdp_verif.Compose.witness_packet}). *)
-let prime_witness_packet (m : Model.t) ~max_len =
-  let pref n = prime_prefix ^ n in
-  let len =
-    match Model.bv_opt m (pref S.len_var) with
-    | Some v -> min (B.to_int_trunc v) max_len
-    | None -> 0
-  in
-  let data =
-    String.init len (fun j ->
-        match Model.bv_opt m (pref (S.byte_var j)) with
-        | Some v -> Char.chr (B.to_int_trunc v land 0xff)
-        | None -> '\000')
-  in
-  Vdp_packet.Packet.create data

@@ -174,7 +174,7 @@ let replay_tests =
           (fun (v : V.violation) ->
             let w = v.V.replayed in
             check_bool "the replay ran the witness" true
-              (w.W.run.Click.Runtime.steps <> []);
+              (w.W.run.Click.Wired.steps <> []);
             check_bool "confirmed is the replay's status" (W.confirmed w)
               v.V.confirmed)
           vs;

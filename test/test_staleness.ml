@@ -414,6 +414,84 @@ let fabric_session_tests =
           (match r.Q.verdict with Q.Fails _ -> true | _ -> false));
   ]
 
+(* {1 A replayed witness rests on store contents}
+
+   RadixIPLookup reads its table at a symbolic key, so no summary
+   records a slice of it, and flipping the default route drops none of
+   them. A reach verdict whose witness replayed against the old routes
+   must still not be reused: its stores' generations moved. *)
+
+let witness_session_tests =
+  [
+    Alcotest.test_case "fabric: route flip invalidates a replayed witness"
+      `Quick
+      (fun () ->
+        Summaries.clear ();
+        let route prefix plen port = { L.prefix; plen; gw = 0; port } in
+        let fib =
+          L.Fib.create ~nports:2
+            [ route 0 0 0; route 0xc0000200 24 1 ]
+        in
+        let pl =
+          Click.Pipeline.linear
+            [
+              Click.Registry.make ~name:"cl" ~cls:"Classifier"
+                ~config:[ "12/0800" ];
+              Click.Registry.make ~name:"strip" ~cls:"Strip" ~config:[ "14" ];
+              Click.Registry.make ~name:"chk" ~cls:"CheckIPHeader" ~config:[];
+              Click.Element.make ~name:"rt" ~cls:"RadixIPLookup"
+                ~config:[ "<2 routes>" ] (L.radix_program fib);
+            ]
+        in
+        let fab =
+          F.of_topo
+            {
+              Cfg.topo_pipelines = [ ("p", pl) ];
+              topo_links = [];
+              topo_ingresses = [ ("i", "p", 0) ];
+              topo_egresses =
+                [
+                  ( "e0",
+                    { Cfg.ref_pipeline = "p"; ref_element = Some "rt";
+                      ref_port = 0 } );
+                ];
+              topo_props = [];
+            }
+        in
+        let qcfg =
+          { Q.default_config with
+            Q.engine = { E.default_config with E.max_len = 128 } }
+        in
+        let s = Q.session ~config:qcfg fab in
+        let prop = Cfg.Reach ("i", "e0") in
+        let r, m = Q.query s prop in
+        check_bool "fresh" false m;
+        check_bool "holds with a confirmed witness" true
+          (match r.Q.verdict with
+          | Q.Holds (Some f) -> f.Q.w_confirmed
+          | _ -> false);
+        let _, m = Q.query s prop in
+        check_bool "memoized" true m;
+        (* Flip the default route to port 1. *)
+        Staleness.reset_stats ();
+        check_bool "default route deleted" true
+          (L.Fib.delete fib ~prefix:0 ~plen:0);
+        L.Fib.insert fib (route 0 0 1);
+        check_int "no summary recorded a slice" 0
+          Staleness.stats.Staleness.summaries_dropped;
+        let r, m = Q.query s prop in
+        check_bool "re-queried" false m;
+        Summaries.clear ();
+        let scratch =
+          Q.run ~config:qcfg (Vdp_topo.Relation.build ~config:qcfg.Q.engine fab)
+            prop
+        in
+        Alcotest.(check string)
+          "same verdict as from scratch"
+          (Q.verdict_to_string scratch.Q.verdict)
+          (Q.verdict_to_string r.Q.verdict));
+  ]
+
 let tests =
   flip_tests @ churn_tests @ fib_churn_tests @ poison_tests
-  @ fabric_session_tests
+  @ fabric_session_tests @ witness_session_tests

@@ -199,23 +199,25 @@ let push_tests =
             }
             |}
         in
-        let fi = F.instantiate fab in
+        let fi = Click.Wired.instantiate fab.F.wired in
         let fr =
-          F.push fi ~pipe:0 ~in_port:0
+          Click.Wired.push fi ~pipe:0 ~in_port:0
             (ip_frame ~src:0x0a010101 ~dst:0x0a020202)
         in
-        check_bool "ends at lan" true (fr.F.f_final = F.F_egress (1, 0));
-        check_int "one crossing" 1 fr.F.f_crossings;
+        check_bool "ends at lan" true
+          ((fr.Click.Wired.pipe, fr.Click.Wired.final)
+          = (1, Click.Runtime.Egress 0));
+        check_int "one crossing" 1 fr.Click.Wired.crossings;
         let labels =
           List.sort_uniq compare
             (List.map
                (fun (s : Click.Runtime.step) -> s.Click.Runtime.pipeline)
-               fr.F.f_steps)
+               fr.Click.Wired.steps)
         in
         check_bool "steps labeled by pipeline" true
           (labels = [ "adm"; "fwd" ]);
         check_bool "trace is in execution order" true
-          (match fr.F.f_steps with
+          (match fr.Click.Wired.steps with
           | first :: _ -> first.Click.Runtime.pipeline = "adm"
           | [] -> false));
     Alcotest.test_case "standalone pipelines keep unlabeled steps" `Quick
@@ -243,10 +245,14 @@ let push_tests =
             }
             |}
         in
-        let fi = F.instantiate fab in
-        let fr = F.push fi ~pipe:0 ~in_port:0 (ip_frame ~src:1 ~dst:2) in
+        let fi = Click.Wired.instantiate fab.F.wired in
+        let fr =
+          Click.Wired.push fi ~pipe:0 ~in_port:0 (ip_frame ~src:1 ~dst:2)
+        in
         check_bool "budget final" true
-          (match fr.F.f_final with F.F_budget _ -> true | _ -> false));
+          (match fr.Click.Wired.final with
+          | Click.Runtime.Hop_budget_at _ -> true
+          | _ -> false));
   ]
 
 (* {1 Relational enumeration} *)
@@ -611,7 +617,7 @@ let query_tests =
           check_bool "crash lands in the app pipeline" true
             (List.exists
                (fun f ->
-                 (* ffinal_to_string renders "crash at app:node ...". *)
+                 (* Wired.end_to_string renders "crash at app:node ...". *)
                  let n = String.length f.Q.w_end in
                  n >= 12 && String.sub f.Q.w_end 0 12 = "crash at app")
                flows)
@@ -753,6 +759,59 @@ let pinned_tests =
         check_int "scenario paths from t1" 16 (from (R.build sc.Sc.sc_fab) "t1"));
   ]
 
+(* {1 Honest positive answers}
+
+   A radix FIB is read at a symbolic key, so the model may assume any
+   table contents: the feasible flows it yields for reach i -> e0 all
+   replay to e1, though 10.0.0.1 does reach e0. The reach is then
+   unknown, not "no feasible path", and every fabric flow carries the
+   replay's notes on the contents the model assumed. *)
+
+let radix_fabric () =
+  fabric_of
+    {|
+    topology {
+      pipeline p {
+        cl :: Classifier(12/0800, -);
+        rt :: RadixIPLookup(10.0.0.0/8 0, 0.0.0.0/0 1);
+        cl[0] -> Strip(14) -> CheckIPHeader -> rt;
+        cl[1] -> Discard;
+      }
+      ingress i = p;
+      egress e0 = p.rt[0];
+    }
+    |}
+
+let honest_tests =
+  [
+    Alcotest.test_case "reach with only unconfirmed flows is unknown" `Quick
+      (fun () ->
+        Summaries.clear ();
+        let rel = R.build ~config:fast_config.Q.engine (radix_fabric ()) in
+        let r =
+          Q.run ~config:fast_config rel (Click.Config.Reach ("i", "e0"))
+        in
+        (match r.Q.verdict with
+        | Q.Unknown why ->
+          check_bool "names the unconfirmed replay" true
+            (Scanf.sscanf_opt why "%d feasible flow(s), none replay-confirmed"
+               (fun n -> n > 0)
+            = Some true)
+        | v -> Alcotest.failf "reach: %s" (Q.verdict_to_string v));
+        let r =
+          Q.run ~config:fast_config rel (Click.Config.Isolate ("i", "e0"))
+        in
+        match r.Q.verdict with
+        | Q.Fails ((_ :: _ as flows), _) ->
+          check_bool "no flow confirms" true
+            (List.for_all (fun f -> not f.Q.w_confirmed) flows);
+          check_bool "every flow notes the assumed contents" true
+            (List.for_all
+               (fun f -> f.Q.w_replay.Vdp_verif.Witness.notes <> [])
+               flows)
+        | v -> Alcotest.failf "isolate: %s" (Q.verdict_to_string v));
+  ]
+
 let tests =
   parse_tests @ push_tests @ enum_tests @ merge_tests @ query_tests
-  @ scenario_tests @ one_pipe_tests @ pinned_tests
+  @ scenario_tests @ one_pipe_tests @ pinned_tests @ honest_tests
