@@ -24,6 +24,7 @@ ci: build
 	  && test $$(echo "$$out" | grep -c 'reproduced on the runtime') -eq 11
 	dune exec bin/vdpverify.exe -- crash -j 4 --certify examples/router.click
 	dune exec bin/vdpverify.exe -- bound -j 4 examples/router.click
+	dune exec bin/vdpverify.exe -- bound -j 4 examples/radix_router.click | grep -q '^bounded execution: <= 2688 instructions'
 	dune exec bin/vdpverify.exe -- verify --certify examples/router.click
 	dune exec bin/vdpverify.exe -- verify --certify examples/firewall.click
 	dune exec bin/vdpverify.exe -- crash -j 2 --certify examples/netflow_nat.click

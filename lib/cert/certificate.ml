@@ -43,9 +43,10 @@
    (crash, bound, reach, and the fabric queries), the ones a [PROVED]
    verdict rests on directly. Not covered, and so trusted: Step-1 fork
    pruning ([Engine.plausible]) and Step-2 descent and bound/reach
-   pruning ([Compose.plausible]), which drop branches on
-   [Interval.refute_list] alone; and loop-measure and invariant proofs,
-   which use [Solver.is_unsat].
+   pruning ([Compose.plausible]), which drop branches on interval
+   refutation alone ([Interval.extend] on a path's running environment,
+   [Interval.refute_list]); and loop-measure and invariant proofs,
+   which run uncertified checks on the element's loop context.
 
    Trusted base beyond that: [Term]'s hash-consed smart constructors,
    its list fold test [conj_is_false] (which must agree with

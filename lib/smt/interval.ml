@@ -1,7 +1,7 @@
 (** Cheap unsigned-interval analysis used to refute constraints without
     bit-blasting.
 
-    Two services:
+    Three services:
     - [range t] — conservative unsigned bounds of a bit-vector term
       (widths up to 30 bits; wider terms fall back to the trivial range);
     - [explain t] — [Some] only if the boolean term is definitely
@@ -12,7 +12,12 @@
       from complete: it intersects the ranges implied by comparison
       atoms that share a common subject term, which is exactly the shape
       produced by composing pipeline segments (e.g. [in < 0 && 0 < 0]
-      in the paper's toy example). *)
+      in the paper's toy example);
+    - [env] — the same refutation kept as a persistent running
+      environment: [extend env t] adds one conjunct, and [refuted]
+      answers exactly what [refute_list] answers on every conjunct the
+      environment was extended by. Step-1 symbex keeps one per path and
+      tests each fork side against it, instead of rescanning the path. *)
 
 module B = Vdp_bitvec.Bitvec
 
@@ -105,6 +110,37 @@ let atom_bound (t : Term.t) ~(positive : bool) : bound option =
 let point_value t =
   match range t with Some (lo, hi) when lo = hi -> Some lo | _ -> None
 
+(* What one flattened conjunct tells the interval analysis. *)
+type fact =
+  | F_bound of bound  (** [subject ∈ \[lo, hi\]] *)
+  | F_diseq of Term.t * int  (** [subject <> n] *)
+  | F_diseq_points  (** a disequality whose two sides are the same value *)
+  | F_none
+
+let fact (atom : Term.t) =
+  let inner, positive =
+    match atom.Term.node with
+    | Term.Not inner -> (inner, false)
+    | _ -> (atom, true)
+  in
+  match (inner.Term.node, positive) with
+  | Term.Eq (a, b), false when not (Sort.is_bool (Term.sort a)) -> (
+    (* Negated equalities cannot be intervals, but they shave the ends
+       off one. *)
+    if Term.width a > max_tracked_width then F_none
+    else
+      match (point_value a, point_value b) with
+      | Some n, None -> F_diseq (b, n)
+      | None, Some n -> F_diseq (a, n)
+      | Some n, Some m -> if n = m then F_diseq_points else F_none
+      | None, None -> F_none)
+  | _ -> (
+    match atom_bound inner ~positive with Some b -> F_bound b | None -> F_none)
+
+(* The sound initial range of a subject no atom has bounded yet. *)
+let initial_range subject =
+  match range subject with Some r -> r | None -> (0, max_int)
+
 (* {1 Refutation explanations}
 
    [explain] records, per subject, which atoms of the conjunction drove
@@ -143,10 +179,9 @@ let explain_list (ts : Term.t list) : explanation option =
   let state_of (subject : Term.t) =
     match Hashtbl.find_opt tbl subject.id with
     | Some (_, lo, hi, steps) -> (lo, hi, steps)
-    | None -> (
-      match range subject with
-      | Some (lo, hi) -> (lo, hi, [])
-      | None -> (0, max_int, []))
+    | None ->
+      let lo, hi = initial_range subject in
+      (lo, hi, [])
   in
   let emit subject steps =
     if !found = None then
@@ -159,18 +194,9 @@ let explain_list (ts : Term.t list) : explanation option =
     if lo' > hi' then emit subject steps
     else Hashtbl.replace tbl subject.id (subject, lo', hi', steps)
   in
-  (* Negated equalities cannot be intervals, but they shave the ends
-     off one: collect them and apply after the bounds have settled. *)
+  (* Disequalities are collected and applied after the bounds have
+     settled. *)
   let diseqs : (Term.t * Term.t * int) list ref = ref [] in
-  let note_diseq atom (a : Term.t) (b : Term.t) =
-    if Term.width a <= max_tracked_width then
-      match (point_value a, point_value b) with
-      | Some n, None -> diseqs := (atom, b, n) :: !diseqs
-      | None, Some n -> diseqs := (atom, a, n) :: !diseqs
-      | Some n, Some m ->
-        if n = m && !found = None then found := Some (Ex_diseq_points atom)
-      | None, None -> ()
-  in
   (* Conjunctions nest once composite conditions are re-conjoined
      (e.g. [And [And [...]; atom]]); flatten them all. *)
   let rec visit (atom : Term.t) =
@@ -178,18 +204,11 @@ let explain_list (ts : Term.t list) : explanation option =
     | Term.And ts -> Array.iter visit ts
     | _ ->
       if !found = None then begin
-        let inner, positive =
-          match atom.Term.node with
-          | Term.Not inner -> (inner, false)
-          | _ -> (atom, true)
-        in
-        match (inner.Term.node, positive) with
-        | Term.Eq (a, b), false when not (Sort.is_bool (Term.sort a)) ->
-          note_diseq atom a b
-        | _ -> (
-          match atom_bound inner ~positive with
-          | Some b -> note atom b
-          | None -> ())
+        match fact atom with
+        | F_bound b -> note atom b
+        | F_diseq (subject, n) -> diseqs := (atom, subject, n) :: !diseqs
+        | F_diseq_points -> found := Some (Ex_diseq_points atom)
+        | F_none -> ()
       end
   in
   List.iter visit ts;
@@ -227,3 +246,95 @@ let refute (t : Term.t) = Term.is_false t || explain t <> None
 
 (* [refute_list ts = refute (Term.and_ ts)], interning nothing. *)
 let refute_list ts = Term.conj_is_false ts || explain_list ts <> None
+
+(* {1 Running environments}
+
+   An environment holds what [refute_list] would find on the conjuncts
+   it was extended by, kept per fact so that one more conjunct costs
+   only its own facts:
+   - the ids of the flattened atoms, and the ids [x] of every atom
+     [Not x], so a complementary pair shows without interning a
+     negation ([Term.conj_is_false]'s test);
+   - per subject, the interval its bounds allow, shaved of the points
+     its disequalities exclude, and those points.
+
+   Shaving as each fact arrives ends where [explain_list]'s fixpoint
+   does: both leave the hull of the bounded interval minus the
+   excluded points, empty exactly when every point in it is excluded.
+   A repeated atom adds nothing, as it adds nothing to [explain_list].
+   Environments are persistent: two extensions of one environment
+   share it and never see each other's conjuncts. *)
+
+module Ids = Set.Make (Int)
+module Subjects = Map.Make (Int)
+
+type env = {
+  refuted : bool;
+  atoms : Ids.t;
+  negated : Ids.t;
+  subjects : (int * int * Ids.t) Subjects.t;
+      (** subject id -> shaved interval and excluded points *)
+}
+
+let empty_env =
+  {
+    refuted = false;
+    atoms = Ids.empty;
+    negated = Ids.empty;
+    subjects = Subjects.empty;
+  }
+
+let refuted env = env.refuted
+
+let rec shave lo hi holes =
+  if lo > hi then None
+  else if Ids.mem lo holes then shave (lo + 1) hi holes
+  else if Ids.mem hi holes then shave lo (hi - 1) holes
+  else Some (lo, hi)
+
+let restrict env (subject : Term.t) ~lo ~hi ~hole =
+  let lo0, hi0, holes =
+    match Subjects.find_opt subject.id env.subjects with
+    | Some s -> s
+    | None ->
+      let lo, hi = initial_range subject in
+      (lo, hi, Ids.empty)
+  in
+  let holes = match hole with Some n -> Ids.add n holes | None -> holes in
+  match shave (max lo lo0) (min hi hi0) holes with
+  | None -> { env with refuted = true }
+  | Some (lo, hi) ->
+    { env with subjects = Subjects.add subject.id (lo, hi, holes) env.subjects }
+
+(* [refuted (extend env t)] = [refute_list (t :: ts)] when [env] was
+   built from [ts]. *)
+let extend env (t : Term.t) =
+  let rec add env (atom : Term.t) =
+    if env.refuted then env
+    else
+      match atom.node with
+      | Term.And ts -> Array.fold_left add env ts
+      | Term.True -> env
+      | Term.False -> { env with refuted = true }
+      | _ when Ids.mem atom.id env.atoms -> env
+      | node -> (
+        let complement =
+          Ids.mem atom.id env.negated
+          || match node with Term.Not x -> Ids.mem x.id env.atoms | _ -> false
+        in
+        if complement then { env with refuted = true }
+        else
+          let negated =
+            match node with
+            | Term.Not x -> Ids.add x.id env.negated
+            | _ -> env.negated
+          in
+          let env = { env with atoms = Ids.add atom.id env.atoms; negated } in
+          match fact atom with
+          | F_bound { subject; lo; hi } -> restrict env subject ~lo ~hi ~hole:None
+          | F_diseq (subject, n) ->
+            restrict env subject ~lo:0 ~hi:max_int ~hole:(Some n)
+          | F_diseq_points -> { env with refuted = true }
+          | F_none -> env)
+  in
+  add env t

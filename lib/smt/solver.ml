@@ -459,11 +459,6 @@ let is_sat ?max_conflicts terms =
   | Sat _ | Unknown -> true
   | Unsat -> false
 
-let is_unsat ?max_conflicts terms =
-  match check ?max_conflicts terms with
-  | Unsat -> true
-  | Sat _ | Unknown -> false
-
 (* {1 Incremental contexts}
 
    A context keeps one bit-blaster (so the term DAG — and, with

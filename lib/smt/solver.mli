@@ -150,9 +150,6 @@ val is_sat : ?max_conflicts:int -> Term.t list -> bool
 (** [Unknown] counts as satisfiable (conservative for provers that must
     not miss violations). *)
 
-val is_unsat : ?max_conflicts:int -> Term.t list -> bool
-(** [true] only on a definite [Unsat]. *)
-
 (** {1 Incremental contexts} *)
 
 type ctx

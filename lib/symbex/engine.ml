@@ -113,6 +113,9 @@ type ctx = {
   mutable nforks : int;
   mutable abandoned : (string * int) list;
   mutable static_deps : (int * B.t) list;
+  loop_proofs : Solver.ctx Lazy.t;
+      (* one incremental context for every loop proof of this
+         exploration, made on first use *)
 }
 
 (* Per-path "summarized" and instruction-slack live in the state's
@@ -149,11 +152,14 @@ let outcome_matches (o : outcome) (ro : Ir.outcome) =
   | O_crash c, Ir.Crashed rc -> crash_matches c rc
   | _ -> false
 
-(* Cheap feasibility filter: constant folding + interval refutation,
-   decided on the conjunct list without building the conjunction.
+(* Cheap feasibility filter: constant folding + interval refutation of
+   the path and [extra], decided on the path's running environment
+   ([Interval.refute_list (extra :: path)] exactly, without rescanning
+   the path). [Some env] is the path's environment with [extra] added.
    Sound to keep infeasible paths (Step 2 re-checks with the solver). *)
 let plausible (st : S.t) extra =
-  not (Interval.refute_list (extra :: st.S.path))
+  let env = Interval.extend st.S.env extra in
+  if Interval.refuted env then None else Some env
 
 let rv_term (st : S.t) = function
   | Ir.Const v -> T.bv v
@@ -203,23 +209,22 @@ let fork ctx st cond k_true k_false =
   if T.is_true cond then k_true st
   else if T.is_false cond then k_false st
   else begin
-    let t_ok = plausible st cond in
-    let f_ok = plausible st (T.not_ cond) in
-    match (t_ok, f_ok) with
-    | true, true ->
+    let ncond = T.not_ cond in
+    match (plausible st cond, plausible st ncond) with
+    | Some t_env, Some f_env ->
       ctx.nforks <- ctx.nforks + 1;
       let st' = S.clone st in
-      S.assume st cond;
+      S.assume ~env:t_env st cond;
       k_true st;
-      S.assume st' (T.not_ cond);
+      S.assume ~env:f_env st' ncond;
       k_false st'
-    | true, false ->
-      S.assume st cond;
+    | Some env, None ->
+      S.assume ~env st cond;
       k_true st
-    | false, true ->
-      S.assume st (T.not_ cond);
+    | None, Some env ->
+      S.assume ~env st ncond;
       k_false st
-    | false, false -> (* path itself infeasible *) ()
+    | None, None -> (* path itself infeasible *) ()
   end
 
 (* Concretise a 16-bit offset term: call [k st v] for every plausible
@@ -235,19 +240,21 @@ let concretize ctx (st : S.t) ~max_v term k =
       let candidates = ref [] in
       for v = lo to hi do
         let cond = T.eq term (T.bv_int ~width:(T.width term) v) in
-        if plausible st cond then candidates := (v, cond) :: !candidates
+        match plausible st cond with
+        | Some env -> candidates := (v, cond, env) :: !candidates
+        | None -> ()
       done;
       (match !candidates with
       | [] -> ()
-      | [ (v, cond) ] ->
-        S.assume st cond;
+      | [ (v, cond, env) ] ->
+        S.assume ~env st cond;
         k st v
       | many ->
         List.iter
-          (fun (v, cond) ->
+          (fun (v, cond, env) ->
             ctx.nforks <- ctx.nforks + 1;
             let st' = S.clone st in
-            S.assume st' cond;
+            S.assume ~env st' cond;
             k st' v)
           many)
     | _ -> abandon ~reason:"offset-fork" ctx)
@@ -542,6 +549,19 @@ and summarize_loop ctx (st : S.t) (lp : Loopinfo.loop) =
     exec_block ctx mode st0;
     (!continues, !exits, pre)
   in
+  (* Each proof asks whether [fact] is impossible on a path, on the
+     exploration's loop context: the paths' shared terms are blasted
+     once for all of its proofs. *)
+  let refuted fact (s : S.t) =
+    let solver = Lazy.force ctx.loop_proofs in
+    Solver.push solver;
+    Solver.assert_terms solver (fact :: s.S.path);
+    let outcome = Solver.check_ctx ~max_conflicts:budget solver in
+    Solver.pop solver;
+    match outcome with
+    | Solver.Unsat -> true
+    | Solver.Sat _ | Solver.Unknown -> false
+  in
   (* Phase A: unconstrained havoc — used to discover the measure. *)
   let saved_segments = ctx.segments in
   let saved_npaths = ctx.npaths in
@@ -554,9 +574,7 @@ and summarize_loop ctx (st : S.t) (lp : Loopinfo.loop) =
     if T.width pre_v > 16 then None
     else if
       List.for_all
-        (fun (s : S.t) ->
-          let post = s.S.regs.(r) in
-          Solver.is_unsat ~max_conflicts:budget (T.ule post pre_v :: s.S.path))
+        (fun (s : S.t) -> refuted (T.ule s.S.regs.(r) pre_v) s)
         continues_a
     then begin
       (* Smallest power-of-two bound C with pre < C on every continue. *)
@@ -564,10 +582,7 @@ and summarize_loop ctx (st : S.t) (lp : Loopinfo.loop) =
         if c > 1 lsl T.width pre_v then None
         else if
           List.for_all
-            (fun (s : S.t) ->
-              Solver.is_unsat ~max_conflicts:budget
-                (T.uge pre_v (T.bv_int ~width:(T.width pre_v) (c - 1))
-                :: s.S.path))
+            (refuted (T.uge pre_v (T.bv_int ~width:(T.width pre_v) (c - 1))))
             continues_a
         then Some c
         else find_bound (2 * c)
@@ -600,15 +615,10 @@ and summarize_loop ctx (st : S.t) (lp : Loopinfo.loop) =
         if i >= 1 lsl w then None
         else begin
           let i_bv = T.bv_int ~width:w i in
-          let init_ok =
-            Solver.is_unsat ~max_conflicts:budget
-              (T.uge st.S.regs.(r) i_bv :: st.S.path)
-          in
+          let init_ok = refuted (T.uge st.S.regs.(r) i_bv) st in
           let posts_ok =
             List.for_all
-              (fun (s : S.t) ->
-                Solver.is_unsat ~max_conflicts:budget
-                  (T.uge s.S.regs.(r) i_bv :: s.S.path))
+              (fun (s : S.t) -> refuted (T.uge s.S.regs.(r) i_bv) s)
               continues_a
           in
           if init_ok && posts_ok then Some (r, i) else None
@@ -657,6 +667,7 @@ let explore ?(config = default_config) (prog : Ir.program) : result =
       nforks = 0;
       abandoned = [];
       static_deps = [];
+      loop_proofs = lazy (Solver.create_ctx ());
     }
   in
   (try exec_block ctx Normal st with Budget_exceeded -> ctx.nincomplete <- ctx.nincomplete + 1);

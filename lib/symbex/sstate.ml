@@ -10,6 +10,7 @@
 
 module B = Vdp_bitvec.Bitvec
 module T = Vdp_smt.Term
+module Interval = Vdp_smt.Interval
 module Ir = Vdp_ir.Types
 
 let byte_var j = Printf.sprintf "p[%d]" j
@@ -31,6 +32,8 @@ type kv_event =
 type t = {
   regs : T.t array;
   mutable path : T.t list;           (* reversed conjuncts *)
+  mutable env : Interval.env;
+      (* [path]'s running interval environment, extended by [assume] *)
   overrides : (int, T.t) Hashtbl.t;  (* absolute offset -> byte term *)
   mutable head : int;                (* absolute; initial = headroom *)
   mutable min_head : int;            (* lowest head reached (Push dips) *)
@@ -54,6 +57,7 @@ let create ~headroom =
   {
     regs = [||];
     path = [];
+    env = Interval.empty_env;
     overrides = Hashtbl.create 32;
     head = headroom;
     min_head = headroom;
@@ -87,7 +91,17 @@ let clone st =
     visits = Hashtbl.copy st.visits;
   }
 
-let assume st cond = if not (T.is_true cond) then st.path <- cond :: st.path
+(* [env], when given, must be [Interval.extend st.env cond]: a fork
+   that tested [cond] against the path passes the extension it made. *)
+let assume ?env st cond =
+  if not (T.is_true cond) then begin
+    st.path <- cond :: st.path;
+    st.env <-
+      (match env with
+      | Some env -> env
+      | None -> Interval.extend st.env cond)
+  end
+
 let path_conjuncts st = List.rev st.path
 let path_term st = T.and_ (path_conjuncts st)
 

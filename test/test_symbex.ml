@@ -187,4 +187,40 @@ let props =
       (fun st -> Vdp_packet.Gen.random_frame ~min_len:1 ~max_len:4 st);
   ]
 
-let tests = unit_tests @ List.map QCheck_alcotest.to_alcotest props
+(* Step 1 of the example routers: IPGWOptions's loop proofs share one
+   solver context per exploration, so their common path terms are
+   blasted once (one-shot checks made 11 655 SAT variables for the
+   router), with the same answers and summaries. *)
+let loop_proofs_share_a_context =
+  Alcotest.test_case "router loop proofs share one solver context" `Quick
+    (fun () ->
+      let module Solver = Vdp_smt.Solver in
+      let module Summaries = Vdp_verif.Summaries in
+      let example name =
+        List.find Sys.file_exists [ "../examples/" ^ name; "examples/" ^ name ]
+      in
+      let step1 name =
+        let pl = Click.Config.parse_file (example name) in
+        Solver.reset_stats ();
+        let entries =
+          Summaries.of_pipeline ~cache:(Summaries.create_cache ()) pl
+        in
+        Array.fold_left
+          (fun n (e : Summaries.entry) ->
+            n + List.length e.Summaries.result.E.segments)
+          0 entries
+      in
+      check_int "router segments" 133 (step1 "router.click");
+      let s = Solver.stats in
+      check_int "loop-proof checks" 18 s.Solver.calls;
+      check_int "sat" 5 s.Solver.sat_answers;
+      check_int "unsat" 13 s.Solver.unsat_answers;
+      check_bool
+        (Printf.sprintf "at most 2000 SAT vars (%d)" s.Solver.sat_vars)
+        true (s.Solver.sat_vars <= 2000);
+      check_int "radix router segments" 145 (step1 "radix_router.click"))
+
+let tests =
+  unit_tests
+  @ List.map QCheck_alcotest.to_alcotest props
+  @ [ loop_proofs_share_a_context ]
