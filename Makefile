@@ -27,6 +27,7 @@ ci: build
 	dune exec bin/vdpverify.exe -- bound -j 4 examples/radix_router.click | grep -q '^bounded execution: <= 2688 instructions'
 	dune exec bin/vdpverify.exe -- verify --certify examples/router.click
 	dune exec bin/vdpverify.exe -- verify --certify examples/firewall.click
+	dune exec bin/vdpverify.exe -- bound examples/firewall.click | grep -q '<= 299 instructions per packet (exact maximum)'
 	dune exec bin/vdpverify.exe -- crash -j 2 --certify examples/netflow_nat.click
 	dune exec bin/vdpverify.exe -- verify --certify examples/netflow_nat.click
 	dune exec bin/vdpverify.exe -- replay examples/router.click

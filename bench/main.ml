@@ -1067,10 +1067,8 @@ let e9 () =
   List.iter
     (fun path ->
       let pl = Click.Config.parse_file path in
-      (* The instruction bound enumerates far more composite paths than
-         crash freedom; on the segment-heavy firewall (IPFilter) that
-         search is impractical, so the bound leg runs on the router
-         only. *)
+      (* The bound leg runs on the router only; e10 bounds the
+         firewall. *)
       let with_bound = path = "examples/router.click" in
       let config = { V.default_config with V.certify = true } in
       let (crash, bound_r), dt =
@@ -1149,12 +1147,9 @@ let e10 () =
   (* Verify each pipeline twice — certification off, then on — and
      require (a) identical verdicts/bounds, (b) every refutation behind
      the certified run independently validated. The instruction bound
-     runs on the router only: on the firewall it takes several seconds
-     in either mode, nearly all of it Step-2 composition of the
-     IPFilter's ~15 k segments rather than solving or certification.
-     The regression gate is computed over the two fast pipelines only,
-     so smoke and full runs compare on the same scale; smoke mode skips
-     the router entirely. *)
+     runs on the firewall and the router. The regression gate is
+     computed over the two fast pipelines only, so smoke and full runs
+     compare on the same scale; smoke mode skips the router entirely. *)
   let pipelines =
     List.concat
       [
@@ -1162,7 +1157,7 @@ let e10 () =
            [
              ( "examples/firewall.click",
                Click.Config.parse_file "examples/firewall.click",
-               false,
+               true,
                true );
            ]
          else []);

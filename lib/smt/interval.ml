@@ -338,3 +338,58 @@ let extend env (t : Term.t) =
           | F_none -> env)
   in
   add env t
+
+(* {1 Value sets}
+
+   [values env t ~cap] is a sorted list of at most [cap] values that
+   contains every value [t] takes on a path whose conjuncts built
+   [env], or [None] when no such list is found. At every level of [t]
+   the set is cut down to the interval the environment keeps for that
+   subterm, so a parse offset [hlen + 2] sees the path's [hlen = v].
+   A header length [(b & 0xf) << 2] is the 16 multiples of 4 in 0..60,
+   where its [range] is all 61 values. *)
+
+(* The values [lo..hi], when there are at most [cap] of them. *)
+let span lo hi ~cap =
+  if hi - lo < cap then Some (List.init (hi - lo + 1) (( + ) lo)) else None
+
+let values env (t : Term.t) ~cap =
+  let image f l = List.sort_uniq compare (List.map f l) in
+  let rec go (t : Term.t) =
+    let w = Term.width t in
+    if w > max_tracked_width then None
+    else
+      let mask = (1 lsl w) - 1 in
+      let structural =
+        match t.node with
+        | Bv_const v -> Some [ B.to_int_trunc v ]
+        | Zext (_, a) -> go a
+        | Bv_bin (Bshl, a, b) -> (
+          match Term.const_value b with
+          | Some k when B.to_int_trunc k >= w -> Some [ 0 ]
+          | Some k ->
+            let k = B.to_int_trunc k in
+            Option.map (image (fun v -> (v lsl k) land mask)) (go a)
+          | None -> None)
+        | Bv_bin (Badd, a, b) -> (
+          match (go a, go b) with
+          | Some la, Some lb ->
+            let sum x = List.map (fun y -> (x + y) land mask) lb in
+            let sums = image Fun.id (List.concat_map sum la) in
+            if List.length sums <= cap then Some sums else None
+          | _ -> None)
+        | _ -> None
+      in
+      let set =
+        match structural with
+        | Some _ -> structural
+        | None -> Option.bind (range t) (fun (lo, hi) -> span lo hi ~cap)
+      in
+      match Subjects.find_opt t.id env.subjects with
+      | None -> set
+      | Some (lo, hi, holes) ->
+        let keep v = lo <= v && v <= hi && not (Ids.mem v holes) in
+        Option.map (List.filter keep)
+          (match set with Some _ -> set | None -> span lo hi ~cap)
+  in
+  if env.refuted then Some [] else go t

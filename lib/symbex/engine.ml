@@ -228,22 +228,25 @@ let fork ctx st cond k_true k_false =
   end
 
 (* Concretise a 16-bit offset term: call [k st v] for every plausible
-   concrete value. Symbolic offsets only survive to here in normal mode
-   (summaries replace such reads with fresh values). *)
+   concrete value among those the term can take on this path
+   ([Interval.values] of the path's environment). Symbolic offsets only
+   survive to here in normal mode (summaries replace such reads with
+   fresh values). *)
 let concretize ctx (st : S.t) ~max_v term k =
   match T.const_value term with
   | Some v -> k st (B.to_int_trunc v)
   | None -> (
-    match Interval.range term with
-    | Some (lo, hi) when hi - lo + 1 <= ctx.cfg.max_offset_fork ->
-      let hi = min hi max_v in
+    match Interval.values st.S.env term ~cap:ctx.cfg.max_offset_fork with
+    | Some vs ->
       let candidates = ref [] in
-      for v = lo to hi do
-        let cond = T.eq term (T.bv_int ~width:(T.width term) v) in
-        match plausible st cond with
-        | Some env -> candidates := (v, cond, env) :: !candidates
-        | None -> ()
-      done;
+      List.iter
+        (fun v ->
+          if v <= max_v then
+            let cond = T.eq term (T.bv_int ~width:(T.width term) v) in
+            match plausible st cond with
+            | Some env -> candidates := (v, cond, env) :: !candidates
+            | None -> ())
+        vs;
       (match !candidates with
       | [] -> ()
       | [ (v, cond, env) ] ->
@@ -257,7 +260,7 @@ let concretize ctx (st : S.t) ~max_v term k =
             S.assume ~env st' cond;
             k st' v)
           many)
-    | _ -> abandon ~reason:"offset-fork" ctx)
+    | None -> abandon ~reason:"offset-fork" ctx)
 
 (* Out-of-bounds condition for an [n]-byte access at 16-bit offset
    [off]: computed at 32 bits to avoid wrap-around. *)

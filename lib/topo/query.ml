@@ -275,17 +275,7 @@ let prime_candidates q =
    reads. Every coupled pair is decided — boot-grounded over the
    combined kv trace — in its own scope of one incremental context;
    returns the flows of the feasible pairs in order, stopping at the
-   first confirmed one when [first].
-
-   Interval-plausible parse variants whose path condition is already
-   unsatisfiable on its own (typically an offset-concretization variant
-   contradicting an earlier header check) can never pair into a
-   feasible two-packet flow, so both sides are first weeded out once,
-   on the same context, by plain satisfiability of their path
-   condition — no boot grounding, since a primed query replaces the
-   cold store state. Those checks are not certified: dropping a pair
-   whose side is infeasible alone only removes unsatisfiable
-   supersets. *)
+   first confirmed one when [first]. *)
 let depth2 q ~a ~ingress ~attacks ~first =
   let ctx = V.make_ctx q.cfg in
   let env =
@@ -295,20 +285,7 @@ let depth2 q ~a ~ingress ~attacks ~first =
       certify = V.certifier q.cert ctx ~defer:(fun f -> f ());
     }
   in
-  let shape_feasible (fp : Relation.fpath) =
-    let st = fp.Relation.fp_st in
-    match
-      decide_scoped q
-        { env with V.certify = ignore }
-        st.Compose.cond ~deps:st.Compose.static_deps
-    with
-    | Solver.Unsat -> false
-    | Solver.Sat _ | Solver.Unknown -> true
-  in
-  let attacks = List.filter shape_feasible attacks in
-  let primes =
-    List.filter (fun (_, _, pr) -> shape_feasible pr) (prime_candidates q)
-  in
+  let primes = prime_candidates q in
   let flows = ref [] and stop = ref false in
   List.iter
     (fun attack ->

@@ -91,16 +91,17 @@ let trail (fp : fpath) =
 (* {2 Disjunctive sibling merging, once per summary}
 
    Per-element segment summaries are {e parse-variant} heavy: an
-   IPFilter expands to thousands of pure-filter segments — same effects,
-   same outcome, different path condition — and composing them
-   segment-by-segment multiplies the variants into an intractable path
-   product. Segments with the same effects ({!effect_key}) and no state
-   events (those are what {!ground_boot} grounds) are therefore merged
-   into one, at the first member's position: its condition is the
-   members' disjunction, factored on their shared prefixes, and its
-   instruction interval their envelope, which keeps bounds sound. This
-   depends on the summary alone, so it is built once per relation and
-   node, by the first expand that reaches it ({!merged}). *)
+   IPFilter expands to dozens of pure-filter segments (56 for one rule)
+   — same effects, same outcome, different path condition — and
+   composing them segment-by-segment multiplies the variants into a path
+   product across pipelines. Segments with the same effects
+   ({!effect_key}) and no state events (those are what {!ground_boot}
+   grounds) are therefore merged into one, at the first member's
+   position: its condition is the members' disjunction, factored on
+   their shared prefixes, and its instruction interval their envelope,
+   which keeps bounds sound. This depends on the summary alone, so it is
+   built once per relation and node, by the first expand that reaches it
+   ({!merged}). *)
 
 (** What a segment does to the packet, its metadata and its outcome:
     segments with equal keys build successors that differ only in

@@ -40,11 +40,11 @@ let tenant_prefix t = Printf.sprintf "10.%d.0.0/16" t
 (* A random harmless decoration for a tenant pipeline, as a chain
    fragment. Single-output elements only: an unwired extra output
    would register as an egress point and shift the pipeline's egress
-   numbering. Stateful decorations must key their stores at fixed
-   offsets (Counter, not FlowCounter): a store keyed on data behind a
-   variable header length splits into one unmergeable write-bearing
-   state per parse variant, and the cross-pipeline product of those
-   variants with the two IPFilters is intractable. *)
+   numbering. Stateful decorations key their stores at fixed offsets
+   (Counter, not FlowCounter): a store keyed on data behind a variable
+   header length splits into one unmergeable write-bearing state per
+   header length, and the cross-pipeline product of those states with
+   the two IPFilters made one 3-tenant scenario ~50x slower. *)
 let decoration st t =
   match Random.State.int st 3 with
   | 0 -> Printf.sprintf "Paint(%d)" (t land 0xff)

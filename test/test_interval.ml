@@ -318,8 +318,128 @@ let env_cases =
       check_bool "parent unchanged" false
         (I.refuted (I.extend parent (ne 1))))
 
+(* {1 Value sets}
+
+   [values env t ~cap] must contain every value [t] takes under an
+   assignment that satisfies the conjuncts [env] was built from. Offset
+   terms are built the way parsers build them — zero-extended bytes,
+   masks, shifts by constants (some past the width) and sums — over
+   one or two byte variables, and random bounds and disequalities are
+   assumed on their subterms; brute force over the bytes decides. *)
+
+let value_cases =
+  Alcotest.test_case "value sets: header length and a load behind it" `Quick
+    (fun () ->
+      let w16 = T.bv_int ~width:16 in
+      let hlen = T.shl (T.zext 16 (T.band x (c 0x0f))) (w16 2) in
+      let ints = Alcotest.(check (option (list int))) in
+      ints "multiples of 4" (Some (List.init 16 (fun i -> 4 * i)))
+        (I.values I.empty_env hlen ~cap:64);
+      (* The environment's [hlen >= 20] and [hlen <> 20] cut the set. *)
+      let env =
+        List.fold_left I.extend I.empty_env
+          [ T.ule (w16 20) hlen; T.not_ (T.eq hlen (w16 20)) ]
+      in
+      ints "at least 24" (Some (List.init 10 (fun i -> 24 + (4 * i))))
+        (I.values env hlen ~cap:64);
+      (* A path that fixed [hlen] offers one offset behind it. *)
+      let env = I.extend I.empty_env (T.eq hlen (w16 20)) in
+      ints "hlen + 2" (Some [ 22 ]) (I.values env (T.add hlen (w16 2)) ~cap:64);
+      ints "shift past the width" (Some [ 0 ])
+        (I.values I.empty_env (T.shl (T.zext 16 x) (w16 16)) ~cap:64);
+      ints "over the cap" None (I.values I.empty_env hlen ~cap:15);
+      ints "a bare byte" None (I.values I.empty_env (T.zext 16 x) ~cap:64))
+
+let values_differential =
+  let gen =
+    QCheck.Gen.(
+      let w16 = T.bv_int ~width:16 in
+      let byte = oneofl [ T.var "x" 8; T.var "y" 8 ] in
+      let leaf =
+        frequency
+          [
+            (3, map (T.zext 16) byte);
+            ( 3,
+              let* b = byte and* k = oneof [ int_bound 63; int_bound 255 ] in
+              return (T.zext 16 (T.band b (c k))) );
+            (1, map w16 (oneof [ int_bound 80; int_range 0xffc0 0xffff ]));
+          ]
+      in
+      let rec offset depth =
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              ( 2,
+                let* a = offset (depth - 1) and* k = int_bound 17 in
+                return (T.shl a (w16 k)) );
+              ( 3,
+                let* a = offset (depth - 1) and* b = offset (depth - 1) in
+                return (T.add a b) );
+              ( 1,
+                let* a = offset (depth - 1) and* k = int_bound 0xffff in
+                return (T.band a (w16 k)) );
+            ]
+      in
+      let* t = offset 3 in
+      let subjects =
+        T.fold_subterms
+          (fun acc s -> if T.const_value s <> None then acc else s :: acc)
+          [] t
+      in
+      let atom =
+        let* s = oneofl subjects in
+        let w = T.width s in
+        let* k = int_bound (min 100 ((1 lsl w) - 1)) and* op = int_bound 8 in
+        let kt = T.bv_int ~width:w k in
+        return
+          (match op with
+          | 0 | 1 | 2 | 3 -> T.ult s kt
+          | 4 | 5 -> T.ule kt s
+          | 6 -> T.eq s kt
+          | _ -> T.not_ (T.eq s kt))
+      in
+      let* atoms =
+        if subjects = [] then return [] else list_size (int_bound 3) atom
+      in
+      let* cap = oneof [ return 64; int_range 1 64 ] in
+      return (t, atoms, cap))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"value sets contain every value the environment allows"
+    (QCheck.make
+       ~print:(fun (t, atoms, cap) ->
+         Printf.sprintf "cap=%d %s under %s" cap (T.to_string t)
+           (String.concat " ; " (List.map T.to_string atoms)))
+       gen)
+    (fun (t, atoms, cap) ->
+      let env = List.fold_left I.extend I.empty_env atoms in
+      match I.values env t ~cap with
+      | None -> true
+      | Some vs ->
+        let occurs name =
+          List.exists (fun t -> List.mem_assoc name (T.free_vars t)) (t :: atoms)
+        in
+        let top name = if occurs name then 255 else 0 in
+        let missed = ref false in
+        for a = 0 to top "x" do
+          for b = 0 to top "y" do
+            let m =
+              Model.of_list
+                [ ("x", B.of_int ~width:8 a); ("y", B.of_int ~width:8 b) ]
+            in
+            if
+              List.for_all (Eval.eval_bool m) atoms
+              && not (List.mem (B.to_int_trunc (Eval.eval_bv m t)) vs)
+            then missed := true
+          done
+        done;
+        List.length vs <= cap && List.sort_uniq compare vs = vs && not !missed)
+
 let tests =
   unit_tests
   @ List.map QCheck_alcotest.to_alcotest
       [ soundness; soundness_wide; explain_list_differential; env_differential ]
   @ [ env_cases ]
+  @ [ value_cases; QCheck_alcotest.to_alcotest values_differential ]

@@ -220,7 +220,42 @@ let loop_proofs_share_a_context =
         true (s.Solver.sat_vars <= 2000);
       check_int "radix router segments" 145 (step1 "radix_router.click"))
 
+(* Step 1 concretises a symbolic offset only over the values it can
+   take on the path ([Interval.values]), so a parser behind IPv4's
+   variable header length yields few variants the solver refutes. The
+   SAT-feasible counts must not move: a value left out of a value set
+   would drop a feasible path. *)
+let offsets_follow_the_path =
+  Alcotest.test_case "step 1 totals and feasible segments of the parsers"
+    `Quick (fun () ->
+      List.iter
+        (fun (cls, config, total, feasible) ->
+          let e = Click.Registry.make ~name:"x" ~cls ~config in
+          let r = E.explore e.Click.Element.program in
+          let name = String.concat ", " (cls :: config) in
+          check_int (name ^ ": incomplete") 0 r.E.incomplete;
+          check_int (name ^ ": segments") total (List.length r.E.segments);
+          check_int (name ^ ": feasible") feasible
+            (List.length
+               (List.filter
+                  (fun (s : E.segment) -> Vdp_smt.Solver.is_sat s.E.cond)
+                  r.E.segments)))
+        [
+          ("IPFilter", [ "deny dst 10.1.0.0/16"; "allow all" ], 56, 35);
+          ( "IPFilter",
+            [
+              "deny proto tcp dport 22";
+              "allow src 10.0.0.0/8";
+              "allow proto icmp";
+              "deny all";
+            ],
+            89,
+            52 );
+          ("FlowCounter", [], 22, 20);
+          ("IPRewriter", [ "203.0.113.7" ], 53, 51);
+        ])
+
 let tests =
   unit_tests
   @ List.map QCheck_alcotest.to_alcotest props
-  @ [ loop_proofs_share_a_context ]
+  @ [ loop_proofs_share_a_context; offsets_follow_the_path ]

@@ -742,7 +742,7 @@ let pinned_tests =
         in
         List.iter
           (fun (name, n) -> check_int ("paths from " ^ name) n (from rel name))
-          [ ("a", 192); ("b", 192); ("wan", 313) ];
+          [ ("a", 57); ("b", 57); ("wan", 88) ];
         let r = Q.run ~config:cfg rel (Click.Config.Reach ("a", "wan_out")) in
         check_int "reach checks" 2 r.Q.checks;
         List.iter
@@ -750,10 +750,10 @@ let pinned_tests =
             let r =
               Q.run ~config:cfg rel (Click.Config.Temporal ("wan", lan))
             in
-            check_int ("temporal paths to " ^ lan) 152 r.Q.paths)
+            check_int ("temporal paths to " ^ lan) 62 r.Q.paths)
           [ "lan_a"; "lan_b" ];
         let c = Q.verify_crash ~config:cfg rel in
-        check_int "crash paths" 697 c.Q.c_paths;
+        check_int "crash paths" 202 c.Q.c_paths;
         check_int "crash bound" 319 c.Q.c_max_instrs;
         let sc = Sc.generate ~tenants:2 ~seed:5 ~leak:`Dropped_deny () in
         check_int "scenario paths from t1" 16 (from (R.build sc.Sc.sc_fab) "t1"));

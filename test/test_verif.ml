@@ -536,8 +536,8 @@ let pin_crash name ~states ~checks ?segments ?folded ?(solves = false) () =
 let pinned_counters =
   [
     pin_crash "router.click" ~states:283 ~checks:783 ~solves:true ();
-    pin_crash "firewall.click" ~states:34 ~checks:2021 ~segments:15078 ();
-    pin_crash "netflow_nat.click" ~states:783 ~checks:11763 ~folded:10538 ();
+    pin_crash "firewall.click" ~states:34 ~checks:671 ~segments:213 ();
+    pin_crash "netflow_nat.click" ~states:288 ~checks:3933 ~folded:3468 ();
     Alcotest.test_case "step-2 counters pinned: router.click bound" `Slow
       (fun () ->
         Summaries.clear ();
